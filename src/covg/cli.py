@@ -71,7 +71,7 @@ def _parse_order(M, text):
     return tuple(M.ground.index(p.strip()) for p in text.split(","))
 
 
-def _load_com(path, limits):
+def _load_com(path):
     data = jsonio.read_json(path)
     return COM.from_json_dict(data)
 
@@ -108,7 +108,7 @@ def cmd_fixture(args, limits):
 
 
 def cmd_circuits(args, limits):
-    M = _load_com(args.com, limits)
+    M = _load_com(args.com)
     out = [
         {"vector": c.vector.to_string(), "symmetric": c.symmetric}
         for c in circuits(M, limits)
@@ -117,7 +117,7 @@ def cmd_circuits(args, limits):
 
 
 def cmd_nbc(args, limits):
-    M = _load_com(args.com, limits)
+    M = _load_com(args.com)
     order = _parse_order(M, args.order)
     sets = nbc_sets(M, order, limits)
     order_labels = (
@@ -131,7 +131,7 @@ def cmd_nbc(args, limits):
 
 
 def cmd_flats(args, limits):
-    M = _load_com(args.com, limits)
+    M = _load_com(args.com)
     poset = flats_of(M)
     return {
         "flats": [_labels(M, f) for f in poset],
@@ -141,7 +141,7 @@ def cmd_flats(args, limits):
 
 
 def cmd_basic(args, limits):
-    M = _load_com(args.com, limits)
+    M = _load_com(args.com)
     F = _parse_flat(M, args.flat)
     basics = basic_sets(M, F)
     return {
@@ -153,7 +153,7 @@ def cmd_basic(args, limits):
 
 
 def cmd_hilbert(args, limits):
-    M = _load_com(args.com, limits)
+    M = _load_com(args.com)
     field = _resolve_field(args)
     if args.method == "rank":
         locus = tope_locus(M) if args.which == "small" else covector_locus(M)
@@ -171,7 +171,7 @@ def cmd_hilbert(args, limits):
 
 
 def cmd_verify(args, limits):
-    M = _load_com(args.com, limits)
+    M = _load_com(args.com)
     field = _resolve_field(args)
     if args.what == "big-theorem":
         report = verify_covector_presentation(M, field=field, limits=limits)
@@ -189,7 +189,7 @@ def cmd_verify(args, limits):
         affine_bad = [
             str(g)
             for g in gens["affine"]
-            if any(v != 0 for v in filt.evaluate(g if field.characteristic == 0 else _coerce(g, field)))
+            if any(v != 0 for v in filt.evaluate(g))
         ]
         graded_bad = [
             str(g) for g in gens["graded"] if not gr_membership(locus, g, field, filt)
@@ -227,12 +227,6 @@ def cmd_verify(args, limits):
     raise CliError(f"unknown verification {args.what!r}")
 
 
-def _coerce(poly, field):
-    from .exactla import Polynomial
-
-    return Polynomial(poly.vars, field, {e: field.of(c) for e, c in poly.terms.items()})
-
-
 def cmd_loci(args, limits):
     makers = {
         "kostant": kostant_locus,
@@ -256,7 +250,7 @@ def cmd_loci(args, limits):
 
 
 def cmd_character(args, limits):
-    M = _load_com(args.com, limits)
+    M = _load_com(args.com)
     field = _resolve_field(args)
     group = GroupSpec.from_json_dict(M, jsonio.read_json(args.group), limits)
     locus = covector_locus(M)

@@ -212,7 +212,7 @@ def check_axioms(vectors):
 class COM:
     """A ground set plus a deduplicated, canonically sorted covector family."""
 
-    __slots__ = ("ground", "covectors", "_set", "_signs")
+    __slots__ = ("ground", "covectors", "_set", "_signs", "_hash")
 
     def __init__(self, ground, covectors, check=True):
         if not isinstance(ground, GroundSet):
@@ -226,6 +226,8 @@ class COM:
         object.__setattr__(self, "covectors", tuple(covectors))
         object.__setattr__(self, "_set", frozenset(covectors))
         object.__setattr__(self, "_signs", None)
+        # flats_of and circuits are lru_caches keyed on the COM: hash it once
+        object.__setattr__(self, "_hash", hash((ground.labels, self.covectors)))
         if check:
             report = check_axioms(self.covectors)
             if not report.ok:
@@ -253,7 +255,7 @@ class COM:
         )
 
     def __hash__(self):
-        return hash((self.ground.labels, self.covectors))
+        return self._hash
 
     def __repr__(self):
         return f"COM({len(self)} covectors on {list(self.ground.labels)})"
@@ -309,15 +311,6 @@ class FlatPoset:
     @property
     def minimum(self):
         return self.flats[0]
-
-    def covers(self):
-        """Cover pairs (f, g) with f properly contained in g and nothing between."""
-        out = []
-        for f in self.flats:
-            for g in self.flats:
-                if f < g and not any(f < h < g for h in self.flats):
-                    out.append((f, g))
-        return out
 
 
 def flat_poset(M):

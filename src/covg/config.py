@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactla import DEFAULT_PRIME
-
 
 @dataclass(frozen=True)
 class Limits:
@@ -15,7 +13,6 @@ class Limits:
     max_locus_n: int = 7  # permutation loci stop at n! = 5040 points
     max_braid_n: int = 9  # single-digit pair labels
     stream_threshold: int = 10_000  # covector lists longer than this stream as JSON lines
-    default_prime: int = DEFAULT_PRIME
 
 
 DEFAULT_LIMITS = Limits()

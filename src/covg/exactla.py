@@ -137,8 +137,6 @@ class PrimeField:
 
 QQ = RationalField()
 
-DEFAULT_PRIME = 1000003
-
 
 def field_from_name(name):
     """Parse 'rational' or 'fp:<p>' into a field object."""
@@ -155,10 +153,6 @@ def field_from_name(name):
 # Monomials are dense exponent tuples over the declared variable list; the
 # repo-wide monomial order is graded lexicographic (degree first, then the
 # exponent tuple with earlier variables weighing more).
-
-
-def monomial_degree(exps):
-    return sum(exps)
 
 
 def monomial_mul(e1, e2):
@@ -386,6 +380,8 @@ class RationalRowSpace:
     def _intvec(self, vec):
         if len(vec) != self.ambient:
             raise ExactLAError("vector length does not match ambient dimension")
+        if all(type(v) is int for v in vec):
+            return list(vec)
         vec = [Fraction(v) if not isinstance(v, Fraction) else v for v in vec]
         mult = 1
         for v in vec:
@@ -473,6 +469,13 @@ class FpRowSpace:
     """Row space over F_p backed by numpy; rows are pivot-normalized."""
 
     def __init__(self, ambient, p):
+        # int64 dot products of length ambient with entries < p are exact only
+        # while ambient * (p - 1)^2 < 2^63
+        if ambient * (p - 1) ** 2 >= 2**63:
+            raise ExactLAError(
+                f"the prime {p} is too large for exact int64 elimination on {ambient} points: "
+                "need points * (p - 1)^2 < 2^63"
+            )
         self.ambient = ambient
         self.p = p
         self._store = np.zeros((16, ambient), dtype=np.int64)

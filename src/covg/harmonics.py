@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
+from operator import mul
 
 import numpy as np
 
@@ -197,7 +198,13 @@ class HilbertSeries:
 
 
 class EvaluationFiltration:
-    """Degree filtration of functions on a locus by monomial evaluation spans."""
+    """Degree filtration of functions on a locus by monomial evaluation spans.
+
+    Evaluation columns of monomials are cached by exponent tuple; each is one
+    variable-column product of a cached divisor.  Over Q a column holds exact
+    ints wherever the locus coordinates allow it and Fractions elsewhere; over
+    F_p it is an int64 array of residues.
+    """
 
     def __init__(self, locus, field=QQ):
         if len(locus) == 0:
@@ -213,18 +220,22 @@ class EvaluationFiltration:
         self.field = field
         self.n_points = len(locus)
         self.n_vars = len(locus.variables)
+        # before the int64 columns: the row space refuses primes too large for them
+        self.space = make_rowspace(self.n_points, field)
         if field.characteristic == 0:
             self._var_evals = [
-                tuple(Fraction(pt[i]) for pt in locus.points) for i in range(self.n_vars)
+                tuple(c.numerator if c.denominator == 1 else c for c in map(Fraction, col))
+                for col in zip(*locus.points)
             ]
-            ones = tuple(Fraction(1) for _ in range(self.n_points))
+            ones = (1,) * self.n_points
         else:
             self._var_evals = [
-                np.array([field.of(pt[i]) for pt in locus.points], dtype=np.int64)
-                for i in range(self.n_vars)
+                np.array([field.of(c) for c in col], dtype=np.int64)
+                for col in zip(*locus.points)
             ]
             ones = np.ones(self.n_points, dtype=np.int64)
-        self.space = make_rowspace(self.n_points, field)
+        unit = (0,) * self.n_vars
+        self._columns = {unit: ones}
         self.coeffs = []
         self.snapshots = []
         self._standard = []
@@ -233,20 +244,32 @@ class EvaluationFiltration:
         self.space.insert(ones)
         self.coeffs.append(1)
         self.snapshots.append(self.space.copy())
-        self._standard.append([((0,) * self.n_vars, ones)])
+        self._standard.append([unit])
         if self.space.rank == self.n_points:
             self.complete = True
 
     def _mul(self, vec, i):
         col = self._var_evals[i]
         if self.field.characteristic == 0:
-            return tuple(a * b for a, b in zip(vec, col))
+            return tuple(map(mul, vec, col))
         return vec * col % self.field.characteristic
 
     def _key(self, vec):
         if self.field.characteristic == 0:
             return vec
         return vec.tobytes()
+
+    def _column(self, exps):
+        """Evaluation vector of the monomial with these exponents."""
+        chain = []
+        while exps not in self._columns:
+            i = next(k for k, e in enumerate(exps) if e)
+            chain.append((exps, i))
+            exps = exps[:i] + (exps[i] - 1,) + exps[i + 1 :]
+        vec = self._columns[exps]
+        for exps, i in reversed(chain):
+            vec = self._columns[exps] = self._mul(vec, i)
+        return vec
 
     def advance_degree(self):
         if self.complete:
@@ -258,23 +281,24 @@ class EvaluationFiltration:
                 "this signals an arithmetic bug"
             )
         candidates = {}
-        for exps, vec in self._standard[d - 1]:
+        for exps in self._standard[d - 1]:
             for i in range(self.n_vars):
                 child = exps[:i] + (exps[i] + 1,) + exps[i + 1 :]
                 if child not in candidates:
-                    candidates[child] = (vec, i)
+                    candidates[child] = (exps, i)
         new_standard = []
         h = 0
         for exps in sorted(candidates, reverse=True):
-            vec, i = candidates[exps]
-            v = self._mul(vec, i)
+            parent, i = candidates[exps]
+            v = self._mul(self._columns[parent], i)
             key = self._key(v)
             if key in self._seen:
                 continue
             self._seen.add(key)
             if self.space.insert(v):
                 h += 1
-                new_standard.append((exps, v))
+                self._columns[exps] = v
+                new_standard.append(exps)
                 if self.space.rank == self.n_points:
                     break
         self.coeffs.append(h)
@@ -309,15 +333,25 @@ class EvaluationFiltration:
             self.advance_degree()
         if d >= len(self._standard):
             return []
-        return [exps for exps, _ in self._standard[d]]
+        return list(self._standard[d])
 
     def evaluate(self, poly):
+        """Evaluation vector of a polynomial, its coefficients read in this field."""
         if tuple(poly.vars) != tuple(self.locus.variables):
             raise HarmonicsError("polynomial variables do not match the locus")
-        if self.field.characteristic == 0:
-            return tuple(poly.evaluate(pt) for pt in self.locus.points)
-        pts = [[self.field.of(c) for c in pt] for pt in self.locus.points]
-        return np.array([poly.evaluate(pt) for pt in pts], dtype=np.int64)
+        p = self.field.characteristic
+        if p:
+            total = np.zeros(self.n_points, dtype=np.int64)
+            for exps, coeff in poly.terms.items():
+                total = (total + self.field.of(coeff) * self._column(exps) % p) % p
+            return total
+        total = (0,) * self.n_points
+        for exps, coeff in poly.terms.items():
+            c = self.field.of(coeff)
+            if c.denominator == 1:
+                c = c.numerator
+            total = tuple(a + c * x for a, x in zip(total, self._column(exps)))
+        return total
 
 
 def hilbert_series(locus, field=QQ):
@@ -337,12 +371,7 @@ def gr_membership(locus, poly, field=QQ, filtration=None):
     if d < 1:
         raise HarmonicsError("membership test needs degree at least 1")
     filt = filtration or EvaluationFiltration(locus, field)
-    if field.characteristic == 0:
-        p = poly
-    else:
-        p = Polynomial(poly.vars, field, {e: field.of(c) for e, c in poly.terms.items()})
-    vec = filt.evaluate(p)
-    return filt.space_upto(d - 1).contains(vec)
+    return filt.space_upto(d - 1).contains(filt.evaluate(poly))
 
 
 # ---------------------------------------------------------------------------
@@ -574,19 +603,17 @@ def nbc_basis(M, order=None, basic_choice=None, limits=DEFAULT_LIMITS):
     return NbcBases(tope_monos, cov_monos, strata, order)
 
 
-def verify_basis(locus, monomials, field=QQ):
+def verify_basis(locus, monomials, field=QQ, filtration=None):
     """Do these polynomials evaluate to an invertible matrix on the locus?"""
     monomials = list(monomials)
     if len(monomials) != len(locus):
         raise HarmonicsError(
             f"need exactly {len(locus)} polynomials for this locus, got {len(monomials)}"
         )
-    filt = EvaluationFiltration(locus, field)
-    space = make_rowspace(len(locus), field)
+    filt = filtration or EvaluationFiltration(locus, field)
+    space = make_rowspace(len(locus), filt.field)
     count = 0
     for p in monomials:
-        if field.characteristic:
-            p = Polynomial(p.vars, field, {e: field.of(c) for e, c in p.terms.items()})
         if space.insert(filt.evaluate(p)):
             count += 1
     return count == len(locus)
@@ -679,7 +706,7 @@ def verify_covector_presentation(M, order=None, j_support_cap=5, field=QQ, limit
         if not gr_membership(locus, g, field, filt):
             failures.append(str(g))
     bases = nbc_basis(M, order, limits=limits)
-    basis_ok = verify_basis(locus, bases.covector, field)
+    basis_ok = verify_basis(locus, bases.covector, field, filt)
     h_rank = filt.hilbert()
     h_nbc = hilbert_from_nbc(M, order, limits)["covector"]
     j_checked = 0

@@ -1,6 +1,13 @@
+import os
+from pathlib import Path
+
 import pytest
 
 from covg import braid_com, fixture
+
+# tests that start `python -m covg.cli` in a subprocess import the same source tree
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture(scope="session")

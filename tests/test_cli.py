@@ -125,6 +125,15 @@ def test_hilbert_field_flag_and_env(capsys, braid3_path, monkeypatch):
     assert rep["results"]["field"] == "rational"
 
 
+def test_hilbert_refuses_prime_past_int64_bound(capsys, braid3_path):
+    # this prime once answered [1, 7, 5] with exit 0; the rational answer is [1, 6, 6]
+    code, rep = report(capsys, "--field", "fp:4294967311", "hilbert", braid3_path, "--which", "big")
+    assert code == 2
+    assert rep["error"]["type"] == "ExactLAError"
+    assert "2^63" in rep["error"]["message"]
+    assert "results" not in rep
+
+
 def test_verify_commands(capsys, fig1_path):
     for what in ("tope-count", "small-generators", "two-values", "big-theorem"):
         code, rep = report(capsys, "verify", fig1_path, "--what", what)

@@ -249,6 +249,12 @@ def test_com_json_roundtrip(figure1):
     assert again == figure1
 
 
+def test_com_hash_follows_equality(figure1):
+    shuffled = COM(figure1.ground, reversed(figure1.covectors))
+    assert shuffled == figure1 and hash(shuffled) == hash(figure1)
+    assert len({figure1, shuffled, COM.from_json_dict(figure1.to_json_dict())}) == 1
+
+
 def test_empty_ground_set():
     M = COM(GroundSet(()), [SignedVector(())])
     assert len(M) == 1

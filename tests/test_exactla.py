@@ -121,6 +121,14 @@ def test_rowspace_rational_fractions():
     assert not rs.contains([1, 0])
 
 
+def test_rowspace_rational_mixed_int_and_fraction_entries():
+    rs = RationalRowSpace(3)
+    assert rs.insert([2, Fraction(1, 2), 0])
+    assert rs.contains([4, 1, 0])
+    assert rs.contains([Fraction(4), Fraction(1), Fraction(0)])
+    assert not rs.contains([0, 0, 1])
+
+
 def test_rowspace_expansion_coefficients():
     rs = RationalRowSpace(3)
     rs.insert([1, 1, 0])

@@ -11,9 +11,11 @@ from covg import (
     PrimeField,
     QQ,
     SignedVector,
+    braid_com,
     contract,
     covector_ideal_generators,
     covector_locus,
+    fixture,
     gr_membership,
     hilbert_from_nbc,
     hilbert_series,
@@ -29,6 +31,7 @@ from covg import (
     z_ideal_generators,
 )
 from covg import permstats
+from covg.exactla import ExactLAError
 from covg.harmonics import (
     EmptyLocusError,
     EvaluationFiltration,
@@ -122,6 +125,14 @@ def test_hilbert_fp_requires_large_prime(braid3):
         hilbert_series(covector_locus(braid3), PrimeField(11))
 
 
+def test_hilbert_fp_at_int64_bound(braid3):
+    # 13 points: primes are accepted while 13 * (p - 1)^2 < 2^63, about p < 8.4e8
+    locus = covector_locus(braid3)
+    assert hilbert_series(locus, PrimeField(842312381)).coeffs == (1, 6, 6)
+    with pytest.raises(ExactLAError):
+        hilbert_series(locus, PrimeField(842312407))
+
+
 def test_hilbert_invariants(corpus):
     for M in corpus.values():
         locus = covector_locus(M)
@@ -179,6 +190,58 @@ def test_hilbert_engine_matches_naive_sympy_ranks(pts):
         d += 1
         assert d <= n
     assert series.coeffs == tuple(coeffs)
+
+
+# ---------------------------------------------------------------------------
+# evaluation through cached monomial columns
+
+
+NONINTEGRAL_LOCUS = PointLocus(
+    ("a", "b", "c"),
+    ("p", "q", "r", "s"),
+    (
+        (Fraction(1, 2), Fraction(3), Fraction(-2, 3)),
+        (Fraction(0), Fraction(1, 3), Fraction(5)),
+        (Fraction(2), Fraction(-1), Fraction(1, 7)),
+        (Fraction(7, 5), Fraction(0), Fraction(0)),
+    ),
+)
+EVALUATION_LOCI = [
+    covector_locus(braid_com(3)),
+    covector_locus(fixture("figure1")),
+    NONINTEGRAL_LOCUS,
+]
+
+
+def _reference_evaluation(locus, poly, field):
+    """Per-point Polynomial.evaluate, at coordinates coerced into the field."""
+    p = Polynomial(poly.vars, field, poly.terms)
+    return [p.evaluate([field.of(c) for c in pt]) for pt in locus.points]
+
+
+@st.composite
+def _locus_and_polynomials(draw):
+    locus = draw(st.sampled_from(EVALUATION_LOCI))
+    n = len(locus.variables)
+    terms = st.dictionaries(
+        st.tuples(*[st.integers(0, 2)] * n),
+        st.fractions(min_value=-5, max_value=5, max_denominator=7),
+        max_size=6,
+    )
+    polys = [Polynomial(locus.variables, QQ, t) for t in draw(st.lists(terms, min_size=1, max_size=3))]
+    return locus, polys
+
+
+@settings(max_examples=60, deadline=None)
+@given(_locus_and_polynomials(), st.sampled_from([QQ, GF]))
+def test_cached_evaluation_matches_pointwise_reference(case, field):
+    locus, polys = case
+    filt = EvaluationFiltration(locus, field)
+    for stage in range(2):
+        for poly in polys:
+            reference = _reference_evaluation(locus, poly, field)
+            assert list(filt.evaluate(poly)) == reference, (stage, str(poly))
+        filt.build()  # the second pass reads columns shared with the standard monomials
 
 
 # ---------------------------------------------------------------------------
