@@ -51,6 +51,7 @@ from .matroidal import (
     closure,
     codim,
     minimal_nonbasic_sets,
+    mixing_subsets,
     nbc_sets,
     nonbasic,
 )

@@ -15,7 +15,6 @@ import os
 import sys
 import time
 from dataclasses import replace
-from fractions import Fraction
 
 from . import jsonio
 from .com import COM, check_axioms, coloops, flats_of, topes
@@ -42,6 +41,7 @@ from .matroidal import (
     circuits,
     codim,
     minimal_nonbasic_sets,
+    mixing_subsets,
     nbc_sets,
 )
 from .realize import Arrangement, braid_com, enumerate_covectors, fixture
@@ -204,23 +204,11 @@ def cmd_verify(args, limits):
             {"affine_vanish": not affine_bad, "graded_membership": not graded_bad},
         )
     if args.what == "two-values":
-        from .com import contract
-        from .matroidal import circuits as _circuits
-
-        checked, failures = 0, []
-        for F in flats_of(M):
-            MF = contract(M, F)
-            for c in _circuits(MF, limits):
-                if not c.symmetric:
-                    continue
-                supp = sorted(c.vector.support())
-                for sub in range(1, 2 ** len(supp) - 1):
-                    J = frozenset(supp[i] for i in range(len(supp)) if sub >> i & 1)
-                    rep = check_two_values(M, F, c.vector, J, limits)
-                    checked += 1
-                    if not rep.ok:
-                        failures.append(rep.as_dict())
-        return {"checked": checked, "failures": failures}, {"two_values": not failures}
+        reports = [
+            check_two_values(M, F, X, J, limits) for F, X, J in mixing_subsets(M, limits)
+        ]
+        failures = [rep.as_dict() for rep in reports if not rep.ok]
+        return {"checked": len(reports), "failures": failures}, {"two_values": not failures}
     if args.what == "tope-count":
         rep = check_tope_contraction_count(M)
         return rep.as_dict(), {"tope_count": rep.ok}
@@ -268,10 +256,7 @@ def cmd_character(args, limits):
             }
         )
     def _sum_matches(w, row):
-        total = sum(ch.values[w], Fraction(0) if field.characteristic == 0 else 0)
-        if field.characteristic:
-            return total % field.characteristic == row["fixed_covectors"] % field.characteristic
-        return total == row["fixed_covectors"]
+        return field.of(sum(ch.values[w], field.zero)) == field.of(row["fixed_covectors"])
 
     results = {"group_order": group.order, "character": table}
     assertions = {
@@ -335,8 +320,6 @@ def build_parser():
         default=None,
         help="rational (default) or fp:<prime>; COVG_FIELD supplies a default",
     )
-    parser.add_argument("--threads", type=int, default=1, help="worker cap (single-process)")
-    parser.add_argument("--seed", type=int, default=None, help="reserved; all runs are deterministic")
     parser.add_argument("--timing", action="store_true", help="include wall time in the report")
     parser.add_argument(
         "--stream-threshold",
@@ -414,8 +397,6 @@ def run(argv):
     parser = build_parser()
     args = parser.parse_args(argv)
     limits = replace(DEFAULT_LIMITS, stream_threshold=args.stream_threshold)
-    if args.threads < 1:
-        parser.error("--threads must be at least 1")
     started = time.monotonic()
     try:
         results, assertions = args.handler(args, limits)

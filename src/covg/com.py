@@ -212,7 +212,7 @@ def check_axioms(vectors):
 class COM:
     """A ground set plus a deduplicated, canonically sorted covector family."""
 
-    __slots__ = ("ground", "covectors", "_set", "_signs", "_hash")
+    __slots__ = ("ground", "covectors", "_set", "_hash")
 
     def __init__(self, ground, covectors, check=True):
         if not isinstance(ground, GroundSet):
@@ -225,8 +225,7 @@ class COM:
         object.__setattr__(self, "ground", ground)
         object.__setattr__(self, "covectors", tuple(covectors))
         object.__setattr__(self, "_set", frozenset(covectors))
-        object.__setattr__(self, "_signs", None)
-        # flats_of and circuits are lru_caches keyed on the COM: hash it once
+        # flats_of, contract and circuits are lru_caches keyed on the COM: hash it once
         object.__setattr__(self, "_hash", hash((ground.labels, self.covectors)))
         if check:
             report = check_axioms(self.covectors)
@@ -259,11 +258,6 @@ class COM:
 
     def __repr__(self):
         return f"COM({len(self)} covectors on {list(self.ground.labels)})"
-
-    def signs_matrix(self):
-        if self._signs is None:
-            object.__setattr__(self, "_signs", _signs_matrix(self.covectors, self.ground.size))
-        return self._signs
 
     def to_json_dict(self):
         return {
@@ -349,7 +343,16 @@ def restrict(M, F):
 
 
 def contract(M, F):
-    """Contraction at a flat F: covectors vanishing on F, restricted to the rest."""
+    """Contraction at a flat F: covectors vanishing on F, restricted to the rest.
+
+    Cached per (M, F), so each contraction is built and axiom-checked once;
+    a failing check raises and caches nothing.
+    """
+    return _contract_cached(M, frozenset(F))
+
+
+@lru_cache(maxsize=256)
+def _contract_cached(M, F):
     F = _require_flat(M, F)
     keep = [i for i in range(M.ground.size) if i not in F]
     ground = GroundSet(tuple(M.ground.labels[i] for i in keep))

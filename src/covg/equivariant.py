@@ -154,17 +154,19 @@ def graded_character(locus, group, field=QQ, filtration=None):
     filt.build()
     values = {}
     for w in group.elements:
-        perm = locus_action(locus, w)
-        traces = [filt.space_upto(d).trace_under_permutation(perm) for d in range(len(filt.coeffs))]
-        diffs = []
-        prev = 0
-        for t in traces:
-            diffs.append(t - prev if field.characteristic == 0 else (t - prev) % field.characteristic)
-            prev = t
+        diffs = _graded_traces(filt, locus_action(locus, w))
         if diffs[0] != 1:
             raise EquivariantError("degree-0 character value must be 1")
         values[w] = tuple(diffs)
     return GradedCharacter(len(filt.coeffs), values)
+
+
+def _graded_traces(filt, perm):
+    """Trace of a point permutation on each quotient F_d / F_{d-1} of a built filtration."""
+    traces = [0] + [
+        filt.space_upto(d).trace_under_permutation(perm) for d in range(len(filt.coeffs))
+    ]
+    return [filt.field.of(t - prev) for prev, t in zip(traces, traces[1:])]
 
 
 def induced_character(group, sub_elements, chi_values):
@@ -253,18 +255,8 @@ def verify_graded_module_structure(M, group, field=QQ, limits=DEFAULT_LIMITS):
         shift = codim(M, rep)
         chi = {}
         for w in stab:
-            rw = restricted_permutation(w, rep, n)
-            perm = locus_action(locus, rw)
-            traces = [
-                filt.space_upto(d).trace_under_permutation(perm)
-                for d in range(len(filt.coeffs))
-            ]
-            diffs = []
-            prev = 0
-            for t in traces:
-                diffs.append(t - prev)
-                prev = t
-            chi[w] = tuple([0] * shift + diffs)
+            perm = locus_action(locus, restricted_permutation(w, rep, n))
+            chi[w] = tuple([0] * shift + _graded_traces(filt, perm))
         induced_parts.append(induced_character(group, stab, chi))
     width = max([big.degrees] + [ind.degrees for ind in induced_parts])
     total = {w: [Fraction(0)] * width for w in group.elements}

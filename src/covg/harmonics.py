@@ -34,6 +34,7 @@ from .matroidal import (
     codim,
     default_basic_set,
     minimal_nonbasic_sets,
+    mixing_subsets,
     nbc_sets,
 )
 from .realize import braid_com, fraction_to_str
@@ -327,13 +328,6 @@ class EvaluationFiltration:
         while not self.complete and len(self.snapshots) <= d:
             self.advance_degree()
         return self.snapshots[min(d, len(self.snapshots) - 1)]
-
-    def standard_monomials(self, d):
-        while not self.complete and len(self._standard) <= d:
-            self.advance_degree()
-        if d >= len(self._standard):
-            return []
-        return list(self._standard[d])
 
     def evaluate(self, poly):
         """Evaluation vector of a polynomial, its coefficients read in this field."""
@@ -711,22 +705,11 @@ def verify_covector_presentation(M, order=None, j_support_cap=5, field=QQ, limit
     h_nbc = hilbert_from_nbc(M, order, limits)["covector"]
     j_checked = 0
     j_failures = []
-    for F in flats_of(M):
-        MF = contract(M, F)
-        for c in circuits(MF, limits):
-            if not c.symmetric:
-                continue
-            supp = sorted(c.vector.support())
-            if len(supp) > j_support_cap:
-                continue
-            for sub in range(1, 2 ** len(supp) - 1):
-                J = frozenset(supp[i] for i in range(len(supp)) if sub >> i & 1)
-                g = symmetric_circuit_generator(M, F, c.vector, J)
-                j_checked += 1
-                if not gr_membership(locus, g, field, filt):
-                    j_failures.append(
-                        {"flat": sorted(F), "circuit": c.vector.to_string(), "J": sorted(J)}
-                    )
+    for F, X, J in mixing_subsets(M, limits, j_support_cap):
+        g = symmetric_circuit_generator(M, F, X, J)
+        j_checked += 1
+        if not gr_membership(locus, g, field, filt):
+            j_failures.append({"flat": sorted(F), "circuit": X.to_string(), "J": sorted(J)})
     return PresentationReport(
         checked, failures, basis_ok, h_rank, h_nbc, j_checked, j_failures
     )

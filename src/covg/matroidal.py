@@ -276,6 +276,19 @@ class TwoValuesReport:
         }
 
 
+def mixing_subsets(M, limits=DEFAULT_LIMITS, max_support=None):
+    """Yield (F, X, J): each flat F, each symmetric circuit X of the contraction
+    at F with at most max_support elements (no cap when None), and each
+    nonempty proper subset J of the support of X."""
+    for F in flats_of(M):
+        for c in circuits(contract(M, F), limits):
+            supp = sorted(c.vector.support())
+            if not c.symmetric or (max_support is not None and len(supp) > max_support):
+                continue
+            for sub in range(1, 2 ** len(supp) - 1):
+                yield F, c.vector, frozenset(supp[i] for i in range(len(supp)) if sub >> i & 1)
+
+
 def check_two_values(M, F, circuit_vector, J, limits=DEFAULT_LIMITS):
     """Shifted sign indicators take both values 0 and 1 on every covector.
 

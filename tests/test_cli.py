@@ -221,6 +221,8 @@ def test_error_report(capsys, tmp_path):
     assert rep["error"]["type"] == "FileNotFoundError"
 
 
-def test_seed_and_threads_accepted(capsys, fig1_path):
-    code, _ = invoke(capsys, "--seed", "7", "--threads", "2", "flats", fig1_path)
-    assert code == 0
+def test_removed_seed_and_threads_flags_are_rejected(capsys, fig1_path):
+    for flag in ("--seed", "--threads"):
+        with pytest.raises(SystemExit) as exc:
+            run([flag, "2", "flats", fig1_path])
+        assert exc.value.code == 2

@@ -260,3 +260,15 @@ def test_empty_ground_set():
     assert len(M) == 1
     assert topes(M) == (SignedVector(()),)
     assert flat_poset(M).flats == (frozenset(),)
+
+
+def test_contract_is_built_once_per_flat(figure1):
+    for F in flat_poset(figure1):
+        assert contract(figure1, F) is contract(figure1, set(F))
+
+
+def test_contract_does_not_cache_axiom_errors():
+    M = COM.unchecked(GroundSet(("a",)), [sv("+"), sv("-")])
+    for _ in range(2):
+        with pytest.raises(AxiomError):
+            contract(M, frozenset())

@@ -15,6 +15,7 @@ from covg import (
     contract,
     flat_poset,
     minimal_nonbasic_sets,
+    mixing_subsets,
     nbc_sets,
     nonbasic,
     topes,
@@ -238,3 +239,45 @@ def test_two_values_rejects_bad_subset(figure1):
         check_two_values(figure1, frozenset({1}), sv("+-0"), {0, 1})
     with pytest.raises(MatroidalError):
         check_two_values(figure1, frozenset({1}), sv("00-"), {0})
+
+
+def _explicit_two_values_loop(M):
+    out = []
+    for F in flat_poset(M):
+        MF = contract(M, F)
+        for c in circuits(MF):
+            if not c.symmetric:
+                continue
+            supp = sorted(c.vector.support())
+            for sub in range(1, 2 ** len(supp) - 1):
+                J = frozenset(supp[i] for i in range(len(supp)) if sub >> i & 1)
+                out.append((F, c.vector, J))
+    return out
+
+
+def test_mixing_subsets_matches_explicit_loop(figure1, braid3, braid4):
+    for M in (figure1, braid3, braid4):
+        expected = _explicit_two_values_loop(M)
+        assert expected
+        assert list(mixing_subsets(M)) == expected
+        capped = list(mixing_subsets(M, max_support=2))
+        assert capped == [t for t in expected if len(t[1].support()) <= 2]
+        assert all(len(X.support()) <= 2 for _F, X, _J in capped)
+    assert list(mixing_subsets(braid4, max_support=2))
+
+
+def test_two_values_sweep_checks_each_contraction_once(braid4, monkeypatch):
+    import covg.com
+
+    calls = []
+    real = covg.com.check_axioms
+
+    def counting(vectors):
+        calls.append(1)
+        return real(vectors)
+
+    monkeypatch.setattr(covg.com, "check_axioms", counting)
+    covg.com._contract_cached.cache_clear()
+    reports = [check_two_values(braid4, F, X, J) for F, X, J in mixing_subsets(braid4)]
+    assert reports and all(rep.ok for rep in reports)
+    assert len(calls) == len(flat_poset(braid4)) == 15
