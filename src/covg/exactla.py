@@ -357,6 +357,7 @@ def apply_point_permutation(vec, perm):
 
 
 _NORMALIZE_BITS = 512  # renormalize integer rows once entries exceed this
+_ECHELON_LEAF = 32  # FpRowSpace._echelon eliminates blocks this small row by row
 
 
 class RationalRowSpace:
@@ -434,6 +435,16 @@ class RationalRowSpace:
         self.rows.append(v)
         self.pivots.append(j)
         return True
+
+    def insert_block(self, vecs):
+        """Insert the vectors in order; return the indices of those that raised the rank."""
+        taken = []
+        for i, vec in enumerate(vecs):
+            if self.rank == self.ambient:
+                break
+            if self.insert(vec):
+                taken.append(i)
+        return taken
 
     def contains(self, vec):
         v = self._reduce(self._intvec(vec))
@@ -529,14 +540,99 @@ class FpRowSpace:
             col = self._basis[:, j].copy()
             if col.any():
                 self._store[: self._rank] = (self._basis - np.outer(col, v)) % self.p
-        if self._rank == len(self._store):
-            grown = np.zeros((max(16, 2 * len(self._store)), self.ambient), dtype=np.int64)
+        self._append(v[None, :], [j])
+        return True
+
+    def _append(self, rows, pivots):
+        new_rank = self._rank + len(rows)
+        if new_rank > len(self._store):
+            grown = np.zeros((max(16, 2 * len(self._store), new_rank), self.ambient), dtype=np.int64)
             grown[: self._rank] = self._basis
             self._store = grown
-        self._store[self._rank] = v
-        self._rank += 1
-        self.pivots.append(j)
-        return True
+        self._store[self._rank : new_rank] = rows
+        self._rank = new_rank
+        self.pivots.extend(pivots)
+
+    # Block insertion.  Every product below is a `_combine` whose inner
+    # dimension counts rows of one echelon basis, hence is at most `ambient`,
+    # and whose factors are residues in [0, p): each dot product is at most
+    # ambient * (p - 1)^2, which `_float_ok` bounds below 2^53 for the float64
+    # branch and `__init__` bounds below 2^63 for the int64 branch.  The leaf's
+    # outer products are single products (p - 1)^2 < 2^63.
+
+    def insert_block(self, vecs):
+        """Insert the vectors in order; return the indices of those that raised the rank.
+
+        The accepted indices, basis rows and pivots equal those of calling
+        `insert` on each vector in turn: the greedy independent set in row
+        order is unique, and so is the fully reduced basis at a fixed pivot
+        set.  The block is reduced against the basis with one product, its
+        residual is put in echelon form by `_echelon`, and the new rows are
+        back-substituted into the old basis with one more product.
+        """
+        if not len(vecs) or self._rank == self.ambient:
+            return []
+        block = np.asarray(vecs, dtype=np.int64) % self.p
+        if block.shape[1:] != (self.ambient,):
+            raise ExactLAError("vector length does not match ambient dimension")
+        if self._rank:
+            block = (block - self._combine(block[:, self.pivots], self._basis)) % self.p
+        taken, rows, pivots = self._echelon(block, self.ambient - self._rank)
+        if taken:
+            if self._rank:
+                old = self._basis
+                self._store[: self._rank] = (old - self._combine(old[:, pivots], rows)) % self.p
+            self._append(rows, pivots)
+        return taken
+
+    def _echelon(self, block, room):
+        """Greedy independent rows of a block that is zero at the basis pivots.
+
+        Returns (indices, rows, pivots): the first `room` at most of the rows
+        that are independent of all earlier ones, and the fully reduced
+        echelon basis of their span with its pivots in acceptance order.
+        Recursive on halves (rank-profile revealing, as in
+        Jeannerod-Pernet-Storjohann): echelon the first half, reduce the
+        second half against it, recurse, back-substitute.
+        """
+        live = np.flatnonzero(block.any(axis=1))
+        block = block[live]
+        if len(block) <= _ECHELON_LEAF:
+            taken, rows, pivots = self._echelon_leaf(block, room)
+        else:
+            half = len(block) // 2
+            taken, rows, pivots = self._echelon(block[:half], room)
+            if len(taken) < room:
+                rest = block[half:]
+                if taken:
+                    rest = (rest - self._combine(rest[:, pivots], rows)) % self.p
+                more, more_rows, more_pivots = self._echelon(rest, room - len(taken))
+                if more:
+                    if taken:
+                        rows = (rows - self._combine(rows[:, more_pivots], more_rows)) % self.p
+                    rows = np.concatenate([rows, more_rows])
+                    taken = taken + [half + i for i in more]
+                    pivots = pivots + more_pivots
+        return [int(live[i]) for i in taken], rows, pivots
+
+    def _echelon_leaf(self, block, room):
+        block = block.copy()
+        taken, pivots = [], []
+        for i in range(len(block)):
+            nz = np.flatnonzero(block[i])
+            if nz.size == 0:
+                continue
+            j = int(nz[0])
+            v = block[i] * pow(int(block[i, j]), -1, self.p) % self.p
+            col = block[:, j].copy()
+            col[i] = 0
+            block = (block - np.outer(col, v)) % self.p
+            block[i] = v
+            taken.append(i)
+            pivots.append(j)
+            if len(taken) == room:
+                break
+        return taken, block[taken], pivots
 
     def contains(self, vec):
         return not self._reduce(self._vec(vec)).any()

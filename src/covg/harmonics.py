@@ -14,6 +14,13 @@ divisors failed to increase rank cannot increase it either, because the
 pointwise product of a spanned vector with a coordinate vector is spanned by
 products of earlier monomials.  This prunes the search without changing any
 rank.
+
+Candidates of one degree are inserted in blocks (`EvaluationFiltration`): the
+row space returns the same accepted set as inserting them one at a time, and
+over F_p reduces each block with a few matrix products whose dot products
+stay exact under the prime bound the row space enforces.  Duplicates are
+dropped within a degree only, which never changes a rank: a repeated vector
+already lies in the span.
 """
 
 from __future__ import annotations
@@ -198,6 +205,9 @@ class HilbertSeries:
         return HilbertSeries(tuple(self[d] + other[d] for d in range(n)))
 
 
+_CHUNK_ROWS = 256  # candidates per row-space block insertion; bounds the block's memory
+
+
 class EvaluationFiltration:
     """Degree filtration of functions on a locus by monomial evaluation spans.
 
@@ -205,6 +215,19 @@ class EvaluationFiltration:
     variable-column product of a cached divisor.  Over Q a column holds exact
     ints wherever the locus coordinates allow it and Fractions elsewhere; over
     F_p it is an int64 array of residues.
+
+    Each degree's candidates go to the row space in glex-descending chunks of
+    at most `_CHUNK_ROWS` through `insert_block`, which accepts exactly the
+    vectors that one-at-a-time insertion would, so the standard monomials and
+    every rank are those of sequential insertion.  Over F_p a chunk costs one
+    product against the basis, a recursive echelon form of the residual and
+    one back-substitution; every product has inner dimension at most the
+    point count, and the row space's prime bound (points * (p - 1)^2 below
+    2^53 for float64, below 2^63 for int64) keeps each dot product exact.
+    Duplicate vectors are skipped within a degree only: a vector equal to one
+    already inserted lies in the span, so inserting it would not raise the
+    rank, and a repeat from an earlier degree reduces to zero in the chunk's
+    first product.
     """
 
     def __init__(self, locus, field=QQ):
@@ -240,7 +263,6 @@ class EvaluationFiltration:
         self.coeffs = []
         self.snapshots = []
         self._standard = []
-        self._seen = set()
         self.complete = False
         self.space.insert(ones)
         self.coeffs.append(1)
@@ -287,21 +309,21 @@ class EvaluationFiltration:
                 child = exps[:i] + (exps[i] + 1,) + exps[i + 1 :]
                 if child not in candidates:
                     candidates[child] = (exps, i)
-        new_standard = []
-        h = 0
+        new_standard, seen, chunk = [], set(), []
         for exps in sorted(candidates, reverse=True):
             parent, i = candidates[exps]
             v = self._mul(self._columns[parent], i)
             key = self._key(v)
-            if key in self._seen:
-                continue
-            self._seen.add(key)
-            if self.space.insert(v):
-                h += 1
-                self._columns[exps] = v
-                new_standard.append(exps)
+            if key not in seen:
+                seen.add(key)
+                chunk.append((exps, v))
+            if len(chunk) == _CHUNK_ROWS:
+                self._insert_chunk(chunk, new_standard)
+                chunk = []
                 if self.space.rank == self.n_points:
                     break
+        self._insert_chunk(chunk, new_standard)
+        h = len(new_standard)
         self.coeffs.append(h)
         self._standard.append(new_standard)
         self.snapshots.append(self.space.copy())
@@ -311,6 +333,12 @@ class EvaluationFiltration:
             raise HarmonicsError(
                 "evaluation spans stagnated below full rank; this signals an arithmetic bug"
             )
+
+    def _insert_chunk(self, chunk, new_standard):
+        for k in self.space.insert_block([v for _, v in chunk]):
+            exps, v = chunk[k]
+            self._columns[exps] = v
+            new_standard.append(exps)
 
     def build(self):
         while not self.complete:
@@ -606,11 +634,8 @@ def verify_basis(locus, monomials, field=QQ, filtration=None):
         )
     filt = filtration or EvaluationFiltration(locus, field)
     space = make_rowspace(len(locus), filt.field)
-    count = 0
-    for p in monomials:
-        if space.insert(filt.evaluate(p)):
-            count += 1
-    return count == len(locus)
+    taken = space.insert_block([filt.evaluate(p) for p in monomials])
+    return len(taken) == len(locus)
 
 
 def hilbert_from_nbc(M, order=None, limits=DEFAULT_LIMITS):

@@ -139,20 +139,21 @@ def nbc_sets(M, order=None, limits=DEFAULT_LIMITS):
     return tuple(out)
 
 
+@lru_cache(maxsize=256)
 def _flat_masks(M):
-    flats = flats_of(M).flats
+    """Bitmask of each flat of M; cached per COM like its flat poset."""
     masks = []
-    for f in flats:
+    for f in flats_of(M).flats:
         mask = 0
         for i in f:
             mask |= 1 << i
         masks.append(mask)
-    return flats, masks
+    return tuple(masks)
 
 
 def closure(M, C):
     """Smallest flat containing C, or None when no flat contains C."""
-    flats, masks = _flat_masks(M)
+    masks = _flat_masks(M)
     cmask = 0
     for i in C:
         cmask |= 1 << i

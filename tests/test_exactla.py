@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from covg.exactla import (
@@ -218,3 +218,72 @@ def test_rank_never_exceeds_ambient():
     rs.insert([0, 1])
     assert not rs.insert([1, 1])
     assert rs.rank == 2
+
+
+INT64_PRIME = 842312381  # 13 * (p - 1)^2 < 2^63 but > 2^53: the int64 branch
+
+
+def _new_space(p, ambient):
+    return RationalRowSpace(ambient) if p is None else FpRowSpace(ambient, p)
+
+
+def _space_state(space):
+    if isinstance(space, FpRowSpace):
+        return space._basis.tolist(), list(space.pivots)
+    return [list(r) for r in space.rows], list(space.pivots)
+
+
+@st.composite
+def _block_cases(draw):
+    """(p, ambient, rows, cut): sparse fresh rows mixed with zero rows, copies
+    and sums of earlier rows; rows[:cut] and rows[cut:] are two blocks."""
+    p = draw(st.sampled_from([None, 1000003, INT64_PRIME]))
+    ambient = draw(st.integers(1, 13 if p == INT64_PRIME else 48))
+    entry = st.integers(-3, 3) if p is None else st.integers(-2, 2) | st.integers(0, p - 1)
+    rows = []
+    for _ in range(draw(st.integers(0, 90))):
+        kind = draw(st.sampled_from(["fresh", "fresh", "zero", "copy", "sum"])) if rows else "fresh"
+        if kind == "fresh":
+            row = [0] * ambient
+            for k, x in draw(st.lists(st.tuples(st.integers(0, ambient - 1), entry), max_size=4)):
+                row[k] = x
+        elif kind == "zero":
+            row = [0] * ambient
+        elif kind == "copy":
+            row = list(rows[draw(st.integers(0, len(rows) - 1))])
+        else:
+            a, b = (rows[draw(st.integers(0, len(rows) - 1))] for _ in range(2))
+            row = [x + y for x, y in zip(a, b)]
+        rows.append(row)
+    return p, ambient, rows, draw(st.integers(0, len(rows)))
+
+
+_DENSE = [[i, i * i + 1, 7 * i + 3] for i in range(40)]
+_UNIT_MIX = [[int(k == (7 * i) % 40) for k in range(40)] for i in range(100)]
+_SPREAD = [[int(k == i % 40) + (i % 7) * int(k == (3 * i + 1) % 40) for k in range(40)] for i in range(100)]
+_ZERO13 = [[0] * 13]
+_UNIT_MIX13 = [[int(k == (5 * i) % 13) + int(k == i % 13) for k in range(13)] for i in range(60)]
+
+
+@given(_block_cases())
+@example((1000003, 3, _DENSE, 0))  # full rank inside the first leaf; rest skipped
+@example((INT64_PRIME, 3, _DENSE, 5))
+@example((None, 3, _DENSE, 0))
+@example((1000003, 40, _UNIT_MIX, 0))  # 40 rank increases across leaves, 60 duplicates
+@example((INT64_PRIME, 13, _ZERO13 * 10 + _UNIT_MIX13 + _ZERO13 * 30, 20))
+@example((None, 40, [[0] * 40] + _UNIT_MIX, 50))
+@example((1000003, 40, _SPREAD, 0))  # back-substitution across leaves
+@example((1000003, 40, _SPREAD, 20))  # and into an earlier block's basis
+@example((None, 40, _SPREAD, 0))
+@settings(max_examples=150, deadline=None)
+def test_insert_block_matches_sequential_insert(case):
+    p, ambient, rows, cut = case
+    if p == INT64_PRIME:
+        assert not FpRowSpace(ambient, p)._float_ok
+    sequential = _new_space(p, ambient)
+    expected = [i for i, row in enumerate(rows) if sequential.insert(row)]
+    block = _new_space(p, ambient)
+    taken = block.insert_block(rows[:cut]) + [cut + i for i in block.insert_block(rows[cut:])]
+    assert taken == expected
+    assert block.rank == sequential.rank == len(expected)
+    assert _space_state(block) == _space_state(sequential)

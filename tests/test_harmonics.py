@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -31,7 +32,7 @@ from covg import (
     z_ideal_generators,
 )
 from covg import permstats
-from covg.exactla import ExactLAError
+from covg.exactla import ExactLAError, FpRowSpace
 from covg.harmonics import (
     EmptyLocusError,
     EvaluationFiltration,
@@ -131,6 +132,45 @@ def test_hilbert_fp_at_int64_bound(braid3):
     assert hilbert_series(locus, PrimeField(842312381)).coeffs == (1, 6, 6)
     with pytest.raises(ExactLAError):
         hilbert_series(locus, PrimeField(842312407))
+
+
+def _sequential_filtration(locus, field):
+    """Standard monomials, Hilbert coefficients and row space of the degree
+    filtration built with one FpRowSpace.insert per glex-descending candidate."""
+    n, n_vars, p = len(locus), len(locus.variables), field.p
+    coords = np.array([[field.of(c) for c in pt] for pt in locus.points], dtype=np.int64)
+
+    def column(exps):
+        v = np.ones(n, dtype=np.int64)
+        for k, e in enumerate(exps):
+            for _ in range(e):
+                v = v * coords[:, k] % p
+        return v
+
+    space = FpRowSpace(n, p)
+    unit = (0,) * n_vars
+    space.insert(column(unit))
+    standard, coeffs = [[unit]], [1]
+    while space.rank < n:
+        children = {e[:i] + (e[i] + 1,) + e[i + 1 :] for e in standard[-1] for i in range(n_vars)}
+        new = [e for e in sorted(children, reverse=True) if space.rank < n and space.insert(column(e))]
+        standard.append(new)
+        coeffs.append(len(new))
+    return standard, coeffs, space
+
+
+def test_block_filtration_matches_sequential_insert(braid4):
+    for locus in (permmatrix_locus(5), covector_locus(braid4)):
+        filt = EvaluationFiltration(locus, GF).build()
+        standard, coeffs, space = _sequential_filtration(locus, GF)
+        assert filt._standard == standard
+        assert filt.coeffs == coeffs
+        assert filt.space._basis.tolist() == space._basis.tolist()
+        assert filt.space.pivots == space.pivots
+
+
+def test_hilbert_fp_permmatrix6():
+    assert hilbert_series(permmatrix_locus(6), GF).coeffs == (1, 25, 181, 381, 131, 1)
 
 
 def test_hilbert_invariants(corpus):

@@ -281,3 +281,24 @@ def test_two_values_sweep_checks_each_contraction_once(braid4, monkeypatch):
     reports = [check_two_values(braid4, F, X, J) for F, X, J in mixing_subsets(braid4)]
     assert reports and all(rep.ok for rep in reports)
     assert len(calls) == len(flat_poset(braid4)) == 15
+
+
+def test_basic_sets_build_flat_masks_once(braid4, monkeypatch):
+    import covg.matroidal
+
+    calls = []
+    real = covg.matroidal.flats_of
+
+    def counting(M):
+        calls.append(1)
+        return real(M)
+
+    monkeypatch.setattr(covg.matroidal, "flats_of", counting)
+    covg.matroidal._flat_masks.cache_clear()
+    top = max(flat_poset(braid4).flats, key=len)
+    assert len(basic_sets(braid4, top)) == 16  # spanning trees of K_4
+    # one lookup for the flat check in basic_sets, one for the cached masks;
+    # every closure call after the first reuses them
+    assert len(calls) == 2
+    basic_sets(braid4, top)
+    assert len(calls) == 3
