@@ -210,11 +210,17 @@ def check_axioms(vectors):
 
 
 class COM:
-    """A ground set plus a deduplicated, canonically sorted covector family."""
+    """A ground set plus a deduplicated, canonically sorted covector family.
+
+    The constructor checks structure only (nonempty, lengths); it does not
+    check the axioms.  Families from outside come in through from_json_dict,
+    which does; minors, enumerated and generated families are COMs by
+    theorem or by construction and are built as they are.
+    """
 
     __slots__ = ("ground", "covectors", "_set", "_hash")
 
-    def __init__(self, ground, covectors, check=True):
+    def __init__(self, ground, covectors):
         if not isinstance(ground, GroundSet):
             ground = GroundSet(tuple(ground))
         covectors = sorted(set(covectors), key=SignedVector.sort_key)
@@ -227,18 +233,9 @@ class COM:
         object.__setattr__(self, "_set", frozenset(covectors))
         # flats_of, contract and circuits are lru_caches keyed on the COM: hash it once
         object.__setattr__(self, "_hash", hash((ground.labels, self.covectors)))
-        if check:
-            report = check_axioms(self.covectors)
-            if not report.ok:
-                raise AxiomError(f"covector family fails the COM axioms: {report.as_dict()}")
 
     def __setattr__(self, *a):
         raise AttributeError("COM is immutable")
-
-    @classmethod
-    def unchecked(cls, ground, covectors):
-        """Skip axiom validation; for negative tests and generated families."""
-        return cls(ground, covectors, check=False)
 
     def __contains__(self, v):
         return v in self._set
@@ -267,9 +264,15 @@ class COM:
 
     @classmethod
     def from_json_dict(cls, data, check=True):
+        """Read a COM from its JSON form; raises AxiomError unless check is False."""
         ground = GroundSet(tuple(data["ground"]))
         covectors = [SignedVector.from_string(s) for s in data["covectors"]]
-        return cls(ground, covectors, check=check)
+        M = cls(ground, covectors)
+        if check:
+            report = check_axioms(M.covectors)
+            if not report.ok:
+                raise AxiomError(f"covector family fails the COM axioms: {report.as_dict()}")
+        return M
 
 
 def topes(M):
@@ -331,22 +334,21 @@ def _require_flat(M, F):
 
 
 def restrict(M, F):
-    """Restriction to a flat F: covectors cut down to the coordinates in F."""
+    """Restriction to a flat F: covectors cut down to the coordinates in F.
+
+    A restriction of a COM is a COM, so the result is not re-checked.
+    """
     F = _require_flat(M, F)
     keep = [i for i in range(M.ground.size) if i in F]
     ground = GroundSet(tuple(M.ground.labels[i] for i in keep))
-    vectors = {v.restrict(keep) for v in M.covectors}
-    out = COM(ground, vectors)
-    if SignedVector((0,) * len(keep)) not in out:
-        raise COMError("restriction to a flat must contain the zero covector")
-    return out
+    return COM(ground, {v.restrict(keep) for v in M.covectors})
 
 
 def contract(M, F):
     """Contraction at a flat F: covectors vanishing on F, restricted to the rest.
 
-    Cached per (M, F), so each contraction is built and axiom-checked once;
-    a failing check raises and caches nothing.
+    Cached per (M, F), so each contraction is built once.  A contraction of
+    a COM is a COM (Bandelt-Chepoi-Knauer), so it is not re-checked.
     """
     return _contract_cached(M, frozenset(F))
 
@@ -356,11 +358,7 @@ def _contract_cached(M, F):
     F = _require_flat(M, F)
     keep = [i for i in range(M.ground.size) if i not in F]
     ground = GroundSet(tuple(M.ground.labels[i] for i in keep))
-    vectors = {v.restrict(keep) for v in M.covectors if F <= v.zero_set()}
-    out = COM(ground, vectors)
-    if coloops(out):
-        raise COMError("a contraction at a flat can never have coloops")
-    return out
+    return COM(ground, {v.restrict(keep) for v in M.covectors if F <= v.zero_set()})
 
 
 @dataclass(frozen=True)

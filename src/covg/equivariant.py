@@ -38,6 +38,13 @@ class GroupSpec:
         for g in gens:
             if len(g) != n:
                 raise EquivariantError("generator size does not match the ground set")
+        # products of automorphisms are automorphisms: checking the generators
+        # refuses a bad group before any closure work
+        for g in gens:
+            if not verify_automorphism(com, g):
+                raise EquivariantError(
+                    "a closed group element is not an automorphism of the COM"
+                )
         seen = {SignedPermutation.identity(n)}
         frontier = list(seen)
         while frontier:
@@ -54,11 +61,6 @@ class GroupSpec:
                             )
             frontier = nxt
         elements = tuple(sorted(seen, key=lambda w: (w.perm, w.signs)))
-        for w in elements:
-            if not verify_automorphism(com, w):
-                raise EquivariantError(
-                    "a closed group element is not an automorphism of the COM"
-                )
         return cls(com, gens, elements)
 
     @property

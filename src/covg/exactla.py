@@ -452,15 +452,10 @@ class RationalRowSpace:
 
     def expansion_coefficients(self, vec):
         """Coefficients of vec on the basis rows, or None if outside the span."""
-        frac = [Fraction(v) if not isinstance(v, Fraction) else v for v in vec]
-        coeffs = [Fraction(frac[j], row[j]) for row, j in zip(self.rows, self.pivots)]
-        residual = list(frac)
-        for c, row in zip(coeffs, self.rows):
-            if c:
-                residual = [r - c * x for r, x in zip(residual, row)]
-        if any(residual):
+        if any(self._reduce(self._intvec(vec))):
             return None
-        return coeffs
+        # pivot columns are exclusive to their rows, so each coefficient sits at its pivot
+        return [Fraction(vec[j], row[j]) for row, j in zip(self.rows, self.pivots)]
 
     def trace_under_permutation(self, perm):
         """Trace of the coordinate permutation j -> perm[j] restricted to the span.

@@ -245,7 +245,9 @@ def enumerate_covectors(arr, limits=DEFAULT_LIMITS):
     """All sign vectors of the arrangement whose open cell meets the region.
 
     Depth-first over sign prefixes; an infeasible prefix prunes its whole
-    subtree, which is sound because prefixes only gain constraints.
+    subtree, which is sound because prefixes only gain constraints.  The
+    sign vectors of an arrangement's cells form a COM, so the result is not
+    checked against the axioms.
     """
     m = len(arr.forms)
     if m > limits.max_forms:
@@ -328,20 +330,18 @@ def braid_covector(n, blocks):
     return SignedVector(signs)
 
 
-def braid_com(n, check=None, limits=DEFAULT_LIMITS):
+def braid_com(n, limits=DEFAULT_LIMITS):
     """The COM of the arrangement x_i = x_j; covectors are ordered set partitions.
 
-    Axiom validation is cubic in the covector count, so generated braid COMs
-    are validated up to n = 5 by default and constructed unchecked beyond.
+    The family is the face set of a real arrangement, a COM by construction,
+    so it is not checked against the axioms.
     """
     if n < 1:
         raise RealizeError("braid family needs n >= 1")
     if n > limits.max_braid_n:
         raise RealizeError(f"braid family capped at n = {limits.max_braid_n}")
-    if check is None:
-        check = n <= 5
     covectors = [braid_covector(n, blocks) for blocks in ordered_set_partitions(n)]
-    return COM(GroundSet(braid_labels(n)), covectors, check=check)
+    return COM(GroundSet(braid_labels(n)), covectors)
 
 
 def braid_automorphism_generators(n):
@@ -375,10 +375,10 @@ def braid_automorphism_generators(n):
 FIXTURE_NAMES = ("figure1", "figure1-rectangle")
 
 
-def fixture(name, check=True):
-    """A COM shipped as data; see data/*.json."""
+def fixture(name):
+    """A COM shipped as data (see data/*.json), read and axiom-checked like any input."""
     files = {"figure1": "figure1.json", "figure1-rectangle": "figure1_rectangle.json"}
     if name not in files:
         raise RealizeError(f"unknown fixture {name!r}; available: {', '.join(FIXTURE_NAMES)}")
     text = resources.files("covg.data").joinpath(files[name]).read_text()
-    return COM.from_json_dict(json.loads(text), check=check)
+    return COM.from_json_dict(json.loads(text))

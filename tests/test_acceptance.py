@@ -121,7 +121,7 @@ def test_criterion_2_braid_big_hilbert_table(tmp_path):
     assert times[5] < 30.0, times
     # rational confirmation of the n=5 row, within the five-minute budget
     started = time.monotonic()
-    assert hilbert_series(covector_locus(braid_com(5, check=False)), QQ).coeffs == tuple(
+    assert hilbert_series(covector_locus(braid_com(5)), QQ).coeffs == tuple(
         BRAID_BIG_TABLE[5]
     )
     assert time.monotonic() - started < 300.0

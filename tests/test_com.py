@@ -10,10 +10,13 @@ from covg import (
     SignedPermutation,
     SignedVector,
     act,
+    braid_arrangement,
+    braid_com,
     check_axioms,
     coloops,
     compose,
     contract,
+    enumerate_covectors,
     flat_poset,
     restrict,
     separator,
@@ -112,10 +115,12 @@ def test_axioms_catch_missing_meeting_point(figure1):
 
 
 def test_com_constructor_validates():
+    data = {"ground": ["a"], "covectors": ["+", "-"]}
     with pytest.raises(AxiomError):
-        COM(GroundSet(("a",)), [sv("+"), sv("-")])
-    unchecked = COM.unchecked(GroundSet(("a",)), [sv("+"), sv("-")])
+        COM.from_json_dict(data)
+    unchecked = COM(GroundSet(("a",)), [sv("+"), sv("-")])
     assert len(unchecked) == 2
+    assert COM.from_json_dict(data, check=False) == unchecked
 
 
 def test_com_closed_under_composition(corpus):
@@ -217,6 +222,21 @@ def test_contract_never_has_coloops(corpus):
             assert coloops(contract(M, F)) == frozenset()
 
 
+def test_unchecked_constructions_satisfy_the_axioms(corpus):
+    """Minors, generated and enumerated families are built without an axiom
+    check; they must be COMs all the same."""
+    for M in corpus.values():
+        for F in flat_poset(M):
+            assert check_axioms(contract(M, F).covectors).ok
+            R = restrict(M, F)
+            assert check_axioms(R.covectors).ok
+            assert SignedVector((0,) * len(F)) in R
+    for n in range(1, 5):
+        assert check_axioms(braid_com(n).covectors).ok
+    for n in range(1, 4):
+        assert check_axioms(enumerate_covectors(braid_arrangement(n)).covectors).ok
+
+
 def test_act_and_automorphism(braid2, figure1):
     ident = SignedPermutation.identity(figure1.ground.size)
     assert verify_automorphism(figure1, ident)
@@ -265,10 +285,3 @@ def test_empty_ground_set():
 def test_contract_is_built_once_per_flat(figure1):
     for F in flat_poset(figure1):
         assert contract(figure1, F) is contract(figure1, set(F))
-
-
-def test_contract_does_not_cache_axiom_errors():
-    M = COM.unchecked(GroundSet(("a",)), [sv("+"), sv("-")])
-    for _ in range(2):
-        with pytest.raises(AxiomError):
-            contract(M, frozenset())

@@ -43,6 +43,35 @@ def test_group_rejects_non_automorphism(figure1):
         GroupSpec.from_generators(figure1, [flip4])
 
 
+def test_group_checks_each_generator_once_before_closure(braid4, figure1, monkeypatch):
+    import covg.equivariant
+
+    calls, products = [], []
+    real_verify, real_compose = covg.equivariant.verify_automorphism, SignedPermutation.compose
+
+    def counting_verify(M, w):
+        calls.append(w)
+        return real_verify(M, w)
+
+    def counting_compose(self, other):
+        products.append(1)
+        return real_compose(self, other)
+
+    monkeypatch.setattr(covg.equivariant, "verify_automorphism", counting_verify)
+    monkeypatch.setattr(SignedPermutation, "compose", counting_compose)
+    gens = braid_automorphism_generators(4)
+    assert GroupSpec.from_generators(braid4, gens).order == 24
+    assert calls == list(gens)
+
+    calls.clear()
+    products.clear()
+    flip4 = SignedPermutation((0, 1, 2, 3), (1, 1, 1, -1))
+    with pytest.raises(EquivariantError, match="not an automorphism of the COM"):
+        GroupSpec.from_generators(figure1, [flip4, SignedPermutation.identity(4)])
+    assert calls == [flip4]
+    assert products == []  # refused before the closure multiplied anything
+
+
 def test_locus_action_identity(braid3):
     locus = covector_locus(braid3)
     ident = SignedPermutation.identity(3)

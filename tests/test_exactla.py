@@ -138,6 +138,20 @@ def test_rowspace_expansion_coefficients():
     rebuilt = [sum(c * r[k] for c, r in zip(coeffs, rs.rows)) for k in range(3)]
     assert rebuilt == [2, 5, 3]
     assert rs.expansion_coefficients([1, 0, 0]) is None
+    # rows are [1, 0, -1] and [0, 1, 1] once fully reduced
+    assert rs.expansion_coefficients([Fraction(1, 2), Fraction(3, 2), 1]) == [
+        Fraction(1, 2),
+        Fraction(3, 2),
+    ]
+
+
+def test_expansion_coefficients_reject_wrong_length():
+    for rs in _spaces(3):
+        rs.insert([1, 1, 0])
+        rs.insert([0, 1, 1])
+        for vec in ([1, 1], [1, 1, 0, 5]):
+            with pytest.raises(ExactLAError):
+                rs.expansion_coefficients(vec)
 
 
 def test_trace_identity_is_rank():

@@ -200,7 +200,7 @@ def test_braid_counts():
     for n in range(1, 6):
         assert len(ordered_set_partitions(n)) == _fubini(n)
     assert len(braid_com(4)) == _fubini(4) == 75
-    assert len(braid_com(5, check=False)) == _fubini(5) == 541
+    assert len(braid_com(5)) == _fubini(5) == 541
     assert len(topes(braid_com(4))) == factorial(4)
 
 

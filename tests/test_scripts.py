@@ -1,4 +1,5 @@
-"""Smoke tests: the example scripts run to completion and report no mismatch."""
+"""Smoke tests: the example scripts run to completion and report no mismatch,
+and the benchmark tracer still finds every function it wraps."""
 
 import subprocess
 import sys
@@ -6,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
 
 
 @pytest.mark.parametrize(
@@ -29,3 +31,32 @@ def test_script_runs_clean(argv):
     assert lines
     assert not [l for l in lines if "MISMATCH" in l]
     assert not [l for l in lines if "check: False" in l]
+
+
+# Recorder.install resolves every TARGETS name (methods through cls.__dict__),
+# so a renamed, removed or inherited target raises here as it would in a traced
+# run; like tracing.main, import covg.cli first so its imported names get wrapped
+_INSTALL_TRACER = """
+import importlib, sys
+sys.path.insert(0, "perfbench")
+import covg.cli
+from tracing import TARGETS, Recorder
+Recorder().install()
+for targets in TARGETS.values():
+    for module, attr in targets:
+        obj = importlib.import_module(module)
+        for part in attr.split("."):
+            obj = getattr(obj, part)
+        assert hasattr(obj, "__wrapped__"), (module, attr)
+"""
+
+
+def test_tracer_targets_resolve():
+    proc = subprocess.run(
+        [sys.executable, "-c", _INSTALL_TRACER],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
