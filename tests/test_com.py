@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
@@ -23,6 +25,7 @@ from covg import (
     topes,
     verify_automorphism,
 )
+from covg.com import AxiomReport
 
 sv = SignedVector.from_string
 
@@ -104,6 +107,12 @@ def test_axioms_chunked_scan_matches(figure1, braid3, monkeypatch):
     from covg.com import compose
 
     assert compose(x, -y) == sv("-+-+")
+    # the strong-elimination rows go through the same budget
+    family = [v for v in figure1.covectors if v.to_string() != "000+"]
+    chunked = check_axioms(family)
+    monkeypatch.undo()
+    assert not chunked.strong_elimination_ok
+    assert chunked.as_dict() == check_axioms(family).as_dict()
 
 
 def test_axioms_catch_missing_meeting_point(figure1):
@@ -112,6 +121,59 @@ def test_axioms_catch_missing_meeting_point(figure1):
     family = [v for v in figure1.covectors if v.to_string() != "000+"]
     report = check_axioms(family)
     assert not report.strong_elimination_ok
+
+
+def test_axioms_ground_set_limit():
+    zero, plus, minus = sv("0" * 39), sv("+" + "0" * 38), sv("-" + "0" * 38)
+    assert check_axioms([zero, plus, minus]).ok
+    report = check_axioms([zero, plus])
+    assert report.face_symmetry_witness == (zero, plus)
+    assert report.strong_elimination_ok
+    with pytest.raises(COMError, match="at most 39"):
+        check_axioms([sv("0" * 40), sv("+" + "0" * 39)])
+
+
+def _reference_axioms(vectors):
+    """The axioms by their definitions, in check_axioms's scan order."""
+    vs = sorted(set(vectors), key=SignedVector.sort_key)
+    family = set(vs)
+    fs = next(((x, y) for x in vs for y in vs if compose(x, -y) not in family), None)
+
+    def first_uneliminated():
+        for y in vs:
+            for x in vs:
+                sep = separator(x, y)
+                w = compose(x, y)
+                off = [j for j in range(len(w)) if j not in sep]
+                agreeing = [z for z in vs if all(z[j] == w[j] for j in off)]
+                for i in sorted(sep):
+                    if all(z[i] for z in agreeing):
+                        return x, y, i
+        return None
+
+    se = first_uneliminated()
+    return AxiomReport(fs is None, fs, se is None, se).as_dict()
+
+
+def test_axioms_match_reference(figure1, braid3, braid4):
+    # braid3 with its columns repeated to 20 and 36 elements (parallel
+    # elements keep it a COM) runs the uint32 and uint64 words
+    wide = [[SignedVector((v.signs * 12)[:width]) for v in braid3.covectors] for width in (20, 36)]
+    rng = random.Random(20250601)
+    kinds = set()
+    for cov in [list(figure1.covectors), list(braid3.covectors), list(braid4.covectors), *wide]:
+        n = len(cov[0])
+        for _ in range(12):
+            family = rng.sample(cov, rng.randint(1, min(len(cov), 30)))
+            if rng.random() < 0.5:
+                family = [v for v in cov if v != rng.choice(cov)]
+            if rng.random() < 0.4:
+                family.append(SignedVector(rng.choice((1, -1, 0)) for _ in range(n)))
+            expected = _reference_axioms(family)
+            assert check_axioms(family).as_dict() == expected
+            fs, se = expected["face_symmetry"]["ok"], expected["strong_elimination"]["ok"]
+            kinds.add("face symmetry" if not fs else "elimination only" if not se else "ok")
+    assert kinds == {"face symmetry", "elimination only", "ok"}
 
 
 def test_com_constructor_validates():
