@@ -6,6 +6,13 @@ The LP maximizes a slack t with every strict inequality relaxed to >= t and
 t capped at 1; the open system is feasible exactly when the optimum is
 positive.  The simplex runs over Fractions with Bland's rule, so there is no
 cycling and no tolerance anywhere.
+
+Enumeration carries an exact witness point down the tree of sign prefixes
+and needs at most one LP per feasible prefix, by two facts about a cell P
+that is open and convex in its equality locus L, and a form f affine on L:
+f cannot vanish in P without taking both signs there, and if f is 0 at a
+point of P but never positive in P, then f is 0 on all of L.  Each
+reported covector's cell holds a witness checked exactly against it.
 """
 
 from __future__ import annotations
@@ -49,6 +56,10 @@ class AffineForm:
         return len(self.coeffs)
 
     def evaluate(self, point):
+        if len(point) != self.dimension:
+            raise RealizeError(
+                f"a point of dimension {len(point)} given to a form of dimension {self.dimension}"
+            )
         return sum((a * x for a, x in zip(self.coeffs, point)), self.const)
 
     def __neg__(self):
@@ -103,13 +114,15 @@ class Arrangement:
 
 
 def _pivot(T, basis, r, c):
+    """Pivot on T[r][c]; only the columns where the pivot row is nonzero change."""
     piv = T[r][c]
-    T[r] = [x / piv for x in T[r]]
-    row_r = T[r]
+    row_r = T[r] = [x / piv if x else x for x in T[r]]
+    support = [j for j, y in enumerate(row_r) if y]
     for i, row in enumerate(T):
-        if i != r and row[c]:
-            f = row[c]
-            T[i] = [x - f * y for x, y in zip(row, row_r)]
+        f = row[c]
+        if i != r and f:
+            for j in support:
+                row[j] -= f * row_r[j]
     basis[r] = c
 
 
@@ -117,12 +130,14 @@ def _optimize(T, basis, cost, ncols):
     """Bland-rule maximization of cost over the current tableau (in place)."""
     m = len(T)
     while True:
-        y = [cost[basis[i]] for i in range(m)]
+        # the nonzero dual values; a zero one would only add zero terms
+        y = [(i, cost[v]) for i, v in enumerate(basis) if cost[v]]
+        basic = set(basis)
         entering = None
         for j in range(ncols):
-            if j in basis:
+            if j in basic:
                 continue
-            rc = cost[j] - sum(y[i] * T[i][j] for i in range(m))
+            rc = cost[j] - sum(yi * T[i][j] for i, yi in y)
             if rc > 0:
                 entering = j
                 break
@@ -241,38 +256,86 @@ def lp_strict_feasible(strict, equalities, dimension):
     return LPResult(True, witness)
 
 
+def _certified(witness, strict, eqs):
+    """witness, after checking exactly that it lies in the cell strict > 0, eqs = 0."""
+    if all(g.evaluate(witness) > 0 for g in strict) and all(
+        h.evaluate(witness) == 0 for h in eqs
+    ):
+        return witness
+    raise RealizeError("a propagated witness misses its cell")
+
+
 def enumerate_covectors(arr, limits=DEFAULT_LIMITS):
     """All sign vectors of the arrangement whose open cell meets the region.
 
     Depth-first over sign prefixes; an infeasible prefix prunes its whole
-    subtree, which is sound because prefixes only gain constraints.  The
-    sign vectors of an arrangement's cells form a COM, so the result is not
-    checked against the axioms.
+    subtree, which is sound because prefixes only gain constraints.  Each
+    feasible prefix carries an exact witness w of its cell P, which is open
+    and convex in its equality locus L, and decides the three children of
+    the next form f with one LP:
+
+    * f(w) = v != 0 with sign s: w witnesses child s.  If the LP finds u in
+      child -s, then w + v/(v - f(u)) (u - w) lies on the segment between
+      two points of P where f = 0, and witnesses child 0; if child -s is
+      empty, so is child 0, since f is affine on L and cannot vanish in the
+      open P without taking both signs there.
+    * f(w) = 0: w witnesses child 0.  If the LP finds u in child +, then
+      w - lam (u - w) witnesses child -, with lam small enough to keep every
+      strict form positive; if child + is empty, f is 0 on all of L and
+      child - is empty too.
+
+    Every propagated witness is checked exactly against its cell before the
+    descent, so each reported covector comes with an exact point of its
+    cell.  The sign vectors of an arrangement's cells form a COM, so the
+    result is not checked against the axioms.
     """
     m = len(arr.forms)
     if m > limits.max_forms:
         raise RealizeError(f"enumeration capped at {limits.max_forms} forms, got {m}")
     region = list(arr.region)
-    if not lp_strict_feasible(region, [], arr.dimension).feasible:
+    root = lp_strict_feasible(region, [], arr.dimension)
+    if not root.feasible:
         raise EmptyRegionError("the region is empty")
 
     found = []
     signs = [0] * m
 
-    def descend(k, strict, eqs):
+    def toward(w, u, lam):
+        return tuple(x + lam * (y - x) for x, y in zip(w, u))
+
+    def descend(k, strict, eqs, w):
         if k == m:
             found.append(SignedVector(tuple(signs)))
             return
-        form = arr.forms[k]
-        for s, add_strict, add_eq in ((1, form, None), (-1, -form, None), (0, None, form)):
-            signs[k] = s
-            new_strict = strict + [add_strict] if add_strict is not None else strict
-            new_eqs = eqs + [add_eq] if add_eq is not None else eqs
-            if lp_strict_feasible(new_strict, new_eqs, arr.dimension).feasible:
-                descend(k + 1, new_strict, new_eqs)
+        f = arr.forms[k]
+        v = f.evaluate(w)
+        # child sign -> (strict forms, equalities) of its cell
+        children = {1: (strict + [f], eqs), -1: (strict + [-f], eqs), 0: (strict, eqs + [f])}
+        witness = {}
+        if v:
+            s = 1 if v > 0 else -1
+            witness[s] = w
+            u = lp_strict_feasible(*children[-s], arr.dimension).witness
+            if u is not None:
+                witness[-s] = u
+                witness[0] = toward(w, u, v / (v - f.evaluate(u)))
+        else:
+            witness[0] = w
+            u = lp_strict_feasible(*children[1], arr.dimension).witness
+            if u is not None:
+                witness[1] = u
+                values = ((g.evaluate(w), g.evaluate(u)) for g in strict)
+                lam = min([Fraction(1)] + [gw / (2 * (gu - gw)) for gw, gu in values if gu > gw])
+                witness[-1] = toward(w, u, -lam)
+        for s in (1, -1, 0):
+            if s in witness:
+                signs[k] = s
+                child_strict, child_eqs = children[s]
+                child_w = _certified(witness[s], child_strict, child_eqs)
+                descend(k + 1, child_strict, child_eqs, child_w)
         signs[k] = 0
 
-    descend(0, region, [])
+    descend(0, region, [], _certified(root.witness, region, []))
     return COM(GroundSet(arr.labels), found)
 
 

@@ -1,12 +1,16 @@
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from covg import (
+    COM,
     AffineForm,
     Arrangement,
+    GroundSet,
+    SignedVector,
     braid_arrangement,
     braid_com,
     enumerate_covectors,
@@ -14,9 +18,10 @@ from covg import (
     lp_strict_feasible,
     topes,
 )
-from covg import jsonio
+from covg import jsonio, realize
 from covg.realize import (
     EmptyRegionError,
+    LPResult,
     RealizeError,
     braid_covector,
     ordered_set_partitions,
@@ -182,6 +187,127 @@ def test_enumerate_figure1_rectangle_region(figure1_rect):
     region = (form((1, 0), 3), form((-1, 0), 4), form((0, 1), 2), form((0, -1), 2))
     arr = Arrangement(2, LABELS, FOUR_LINES, region)
     assert enumerate_covectors(arr) == figure1_rect
+
+
+def _reference_enumerate(arr):
+    """The enumeration with one LP for each child of every feasible sign prefix.
+
+    Returns the COM and the number of feasible proper prefixes (k < m).  It
+    calls the LP function directly, so patching covg.realize does not see it.
+    """
+    m = len(arr.forms)
+    region = list(arr.region)
+    if not lp_strict_feasible(region, [], arr.dimension).feasible:
+        raise EmptyRegionError("the region is empty")
+    found, signs, inner = [], [0] * m, [0]
+
+    def descend(k, strict, eqs):
+        if k == m:
+            found.append(SignedVector(tuple(signs)))
+            return
+        inner[0] += 1
+        f = arr.forms[k]
+        for s, add_strict, add_eq in ((1, f, None), (-1, -f, None), (0, None, f)):
+            signs[k] = s
+            new_strict = strict + [add_strict] if add_strict is not None else strict
+            new_eqs = eqs + [add_eq] if add_eq is not None else eqs
+            if lp_strict_feasible(new_strict, new_eqs, arr.dimension).feasible:
+                descend(k + 1, new_strict, new_eqs)
+        signs[k] = 0
+
+    descend(0, region, [])
+    return COM(GroundSet(arr.labels), found), inner[0]
+
+
+@st.composite
+def arrangements(draw):
+    """Small integer arrangements in dimension 1-3, degenerate forms included:
+    constant forms (zero linear part, constant +, - or 0), and repeats,
+    negations and parallel shifts of earlier forms."""
+    d = draw(st.integers(1, 3))
+    small = st.integers(-2, 2)
+
+    def fresh():
+        return form(draw(st.lists(small, min_size=d, max_size=d)), draw(small))
+
+    forms = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(("fresh", "constant", "repeat", "negate", "parallel")))
+        if kind == "constant":
+            forms.append(form((0,) * d, draw(st.sampled_from((1, -1, 0)))))
+        elif kind == "fresh" or not forms:
+            forms.append(fresh())
+        else:
+            g = draw(st.sampled_from(forms))
+            if kind == "repeat":
+                forms.append(g)
+            elif kind == "negate":
+                forms.append(-g)
+            else:
+                k = draw(st.sampled_from((2, 3, -1, -2)))
+                forms.append(AffineForm(tuple(k * a for a in g.coeffs), draw(small)))
+    region = tuple(fresh() for _ in range(draw(st.integers(0, 3))))
+    labels = tuple(f"h{i}" for i in range(len(forms)))
+    return Arrangement(d, labels, tuple(forms), region)
+
+
+@given(arrangements())
+@settings(max_examples=60, deadline=None)
+def test_enumerate_matches_three_lp_reference(arr):
+    """The witness-carrying enumeration gives the reference's COM, with exactly
+    one LP per feasible proper sign prefix plus one for the region."""
+    try:
+        expected, inner = _reference_enumerate(arr)
+    except EmptyRegionError:
+        with pytest.raises(EmptyRegionError):
+            enumerate_covectors(arr)
+        return
+    with mock.patch.object(realize, "lp_strict_feasible", wraps=realize.lp_strict_feasible) as lp:
+        got = enumerate_covectors(arr)
+    assert got == expected
+    assert lp.call_count == 1 + inner
+
+
+@pytest.mark.parametrize(
+    "name, parent_calls, calls",
+    [("braid3", 40, 14), ("braid4", 415, 139), ("figure1-square", 79, 27)],
+)
+def test_enumerate_lp_count(monkeypatch, figure1, name, parent_calls, calls):
+    """One LP per feasible proper prefix, plus one for the region, made through
+    the module attribute that perfbench/tracing.py wraps."""
+    if name == "figure1-square":
+        arr, expected = Arrangement(2, LABELS, FOUR_LINES, square(F(1, 2))), figure1
+    else:
+        n = int(name[-1])
+        arr, expected = braid_arrangement(n), braid_com(n)
+    reference, inner = _reference_enumerate(arr)
+    assert reference == expected and 1 + 3 * inner == parent_calls
+    lp = mock.Mock(wraps=realize.lp_strict_feasible)
+    monkeypatch.setattr(realize, "lp_strict_feasible", lp)
+    assert enumerate_covectors(arr) == expected
+    assert lp.call_count == calls == 1 + inner
+
+
+def test_enumerate_rejects_a_witness_outside_its_cell(monkeypatch):
+    """Each propagated witness is checked exactly: an LP that hands back a
+    point outside the cell makes the enumeration raise."""
+    lp = realize.lp_strict_feasible
+
+    def reflected(strict, eqs, d):
+        r = lp(strict, eqs, d)
+        return LPResult(r.feasible, r.witness and tuple(-x for x in r.witness))
+
+    monkeypatch.setattr(realize, "lp_strict_feasible", reflected)
+    with pytest.raises(RealizeError, match="witness"):
+        enumerate_covectors(braid_arrangement(3))
+
+
+def test_evaluate_rejects_wrong_length():
+    f = form((1, 2), 3)
+    assert f.evaluate((F(1), F(1, 2))) == 5
+    for point in ((F(1),), (F(1), F(1), F(1)), ()):
+        with pytest.raises(RealizeError):
+            f.evaluate(point)
 
 
 def _fubini(n):
