@@ -11,7 +11,6 @@ lines: a header object first, then one covector string per line.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from dataclasses import replace
@@ -74,11 +73,6 @@ def _parse_order(M, text):
 def _load_com(path):
     data = jsonio.read_json(path)
     return COM.from_json_dict(data)
-
-
-def _resolve_field(args):
-    name = args.field or os.environ.get("COVG_FIELD") or "rational"
-    return field_from_name(name)
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +148,7 @@ def cmd_basic(args, limits):
 
 def cmd_hilbert(args, limits):
     M = _load_com(args.com)
-    field = _resolve_field(args)
+    field = field_from_name(args.field)
     if args.method == "rank":
         locus = tope_locus(M) if args.which == "small" else covector_locus(M)
         series = hilbert_series(locus, field)
@@ -172,7 +166,7 @@ def cmd_hilbert(args, limits):
 
 def cmd_verify(args, limits):
     M = _load_com(args.com)
-    field = _resolve_field(args)
+    field = field_from_name(args.field)
     if args.what == "big-theorem":
         report = verify_covector_presentation(M, field=field, limits=limits)
         d = report.as_dict()
@@ -229,7 +223,7 @@ def cmd_loci(args, limits):
         "variables": list(locus.variables),
     }
     if args.hilbert:
-        field = _resolve_field(args)
+        field = field_from_name(args.field)
         series = hilbert_series(locus, field)
         results["hilbert"] = list(series.coeffs)
     else:
@@ -239,7 +233,7 @@ def cmd_loci(args, limits):
 
 def cmd_character(args, limits):
     M = _load_com(args.com)
-    field = _resolve_field(args)
+    field = field_from_name(args.field)
     group = GroupSpec.from_json_dict(M, jsonio.read_json(args.group), limits)
     locus = covector_locus(M)
     ch = graded_character(locus, group, field)
@@ -256,7 +250,7 @@ def cmd_character(args, limits):
             }
         )
     def _sum_matches(w, row):
-        return field.of(sum(ch.values[w], field.zero)) == field.of(row["fixed_covectors"])
+        return field.of(sum(ch.values[w])) == field.of(row["fixed_covectors"])
 
     results = {"group_order": group.order, "character": table}
     assertions = {
@@ -317,8 +311,8 @@ def build_parser():
     parser.add_argument("--format", choices=("json", "table"), default="json")
     parser.add_argument(
         "--field",
-        default=None,
-        help="rational (default) or fp:<prime>; COVG_FIELD supplies a default",
+        default="rational",
+        help="coefficient field of the row spaces: rational (default) or fp:<prime>",
     )
     parser.add_argument("--timing", action="store_true", help="include wall time in the report")
     parser.add_argument(

@@ -14,7 +14,7 @@ from itertools import permutations, product
 
 from .com import COM, SignedPermutation, SignedVector, act, contract, flats_of, verify_automorphism
 from .config import DEFAULT_LIMITS
-from .exactla import QQ
+from .exactla import QQ, rational
 from .harmonics import EvaluationFiltration, covector_locus, tope_locus
 from .matroidal import codim
 
@@ -101,7 +101,7 @@ class GroupSpec:
         gens = []
         for g in data["generators"]:
             perm = tuple(com.ground.index(l) for l in g["perm"])
-            signs = tuple(int(s) for s in g["signs"])
+            signs = tuple(map(rational, g["signs"]))
             gens.append(SignedPermutation(perm, signs))
         return cls.from_generators(com, gens, limits)
 

@@ -1,9 +1,17 @@
-"""Exact linear algebra substrate: coefficient fields, sparse multivariate
-polynomials, and incremental row spaces with fraction-free elimination.
+"""Exact linear algebra substrate: exact numbers, sparse multivariate
+polynomials, coefficient fields, and incremental row spaces with
+fraction-free elimination.
 
-Everything here is exact: rationals use ``fractions.Fraction``, prime fields
-use machine integers mod p.  Row spaces keep a fully reduced echelon basis so
-that span membership and trace extraction are one-pass operations.
+Numbers stay field-free until a row space needs them.  `rational` reads an
+int, a Fraction or a string "p" or "p/q" into an int where the value is
+integral and a Fraction otherwise, and refuses floats and bools; polynomial
+coefficients and locus coordinates are such numbers.  A field enters only
+where evaluation vectors are formed and reduced: `RationalField` keeps a
+vector as a tuple of exact numbers (all ints over an integral locus) for the
+fraction-free `RationalRowSpace`, and `PrimeField` keeps an int64 array of
+residues mod p for the numpy-backed `FpRowSpace`.  Row spaces keep a fully
+reduced echelon basis so that span membership and trace extraction are
+one-pass operations.
 """
 
 from __future__ import annotations
@@ -11,6 +19,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 
 import numpy as np
 
@@ -19,47 +28,61 @@ class ExactLAError(Exception):
     pass
 
 
+def rational(x):
+    """The exact number x: an int when it is integral, else a Fraction.
+
+    Accepts ints, Fractions and strings such as "3", "-1/3" or "0.25"; refuses
+    floats and bools, which do not carry an exact value.
+    """
+    if type(x) is int:
+        return x
+    if isinstance(x, str):
+        x = Fraction(x)
+    elif not isinstance(x, Fraction):
+        raise TypeError(f"{x!r} is not an exact number: give an int or a string 'p' or 'p/q'")
+    return x.numerator if x.denominator == 1 else x
+
+
 # ---------------------------------------------------------------------------
 # coefficient fields
+#
+# A field reads exact numbers into its elements and owns the vector format of
+# evaluation vectors: `vector` builds one from exact numbers, `product` is the
+# pointwise product, `key` a hashable stand-in for deduplication,
+# `combination` forms sum c * v over (c, v) pairs, and `rowspace` a fresh,
+# empty row space that accepts these vectors.
 
 
 class RationalField:
-    """The rationals; elements are ``Fraction`` instances."""
+    """The rationals; elements and vector entries are exact numbers."""
 
     name = "rational"
     characteristic = 0
 
     def of(self, x):
-        if isinstance(x, Fraction):
-            return x
-        if isinstance(x, (int, str)):
-            return Fraction(x)
-        raise TypeError(f"cannot coerce {x!r} into the rational field")
+        return rational(x)
 
-    @property
-    def zero(self):
-        return Fraction(0)
+    def vector(self, values):
+        return tuple(map(rational, values))
 
-    @property
-    def one(self):
-        return Fraction(1)
+    def product(self, u, v):
+        return tuple(map(mul, u, v))
 
-    def inv(self, x):
-        if x == 0:
-            raise ZeroDivisionError("inverse of 0")
-        return 1 / Fraction(x)
+    def key(self, v):
+        return v
 
-    def to_str(self, x):
-        return str(x)
+    def combination(self, terms, ambient):
+        total = (0,) * ambient
+        for c, v in terms:
+            c = rational(c)
+            total = tuple(a + c * x for a, x in zip(total, v))
+        return total
+
+    def rowspace(self, ambient):
+        return RationalRowSpace(ambient)
 
     def __repr__(self):
         return "QQ"
-
-    def __eq__(self, other):
-        return isinstance(other, RationalField)
-
-    def __hash__(self):
-        return hash("rational")
 
 
 def _is_prime(n):
@@ -87,7 +110,7 @@ def _is_prime(n):
 
 
 class PrimeField:
-    """The field of integers mod p; elements are ints in [0, p)."""
+    """The field of integers mod p; elements are ints in [0, p), vectors int64 arrays."""
 
     def __init__(self, p):
         if not _is_prime(p):
@@ -97,42 +120,34 @@ class PrimeField:
         self.characteristic = p
 
     def of(self, x):
-        if isinstance(x, int):
+        x = rational(x)
+        if type(x) is int:
             return x % self.p
-        if isinstance(x, Fraction):
-            den = x.denominator % self.p
-            if den == 0:
-                raise ZeroDivisionError(f"denominator of {x} vanishes mod {self.p}")
-            return x.numerator * pow(den, -1, self.p) % self.p
-        if isinstance(x, str):
-            return self.of(Fraction(x))
-        raise TypeError(f"cannot coerce {x!r} into F_{self.p}")
+        den = x.denominator % self.p
+        if den == 0:
+            raise ZeroDivisionError(f"denominator of {x} vanishes mod {self.p}")
+        return x.numerator * pow(den, -1, self.p) % self.p
 
-    @property
-    def zero(self):
-        return 0
+    def vector(self, values):
+        return np.array([self.of(x) for x in values], dtype=np.int64)
 
-    @property
-    def one(self):
-        return 1
+    def product(self, u, v):
+        return u * v % self.p
 
-    def inv(self, x):
-        x %= self.p
-        if x == 0:
-            raise ZeroDivisionError("inverse of 0")
-        return pow(x, -1, self.p)
+    def key(self, v):
+        return v.tobytes()
 
-    def to_str(self, x):
-        return str(x % self.p)
+    def combination(self, terms, ambient):
+        total = np.zeros(ambient, dtype=np.int64)
+        for c, v in terms:
+            total = (total + self.of(c) * v % self.p) % self.p
+        return total
+
+    def rowspace(self, ambient):
+        return FpRowSpace(ambient, self.p)
 
     def __repr__(self):
         return f"GF({self.p})"
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("fp", self.p))
 
 
 QQ = RationalField()
@@ -164,96 +179,95 @@ def glex_key(exps):
 
 
 class Polynomial:
-    """Sparse polynomial over a declared variable list and an exact field.
+    """Sparse polynomial with exact rational coefficients over a declared
+    variable list.
 
-    ``terms`` maps exponent tuples to nonzero coefficients.  Instances are
-    treated as immutable values.
+    ``terms`` maps exponent tuples to nonzero coefficients, read by
+    `rational`.  No field is attached: a field reads the coefficients when a
+    polynomial is evaluated into its vectors.  Instances are treated as
+    immutable values.
     """
 
-    __slots__ = ("vars", "field", "terms")
+    __slots__ = ("vars", "terms")
 
-    def __init__(self, vars, field, terms=None):
+    def __init__(self, vars, terms=None):
         self.vars = tuple(vars)
-        self.field = field
         clean = {}
         for exps, coeff in (terms or {}).items():
             exps = tuple(exps)
             if len(exps) != len(self.vars):
                 raise ExactLAError("exponent tuple does not match variable list")
-            c = field.of(coeff)
-            if c != field.zero:
+            c = rational(coeff)
+            if c:
                 clean[exps] = c
         self.terms = clean
 
     # -- constructors
 
     @classmethod
-    def zero(cls, vars, field=QQ):
-        return cls(vars, field, {})
+    def zero(cls, vars):
+        return cls(vars)
 
     @classmethod
-    def constant(cls, vars, value, field=QQ):
-        n = len(tuple(vars))
-        return cls(vars, field, {(0,) * n: field.of(value)})
+    def constant(cls, vars, value):
+        vars = tuple(vars)
+        return cls(vars, {(0,) * len(vars): value})
 
     @classmethod
-    def one(cls, vars, field=QQ):
-        return cls.constant(vars, 1, field)
+    def one(cls, vars):
+        return cls.constant(vars, 1)
 
     @classmethod
-    def variable(cls, vars, name, field=QQ):
+    def variable(cls, vars, name):
         vars = tuple(vars)
         i = vars.index(name)
-        exps = tuple(1 if k == i else 0 for k in range(len(vars)))
-        return cls(vars, field, {exps: field.of(1)})
+        return cls(vars, {tuple(int(k == i) for k in range(len(vars))): 1})
 
     @classmethod
-    def monomial(cls, vars, exps, coeff=1, field=QQ):
-        return cls(vars, field, {tuple(exps): field.of(coeff)})
+    def monomial(cls, vars, exps, coeff=1):
+        return cls(vars, {tuple(exps): coeff})
 
     # -- ring operations
 
     def _check(self, other):
-        if self.vars != other.vars or self.field != other.field:
+        if self.vars != other.vars:
             raise ExactLAError("polynomials live in different rings")
 
     def __add__(self, other):
         self._check(other)
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            terms[e] = terms.get(e, self.field.zero) + c
-        return Polynomial(self.vars, self.field, terms)
+            terms[e] = terms.get(e, 0) + c
+        return Polynomial(self.vars, terms)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return Polynomial(self.vars, self.field, {e: -c for e, c in self.terms.items()})
+        return Polynomial(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         self._check(other)
         terms = {}
-        zero = self.field.zero
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = monomial_mul(e1, e2)
-                terms[e] = terms.get(e, zero) + c1 * c2
-        return Polynomial(self.vars, self.field, terms)
+                terms[e] = terms.get(e, 0) + c1 * c2
+        return Polynomial(self.vars, terms)
 
     def scale(self, c):
-        c = self.field.of(c)
-        return Polynomial(self.vars, self.field, {e: c * v for e, v in self.terms.items()})
+        c = rational(c)
+        return Polynomial(self.vars, {e: c * v for e, v in self.terms.items()})
 
     def __eq__(self, other):
         return (
             isinstance(other, Polynomial)
             and self.vars == other.vars
-            and self.field == other.field
             and self.terms == other.terms
         )
 
     def __hash__(self):
-        return hash((self.vars, self.field, frozenset(self.terms.items())))
+        return hash((self.vars, frozenset(self.terms.items())))
 
     @property
     def is_zero(self):
@@ -270,28 +284,24 @@ class Polynomial:
         return len(degs) <= 1
 
     def homogeneous_component(self, d):
-        return Polynomial(
-            self.vars, self.field, {e: c for e, c in self.terms.items() if sum(e) == d}
-        )
+        return Polynomial(self.vars, {e: c for e, c in self.terms.items() if sum(e) == d})
 
     def top_degree_form(self):
         """Highest-degree homogeneous component (zero poly maps to itself)."""
         return self.homogeneous_component(self.degree())
 
     def evaluate(self, point):
-        """Evaluate at a point given as a sequence of field elements."""
+        """Exact value at a point given as a sequence of exact numbers."""
         if len(point) != len(self.vars):
             raise ExactLAError("point dimension does not match variable list")
-        total = self.field.zero
+        total = 0
         for exps, coeff in self.terms.items():
             val = coeff
-            for i, e in enumerate(exps):
+            for x, e in zip(point, exps):
                 if e:
-                    val = val * point[i] ** e
+                    val = val * x**e
             total = total + val
-        if self.field.characteristic:
-            total %= self.field.characteristic
-        return total
+        return rational(total)
 
     def __str__(self):
         if not self.terms:
@@ -305,13 +315,13 @@ class Polynomial:
                 if e
             )
             if not mono:
-                piece = self.field.to_str(c)
-            elif c == self.field.one:
+                piece = str(c)
+            elif c == 1:
                 piece = mono
-            elif self.field.characteristic == 0 and c == -1:
+            elif c == -1:
                 piece = f"-{mono}"
             else:
-                piece = f"{self.field.to_str(c)}*{mono}"
+                piece = f"{c}*{mono}"
             bits.append(piece)
         out = bits[0]
         for piece in bits[1:]:
@@ -329,10 +339,10 @@ def elementary_symmetric(d, polys):
         raise ExactLAError("elementary_symmetric needs at least one polynomial")
     if d < 0 or d > len(polys):
         raise ExactLAError(f"e_{d} of {len(polys)} polynomials is out of range")
-    vars, field = polys[0].vars, polys[0].field
-    total = Polynomial.zero(vars, field)
+    vars = polys[0].vars
+    total = Polynomial.zero(vars)
     for combo in combinations(polys, d):
-        prod = Polynomial.one(vars, field)
+        prod = Polynomial.one(vars)
         for p in combo:
             prod = prod * p
         total = total + prod
@@ -652,8 +662,3 @@ class FpRowSpace:
             total = (total + int(moved[j])) % self.p
         return total
 
-
-def make_rowspace(ambient, field):
-    if field.characteristic == 0:
-        return RationalRowSpace(ambient)
-    return FpRowSpace(ambient, field.characteristic)

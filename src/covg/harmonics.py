@@ -21,20 +21,22 @@ over F_p reduces each block with a few matrix products whose dot products
 stay exact under the prime bound the row space enforces.  Duplicates are
 dropped within a degree only, which never changes a rank: a repeated vector
 already lies in the span.
+
+Loci, polynomials and generators are field-free: coordinates and
+coefficients are exact numbers (ints wherever they are integral).  The field
+enters only at the filtration, which builds, multiplies, deduplicates and
+combines evaluation vectors through it and reduces them in the row space it
+makes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, permutations
-from operator import mul
-
-import numpy as np
 
 from .com import contract, flats_of, topes
 from .config import DEFAULT_LIMITS
-from .exactla import QQ, Polynomial, elementary_symmetric, make_rowspace
+from .exactla import QQ, Polynomial, elementary_symmetric, rational
 from .matroidal import (
     basic_sets,
     circuits,
@@ -66,11 +68,13 @@ class PointLocus:
 
     variables: tuple
     labels: tuple
-    points: tuple  # tuples of Fractions
+    points: tuple  # tuples of exact numbers: ints where integral, else Fractions
     label_kind: str = "raw"  # covector | permutation | ordered-set-partition | raw
     requires_char_zero: bool = False
 
     def __post_init__(self):
+        points = tuple(tuple(map(rational, p)) for p in self.points)
+        object.__setattr__(self, "points", points)
         if len(self.labels) != len(self.points):
             raise HarmonicsError("one label per point")
         for p in self.points:
@@ -97,10 +101,12 @@ class PointLocus:
     @classmethod
     def from_json_dict(cls, data, label_kind="raw"):
         pts = data["points"]
+        if not all(isinstance(p["coords"], list) for p in pts):
+            raise HarmonicsError("point coordinates must be JSON lists")
         return cls(
             tuple(data["variables"]),
             tuple(p["label"] for p in pts),
-            tuple(tuple(Fraction(c) for c in p["coords"]) for p in pts),
+            tuple(p["coords"] for p in pts),
             label_kind=label_kind,
         )
 
@@ -125,7 +131,7 @@ def tope_locus(M):
     for t in topes(M):
         coords = []
         for s in t.signs:
-            coords += [Fraction(int(s == 1)), Fraction(int(s == -1))]
+            coords += [int(s == 1), int(s == -1)]
         pts.append(tuple(coords))
         labels.append(t.to_string())
     return PointLocus(small_variables(M.ground), tuple(labels), tuple(pts), "covector")
@@ -137,11 +143,7 @@ def covector_locus(M):
     for v in M.covectors:
         coords = []
         for s in v.signs:
-            coords += [
-                Fraction(int(s == 1)),
-                Fraction(int(s == -1)),
-                Fraction(int(s == 0)),
-            ]
+            coords += [int(s == 1), int(s == -1), int(s == 0)]
         pts.append(tuple(coords))
         labels.append(v.to_string())
     return PointLocus(big_variables(M.ground), tuple(labels), tuple(pts), "covector")
@@ -212,9 +214,9 @@ class EvaluationFiltration:
     """Degree filtration of functions on a locus by monomial evaluation spans.
 
     Evaluation columns of monomials are cached by exponent tuple; each is one
-    variable-column product of a cached divisor.  Over Q a column holds exact
-    ints wherever the locus coordinates allow it and Fractions elsewhere; over
-    F_p it is an int64 array of residues.
+    variable-column product of a cached divisor.  Columns are in the field's
+    vector format: over Q a tuple of exact numbers, all ints on an integral
+    locus; over F_p an int64 array of residues.
 
     Each degree's candidates go to the row space in glex-descending chunks of
     at most `_CHUNK_ROWS` through `insert_block`, which accepts exactly the
@@ -244,20 +246,10 @@ class EvaluationFiltration:
         self.field = field
         self.n_points = len(locus)
         self.n_vars = len(locus.variables)
-        # before the int64 columns: the row space refuses primes too large for them
-        self.space = make_rowspace(self.n_points, field)
-        if field.characteristic == 0:
-            self._var_evals = [
-                tuple(c.numerator if c.denominator == 1 else c for c in map(Fraction, col))
-                for col in zip(*locus.points)
-            ]
-            ones = (1,) * self.n_points
-        else:
-            self._var_evals = [
-                np.array([field.of(c) for c in col], dtype=np.int64)
-                for col in zip(*locus.points)
-            ]
-            ones = np.ones(self.n_points, dtype=np.int64)
+        # before the columns: a prime field's row space refuses primes too large for int64
+        self.space = field.rowspace(self.n_points)
+        self._var_evals = [field.vector(col) for col in zip(*locus.points)]
+        ones = field.vector((1,) * self.n_points)
         unit = (0,) * self.n_vars
         self._columns = {unit: ones}
         self.coeffs = []
@@ -271,17 +263,6 @@ class EvaluationFiltration:
         if self.space.rank == self.n_points:
             self.complete = True
 
-    def _mul(self, vec, i):
-        col = self._var_evals[i]
-        if self.field.characteristic == 0:
-            return tuple(map(mul, vec, col))
-        return vec * col % self.field.characteristic
-
-    def _key(self, vec):
-        if self.field.characteristic == 0:
-            return vec
-        return vec.tobytes()
-
     def _column(self, exps):
         """Evaluation vector of the monomial with these exponents."""
         chain = []
@@ -291,7 +272,7 @@ class EvaluationFiltration:
             exps = exps[:i] + (exps[i] - 1,) + exps[i + 1 :]
         vec = self._columns[exps]
         for exps, i in reversed(chain):
-            vec = self._columns[exps] = self._mul(vec, i)
+            vec = self._columns[exps] = self.field.product(vec, self._var_evals[i])
         return vec
 
     def advance_degree(self):
@@ -309,11 +290,12 @@ class EvaluationFiltration:
                 child = exps[:i] + (exps[i] + 1,) + exps[i + 1 :]
                 if child not in candidates:
                     candidates[child] = (exps, i)
+        product, key_of = self.field.product, self.field.key
         new_standard, seen, chunk = [], set(), []
         for exps in sorted(candidates, reverse=True):
             parent, i = candidates[exps]
-            v = self._mul(self._columns[parent], i)
-            key = self._key(v)
+            v = product(self._columns[parent], self._var_evals[i])
+            key = key_of(v)
             if key not in seen:
                 seen.add(key)
                 chunk.append((exps, v))
@@ -352,7 +334,7 @@ class EvaluationFiltration:
     def space_upto(self, d):
         """Row space of evaluation vectors of all monomials of degree <= d."""
         if d < 0:
-            return make_rowspace(self.n_points, self.field)
+            return self.field.rowspace(self.n_points)
         while not self.complete and len(self.snapshots) <= d:
             self.advance_degree()
         return self.snapshots[min(d, len(self.snapshots) - 1)]
@@ -361,19 +343,9 @@ class EvaluationFiltration:
         """Evaluation vector of a polynomial, its coefficients read in this field."""
         if tuple(poly.vars) != tuple(self.locus.variables):
             raise HarmonicsError("polynomial variables do not match the locus")
-        p = self.field.characteristic
-        if p:
-            total = np.zeros(self.n_points, dtype=np.int64)
-            for exps, coeff in poly.terms.items():
-                total = (total + self.field.of(coeff) * self._column(exps) % p) % p
-            return total
-        total = (0,) * self.n_points
-        for exps, coeff in poly.terms.items():
-            c = self.field.of(coeff)
-            if c.denominator == 1:
-                c = c.numerator
-            total = tuple(a + c * x for a, x in zip(total, self._column(exps)))
-        return total
+        return self.field.combination(
+            ((c, self._column(exps)) for exps, c in poly.terms.items()), self.n_points
+        )
 
 
 def hilbert_series(locus, field=QQ):
@@ -427,7 +399,7 @@ def _mono(vars, pairs):
     exps = [0] * len(vars)
     for idx, e in pairs:
         exps[idx] += e
-    return Polynomial.monomial(vars, tuple(exps), 1, QQ)
+    return Polynomial.monomial(vars, tuple(exps))
 
 
 def _y_power(vars, index_of, i, sign):
@@ -448,7 +420,7 @@ def tope_ideal_generators(M, order=None, limits=DEFAULT_LIMITS):
     n = M.ground.size
     circs = circuits(M, limits)
     affine, graded = [], []
-    one = Polynomial.one(vars, QQ)
+    one = Polynomial.one(vars)
     for i in range(n):
         yp, ym = _y_indices_small(i)
         affine.append(_mono(vars, [(yp, 1), (ym, 1)]))
@@ -633,7 +605,7 @@ def verify_basis(locus, monomials, field=QQ, filtration=None):
             f"need exactly {len(locus)} polynomials for this locus, got {len(monomials)}"
         )
     filt = filtration or EvaluationFiltration(locus, field)
-    space = make_rowspace(len(locus), filt.field)
+    space = filt.field.rowspace(len(locus))
     taken = space.insert_block([filt.evaluate(p) for p in monomials])
     return len(taken) == len(locus)
 
@@ -758,7 +730,7 @@ def kostant_locus(n, limits=DEFAULT_LIMITS):
     labels, points = [], []
     for w in permutations(range(1, n + 1)):
         labels.append("".join(map(str, w)))
-        points.append(tuple(Fraction(v) for v in w))
+        points.append(w)
     return PointLocus(variables, tuple(labels), tuple(points), "permutation", True)
 
 
@@ -781,10 +753,10 @@ def permutohedral_locus(n, limits=DEFAULT_LIMITS):
     index = {s: k for k, s in enumerate(subsets)}
     labels, points = [], []
     for w in permutations(range(1, n + 1)):
-        coords = [Fraction(0)] * len(subsets)
+        coords = [0] * len(subsets)
         for j in range(1, n):
             prefix = tuple(sorted(w[:j]))
-            coords[index[prefix]] = Fraction(w[j - 1] - w[j])
+            coords[index[prefix]] = w[j - 1] - w[j]
         labels.append("".join(map(str, w)))
         points.append(tuple(coords))
     return PointLocus(variables, tuple(labels), tuple(points), "permutation", True)
@@ -796,9 +768,9 @@ def permmatrix_locus(n, limits=DEFAULT_LIMITS):
     variables = tuple(f"m{i}{j}" for i in range(1, n + 1) for j in range(1, n + 1))
     labels, points = [], []
     for w in permutations(range(1, n + 1)):
-        coords = [Fraction(0)] * (n * n)
+        coords = [0] * (n * n)
         for i, v in enumerate(w):
-            coords[i * n + (v - 1)] = Fraction(1)
+            coords[i * n + (v - 1)] = 1
         labels.append("".join(map(str, w)))
         points.append(tuple(coords))
     return PointLocus(variables, tuple(labels), tuple(points), "permutation")

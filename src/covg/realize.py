@@ -25,6 +25,7 @@ from itertools import product
 
 from .com import COM, GroundSet, SignedPermutation, SignedVector
 from .config import DEFAULT_LIMITS
+from .exactla import rational
 
 
 class RealizeError(Exception):
@@ -73,7 +74,7 @@ class AffineForm:
 
     @classmethod
     def from_json_dict(cls, data):
-        return cls(tuple(Fraction(s) for s in data["coeffs"]), Fraction(data["const"]))
+        return cls(tuple(map(rational, data["coeffs"])), rational(data["const"]))
 
 
 @dataclass(frozen=True)
@@ -86,6 +87,8 @@ class Arrangement:
     region: tuple
 
     def __post_init__(self):
+        if type(self.dimension) is not int or self.dimension < 0:
+            raise RealizeError("the dimension must be a nonnegative integer")
         if len(self.labels) != len(self.forms):
             raise RealizeError("one label per form")
         if len(set(self.labels)) != len(self.labels):
@@ -106,7 +109,7 @@ class Arrangement:
         labels = tuple(data["forms"].keys())
         forms = tuple(AffineForm.from_json_dict(d) for d in data["forms"].values())
         region = tuple(AffineForm.from_json_dict(d) for d in data.get("region", []))
-        return cls(int(data["dimension"]), labels, forms, region)
+        return cls(rational(data["dimension"]), labels, forms, region)
 
 
 # ---------------------------------------------------------------------------

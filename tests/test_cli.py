@@ -117,12 +117,78 @@ def test_hilbert_field_flag_and_env(capsys, braid3_path, monkeypatch):
     )
     assert rep["results"]["field"] == "fp:1000003"
     assert rep["results"]["coeffs"] == [1, 6, 6]
+    # --field is the one switch; no environment variable selects a field
     monkeypatch.setenv("COVG_FIELD", "fp:999983")
     code, rep = report(capsys, "hilbert", braid3_path, "--which", "big")
-    assert rep["results"]["field"] == "fp:999983"
-    # explicit flag beats the environment
+    assert rep["results"]["field"] == "rational"
     code, rep = report(capsys, "--field", "rational", "hilbert", braid3_path, "--which", "big")
     assert rep["results"]["field"] == "rational"
+
+
+def test_covg_field_variable_is_ignored(capsys, tmp_path, fig1_path, figure1, monkeypatch):
+    from covg import automorphism_group_bruteforce
+
+    gpath = tmp_path / "group.json"
+    jsonio.write_json(gpath, automorphism_group_bruteforce(figure1).to_json_dict())
+    commands = [
+        ("verify", fig1_path, "--what", "big-theorem"),
+        ("character", fig1_path, "--group", str(gpath), "--verify-decomposition"),
+    ]
+    plain = [invoke(capsys, *argv) for argv in commands]
+    monkeypatch.setenv("COVG_FIELD", "fp:1000003")
+    assert [invoke(capsys, *argv) for argv in commands] == plain
+    assert [code for code, _ in plain] == [0, 0]
+
+
+@pytest.mark.parametrize(
+    "coeffs, const",
+    [([0.1, 1], "0"), (["1"], 0.5), ([True], "0"), (["1"], False)],
+)
+def test_enumerate_refuses_inexact_json_numbers(capsys, tmp_path, coeffs, const):
+    path = tmp_path / "arr.json"
+    path.write_text(json.dumps(
+        {"dimension": 1, "forms": {"h": {"coeffs": coeffs, "const": const}}, "region": []}
+    ))
+    code, rep = report(capsys, "enumerate", str(path))
+    assert code == 2
+    assert rep["error"]["type"] == "TypeError"
+    assert "results" not in rep
+
+
+@pytest.mark.parametrize("dimension", [1.0, True, "1/2"])
+def test_enumerate_refuses_a_non_integer_dimension(capsys, tmp_path, dimension):
+    path = tmp_path / "arr.json"
+    path.write_text(json.dumps(
+        {"dimension": dimension, "forms": {"h": {"coeffs": [1], "const": 0}}, "region": []}
+    ))
+    code, rep = report(capsys, "enumerate", str(path))
+    assert code == 2
+    assert "results" not in rep
+
+
+def test_enumerate_reads_exact_json_numbers(capsys, tmp_path):
+    path = tmp_path / "arr.json"
+    path.write_text(json.dumps({
+        "dimension": 2,
+        "forms": {"h": {"coeffs": [1, "-1/3"], "const": 0}, "g": {"coeffs": ["2", 0], "const": "1/2"}},
+        "region": [],
+    }))
+    code, rep = report(capsys, "enumerate", str(path))
+    assert code == 0
+    assert rep["results"]["covector_count"] == 9
+
+
+@pytest.mark.parametrize("bad_sign", [1.5, "3/2", 1.0, True, -1.0])
+def test_character_refuses_inexact_group_signs(capsys, tmp_path, braid3_path, braid3, bad_sign):
+    from covg import GroupSpec, braid_automorphism_generators
+
+    data = GroupSpec.from_generators(braid3, braid_automorphism_generators(3)).to_json_dict()
+    data["generators"][0]["signs"][0] = bad_sign
+    gpath = tmp_path / "group.json"
+    gpath.write_text(json.dumps(data))
+    code, rep = report(capsys, "character", braid3_path, "--group", str(gpath))
+    assert code == 2
+    assert "results" not in rep
 
 
 def test_hilbert_refuses_prime_past_int64_bound(capsys, braid3_path):

@@ -14,6 +14,7 @@ from covg.exactla import (
     apply_point_permutation,
     elementary_symmetric,
     field_from_name,
+    rational,
 )
 
 GF = PrimeField(1000003)
@@ -31,7 +32,26 @@ def test_field_parsing():
 def test_prime_field_coercion():
     assert GF.of(Fraction(1, 2)) == (1000003 + 1) // 2
     assert GF.of(-1) == 1000002
-    assert GF.inv(GF.of(7)) * 7 % GF.p == 1
+    assert GF.of(Fraction(1, 7)) * 7 % GF.p == 1
+    assert GF.of("-1/2") == GF.of(Fraction(-1, 2))
+    with pytest.raises(ZeroDivisionError):
+        GF.of(Fraction(1, GF.p))
+
+
+def test_rational_reader():
+    assert rational(3) == 3 and type(rational(3)) is int
+    assert type(rational(-12**30)) is int
+    assert rational(Fraction(4, 2)) == 2 and type(rational(Fraction(4, 2))) is int
+    assert rational(Fraction(-1, 3)) == Fraction(-1, 3)
+    assert type(rational(Fraction(-1, 3))) is Fraction
+    assert rational("7") == 7 and type(rational("7")) is int
+    assert rational("6/4") == Fraction(3, 2)
+    assert type(rational("-4/2")) is int
+    for bad in (0.5, 1.0, True, False, None, [1]):
+        with pytest.raises(TypeError):
+            rational(bad)
+    with pytest.raises(ValueError):
+        rational("one half")
 
 
 def test_polynomial_ring_basics():
@@ -46,6 +66,43 @@ def test_polynomial_ring_basics():
     assert (y + z).degree() == 1
     assert not (y + z * z).is_homogeneous()
     assert (y * z).evaluate([Fraction(3), Fraction(5)]) == 15
+    assert type((y * z).evaluate([Fraction(3), Fraction(5)])) is int
+    assert (y * z).evaluate([Fraction(1, 2), 3]) == Fraction(3, 2)
+
+
+def test_polynomial_coefficients_stay_ints():
+    vars = ("y", "z")
+    y, z = (Polynomial.variable(vars, v) for v in vars)
+    half = Polynomial.constant(vars, Fraction(1, 2))
+    f = (y + half) * (z + half) * Polynomial.constant(vars, 4)
+    assert f.terms == {(1, 1): 4, (1, 0): 2, (0, 1): 2, (0, 0): 1}
+    assert all(type(c) is int for c in f.terms.values())
+    assert (half + half).terms == {(0, 0): 1} and type((half + half).terms[(0, 0)]) is int
+    assert (f - f).is_zero
+    with pytest.raises(TypeError):
+        Polynomial.constant(vars, 0.5)
+
+
+def test_polynomial_str_golden():
+    vars = ("x", "y", "z")
+    cases = [
+        (
+            {(2, 1, 0): -1, (0, 2, 0): -2, (1, 0, 1): Fraction(1, 2), (0, 0, 2): Fraction(-1, 3), (0, 0, 0): 5},
+            "-x^2*y + 1/2*x*z - 2*y^2 - 1/3*z^2 + 5",
+        ),
+        ({(1, 0, 0): Fraction(-1, 3), (0, 1, 0): 1, (0, 0, 0): -1}, "-1/3*x + y - 1"),
+        ({(0, 0, 0): Fraction(-7, 2)}, "-7/2"),
+        ({}, "0"),
+        # glex: degree first, then earlier variables weigh more
+        (
+            {(0, 0, 1): 1, (1, 0, 0): 1, (0, 1, 0): -1, (0, 0, 3): Fraction(1, 2), (1, 1, 1): -2},
+            "-2*x*y*z + 1/2*z^3 + x - y + z",
+        ),
+        ({(1, 0, 0): -1}, "-x"),
+        ({(0, 1, 0): Fraction(4, 2)}, "2*y"),
+    ]
+    for terms, text in cases:
+        assert str(Polynomial(vars, terms)) == text
 
 
 def test_polynomial_variable_mismatch():
@@ -69,29 +126,6 @@ def test_top_degree_form():
     x = Polynomial.variable(vars, "x")
     f = x * x + x - Polynomial.one(vars)
     assert f.top_degree_form() == x * x
-
-
-coeff_st = st.integers(min_value=-9, max_value=9)
-
-
-@given(
-    st.lists(st.tuples(coeff_st, st.tuples(st.integers(0, 3), st.integers(0, 3))), max_size=6),
-    st.lists(st.tuples(coeff_st, st.tuples(st.integers(0, 3), st.integers(0, 3))), max_size=6),
-)
-def test_fp_matches_rational_mod_p(terms1, terms2):
-    """Integer polynomial arithmetic mod p agrees with exact arithmetic reduced mod p."""
-    vars = ("u", "v")
-
-    def build(terms, field):
-        out = Polynomial.zero(vars, field)
-        for c, e in terms:
-            out = out + Polynomial.monomial(vars, e, field.of(c), field)
-        return out
-
-    pq = build(terms1, QQ) * build(terms2, QQ) + build(terms1, QQ)
-    pf = build(terms1, GF) * build(terms2, GF) + build(terms1, GF)
-    reduced = {e: GF.of(c) for e, c in pq.terms.items() if GF.of(c) != 0}
-    assert reduced == pf.terms
 
 
 def _spaces(ambient):

@@ -42,7 +42,6 @@ def _report(argv, capsys):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_matches_golden(name, capsys, monkeypatch):
     argv, expected_code = CASES[name]
-    monkeypatch.delenv("COVG_FIELD", raising=False)
     monkeypatch.chdir(GOLDEN)
     code, out = _report(argv, capsys)
     assert code == expected_code

@@ -98,6 +98,55 @@ def test_point_locus_json_roundtrip(figure1):
     assert again.labels == locus.labels
 
 
+def test_point_locus_reads_exact_json_numbers():
+    from covg import jsonio
+
+    data = jsonio.loads('{"variables": ["u", "v"], "points": ['
+                        '{"label": "a", "coords": [1, "-1/2"]}, {"label": "b", "coords": ["4/2", 0]}]}')
+    locus = PointLocus.from_json_dict(data)
+    assert locus.points == ((1, Fraction(-1, 2)), (2, 0))
+    assert type(locus.points[1][0]) is int
+    assert hilbert_series(locus).coeffs == (1, 1)
+
+
+@pytest.mark.parametrize("bad", ["0.1", "true", "1.0"])
+def test_point_locus_refuses_inexact_json_numbers(bad):
+    from covg import jsonio
+
+    data = jsonio.loads('{"variables": ["u"], "points": [{"label": "a", "coords": [%s]}]}' % bad)
+    with pytest.raises(TypeError):
+        PointLocus.from_json_dict(data)
+
+
+def test_point_locus_refuses_coordinates_that_are_not_a_list():
+    data = {"variables": ["u", "v"], "points": [{"label": "a", "coords": "12"}]}
+    with pytest.raises(HarmonicsError):
+        PointLocus.from_json_dict(data)
+
+
+def test_locus_builders_yield_int_coordinates(braid3, figure1):
+    loci = [
+        tope_locus(braid3),
+        covector_locus(figure1),
+        kostant_locus(3),
+        permutohedral_locus(3),
+        permmatrix_locus(3),
+        PointLocus(("x",), ("a", "b"), ((Fraction(4, 2),), (Fraction(-3),))),
+    ]
+    for locus in loci:
+        assert all(type(c) is int for p in locus.points for c in p), locus.variables
+
+
+def test_rational_evaluation_vectors_are_ints(braid3):
+    locus = covector_locus(braid3)
+    filt = EvaluationFiltration(locus, QQ)
+    gens = covector_ideal_generators(braid3)
+    vectors = [filt.evaluate(g) for g in gens] + [filt.evaluate(Polynomial.one(locus.variables))]
+    filt.build()
+    vectors += list(filt._columns.values())
+    assert all(type(x) is int for v in vectors for x in v)
+
+
 # ---------------------------------------------------------------------------
 # Hilbert series
 
@@ -254,9 +303,8 @@ EVALUATION_LOCI = [
 
 
 def _reference_evaluation(locus, poly, field):
-    """Per-point Polynomial.evaluate, at coordinates coerced into the field."""
-    p = Polynomial(poly.vars, field, poly.terms)
-    return [p.evaluate([field.of(c) for c in pt]) for pt in locus.points]
+    """Per-point exact Polynomial.evaluate, read into the field."""
+    return [field.of(poly.evaluate(pt)) for pt in locus.points]
 
 
 @st.composite
@@ -268,7 +316,7 @@ def _locus_and_polynomials(draw):
         st.fractions(min_value=-5, max_value=5, max_denominator=7),
         max_size=6,
     )
-    polys = [Polynomial(locus.variables, QQ, t) for t in draw(st.lists(terms, min_size=1, max_size=3))]
+    polys = [Polynomial(locus.variables, t) for t in draw(st.lists(terms, min_size=1, max_size=3))]
     return locus, polys
 
 
