@@ -1,8 +1,10 @@
-"""Golden CLI reports: byte-identical output and exit codes for the span engine.
+"""Golden CLI reports: byte-identical output and exit codes for the span engine
+and the NBC Hilbert series.
 
-The reports under tests/golden/ were written by the program before the
-coefficient field was confined to the row spaces; every later change must
-reproduce them exactly.  Inputs live next to them and are passed by relative
+The span-engine reports under tests/golden/ were written by the program
+before the coefficient field was confined to the row spaces, and the
+`--method nbc` reports before the NBC Hilbert series was read off the NBC
+basis; every later change must reproduce them exactly.  Inputs live next to them and are passed by relative
 path, so each report's `inputs` block is stable.  To rewrite the reports
 after an intended change of output, run from the repository root:
 
@@ -26,6 +28,10 @@ for _com, _group in (("braid3", "braid3-group"), ("figure1", "figure1-group")):
     for _which in ("big", "small"):
         CASES[f"{_com}-hilbert-{_which}"] = (("hilbert", f"{_com}.json", "--which", _which), 0)
         CASES[f"{_com}-hilbert-{_which}-fp"] = ((*FP, "hilbert", f"{_com}.json", "--which", _which), 0)
+        CASES[f"{_com}-hilbert-{_which}-nbc"] = (
+            ("hilbert", f"{_com}.json", "--which", _which, "--method", "nbc"),
+            0,
+        )
     for _what in ("big-theorem", "small-generators"):
         CASES[f"{_com}-verify-{_what}"] = (("verify", f"{_com}.json", "--what", _what), 0)
     CASES[f"{_com}-character"] = (
