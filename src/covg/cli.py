@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import replace
 
 from . import jsonio
 from .com import COM, check_axioms, coloops, flats_of, topes
@@ -44,6 +43,9 @@ from .matroidal import (
     nbc_sets,
 )
 from .realize import Arrangement, braid_com, enumerate_covectors, fixture
+
+
+STREAM_THRESHOLD = 10_000  # default: covector lists longer than this stream as JSON lines
 
 
 class CliError(Exception):
@@ -190,9 +192,9 @@ def cmd_verify(args, limits):
         ]
         return (
             {
-                "affine_checked": len(gens["affine"].generators),
+                "affine_checked": len(gens["affine"]),
                 "affine_nonvanishing": affine_bad,
-                "graded_checked": len(gens["graded"].generators),
+                "graded_checked": len(gens["graded"]),
                 "graded_nonmembers": graded_bad,
             },
             {"affine_vanish": not affine_bad, "graded_membership": not graded_bad},
@@ -318,7 +320,7 @@ def build_parser():
     parser.add_argument(
         "--stream-threshold",
         type=int,
-        default=DEFAULT_LIMITS.stream_threshold,
+        default=STREAM_THRESHOLD,
         help="covector lists longer than this stream as JSON lines",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -390,10 +392,9 @@ def build_parser():
 def run(argv):
     parser = build_parser()
     args = parser.parse_args(argv)
-    limits = replace(DEFAULT_LIMITS, stream_threshold=args.stream_threshold)
     started = time.monotonic()
     try:
-        results, assertions = args.handler(args, limits)
+        results, assertions = args.handler(args, DEFAULT_LIMITS)
     except Exception as exc:  # surfaced as a structured error report
         report = {
             "command": args.command,
@@ -418,7 +419,7 @@ def run(argv):
     if (
         args.format == "json"
         and com_block
-        and len(com_block.get("covectors", ())) > limits.stream_threshold
+        and len(com_block.get("covectors", ())) > args.stream_threshold
     ):
         stream_covectors = com_block["covectors"]
         com_block["covectors"] = f"streamed:{len(stream_covectors)}"

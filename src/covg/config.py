@@ -12,7 +12,6 @@ class Limits:
     max_group_order: int = 100_000
     max_locus_n: int = 7  # permutation loci stop at n! = 5040 points
     max_braid_n: int = 9  # single-digit pair labels
-    stream_threshold: int = 10_000  # covector lists longer than this stream as JSON lines
 
 
 DEFAULT_LIMITS = Limits()

@@ -393,7 +393,7 @@ class RationalRowSpace:
             raise ExactLAError("vector length does not match ambient dimension")
         if all(type(v) is int for v in vec):
             return list(vec)
-        vec = [Fraction(v) if not isinstance(v, Fraction) else v for v in vec]
+        vec = list(map(rational, vec))  # ints and Fractions; floats and bools raise
         mult = 1
         for v in vec:
             mult = mult * v.denominator // math.gcd(mult, v.denominator)
@@ -407,13 +407,7 @@ class RationalRowSpace:
                 p = row[j]
                 v = [p * x - a * y for x, y in zip(v, row)]
                 if max(map(abs, v), default=0).bit_length() > _NORMALIZE_BITS:
-                    g = 0
-                    for x in v:
-                        g = math.gcd(g, x)
-                        if g == 1:
-                            break
-                    if g > 1:
-                        v = [x // g for x in v]
+                    v = self._primitive(v)
         return v
 
     @staticmethod

@@ -27,6 +27,13 @@ coefficients are exact numbers (ints wherever they are integral).  The field
 enters only at the filtration, which builds, multiplies, deduplicates and
 combines evaluation vectors through it and reduces them in the row space it
 makes.
+
+Presentations and NBC bases are taken against the ground order: NBC sets
+break circuits at their smallest element, each flat F uses its
+lexicographically smallest basic set B for z_B(F), and each symmetric
+circuit's mixing subset J is its smallest support element.  Another order
+enters only through `matroidal.nbc_sets` (`covg nbc --order`).  The NBC
+Hilbert series is the degree count of the NBC basis.
 """
 
 from __future__ import annotations
@@ -40,7 +47,6 @@ from .exactla import QQ, Polynomial, elementary_symmetric, rational
 from .matroidal import (
     basic_sets,
     circuits,
-    codim,
     default_basic_set,
     minimal_nonbasic_sets,
     mixing_subsets,
@@ -198,13 +204,6 @@ class HilbertSeries:
         for d in degrees:
             coeffs[d] += 1
         return cls(tuple(coeffs))
-
-    def shifted(self, k):
-        return HilbertSeries((0,) * k + self.coeffs)
-
-    def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return HilbertSeries(tuple(self[d] + other[d] for d in range(n)))
 
 
 _CHUNK_ROWS = 256  # candidates per row-space block insertion; bounds the block's memory
@@ -372,21 +371,6 @@ def gr_membership(locus, poly, field=QQ, filtration=None):
 # ideal presentations
 
 
-@dataclass
-class IdealPresentation:
-    generators: list
-    tag: str
-    order: tuple | None = None
-    basic_choice: dict | None = None
-    j_choice: dict | None = None
-
-    def __len__(self):
-        return len(self.generators)
-
-    def __iter__(self):
-        return iter(self.generators)
-
-
 def _y_indices_small(i):
     return 2 * i, 2 * i + 1
 
@@ -407,7 +391,7 @@ def _y_power(vars, index_of, i, sign):
     return _mono(vars, [(yp if sign == 1 else ym, 1)])
 
 
-def tope_ideal_generators(M, order=None, limits=DEFAULT_LIMITS):
+def tope_ideal_generators(M, limits=DEFAULT_LIMITS):
     """Generators of the vanishing ideal of the tope locus and its graded ideal.
 
     Affine list: y_i+ y_i-, y_i+ + y_i- - 1, and one squarefree monomial per
@@ -443,11 +427,7 @@ def tope_ideal_generators(M, order=None, limits=DEFAULT_LIMITS):
         supp = sorted(c.vector.support())
         ys = [_y_power(vars, _y_indices_small, i, c.vector[i]) for i in supp]
         graded.append(elementary_symmetric(len(supp) - 1, ys))
-    order = tuple(order) if order is not None else tuple(range(n))
-    return {
-        "affine": IdealPresentation(affine, "tope-affine", order),
-        "graded": IdealPresentation(graded, "tope-graded", order),
-    }
+    return {"affine": affine, "graded": graded}
 
 
 def _z_monomial(vars, indices):
@@ -461,14 +441,12 @@ def z_ideal_generators(M):
     gens = []
     for C in minimal_nonbasic_sets(M):
         gens.append(_z_monomial(vars, C))
-    basic_by_flat = {}
     for F in flats_of(M):
         basics = basic_sets(M, F)
-        basic_by_flat[F] = tuple(tuple(sorted(b)) for b in basics)
         for a in range(len(basics)):
             for b in range(a + 1, len(basics)):
                 gens.append(_z_monomial(vars, basics[a]) - _z_monomial(vars, basics[b]))
-    return IdealPresentation(gens, "z-flat", basic_choice=basic_by_flat)
+    return gens
 
 
 def symmetric_circuit_generator(M, F, circuit_vector, J, basic_set=None):
@@ -493,20 +471,18 @@ def symmetric_circuit_generator(M, F, circuit_vector, J, basic_set=None):
     return _z_monomial(vars, B) * elementary_symmetric(len(supp) - 1, tilde)
 
 
-def covector_ideal_generators(M, order=None, basic_choice=None, j_choice=None, limits=DEFAULT_LIMITS):
+def covector_ideal_generators(M, limits=DEFAULT_LIMITS):
     """Generators presenting the graded function ring of the covector locus.
 
     On top of the z-variable relations: per-element quadratics and the sums
-    y_i+ + y_i- + z_i; and per flat F (through its chosen basic-set monomial
-    z_B(F)): z_B(F) y_i^± for i in F, a monomial for each circuit of the
-    contraction at F, and an elementary symmetric generator for each of its
-    symmetric circuits built from a chosen mixing subset J.
+    y_i+ + y_i- + z_i; and per flat F (through its basic-set monomial z_B(F)):
+    z_B(F) y_i^± for i in F, a monomial for each circuit of the contraction
+    at F, and an elementary symmetric generator for each of its symmetric
+    circuits built from the mixing subset J = {smallest support element}.
     """
     vars = big_variables(M.ground)
     n = M.ground.size
-    order = tuple(order) if order is not None else tuple(range(n))
-    z_part = z_ideal_generators(M)
-    gens = list(z_part.generators)
+    gens = z_ideal_generators(M)
     for i in range(n):
         yp, ym, zi = _indices_big(i)
         for a, b in ((yp, yp), (yp, ym), (yp, zi), (ym, ym), (ym, zi), (zi, zi)):
@@ -514,37 +490,27 @@ def covector_ideal_generators(M, order=None, basic_choice=None, j_choice=None, l
         gens.append(
             _mono(vars, [(yp, 1)]) + _mono(vars, [(ym, 1)]) + _mono(vars, [(zi, 1)])
         )
-    basic_used = {}
-    j_used = {}
     for F in flats_of(M):
-        B = basic_choice(F) if basic_choice else default_basic_set(M, F)
-        basic_used[F] = tuple(sorted(B))
+        B = default_basic_set(M, F)
         zB = _z_monomial(vars, B)
         keep = [i for i in range(n) if i not in F]
         for i in sorted(F):
             yp, ym, _ = _indices_big(i)
             gens.append(zB * _mono(vars, [(yp, 1)]))
             gens.append(zB * _mono(vars, [(ym, 1)]))
-        MF = contract(M, F)
-        for c in circuits(MF, limits):
+        circs = circuits(contract(M, F), limits)
+        for c in circs:
             pairs = []
             for i in sorted(c.vector.support()):
                 gi = keep[i]
                 yp, ym, _ = _indices_big(gi)
                 pairs.append((yp if c.vector[i] == 1 else ym, 1))
             gens.append(zB * _mono(vars, pairs))
-        for c in circuits(MF, limits):
-            if not c.symmetric:
-                continue
-            if j_choice is not None:
-                J = frozenset(j_choice(F, c.vector))
-            else:
-                position = {e: k for k, e in enumerate(order)}
-                supp = sorted(c.vector.support(), key=lambda i: position[keep[i]])
-                J = frozenset({supp[0]})
-            j_used[(F, c.vector.to_string())] = tuple(sorted(J))
-            gens.append(symmetric_circuit_generator(M, F, c.vector, J, basic_set=B))
-    return IdealPresentation(gens, "covector-graded", order, basic_used, j_used)
+        for c in circs:
+            if c.symmetric:
+                J = {min(c.vector.support())}
+                gens.append(symmetric_circuit_generator(M, F, c.vector, J, basic_set=B))
+    return gens
 
 
 # ---------------------------------------------------------------------------
@@ -556,45 +522,38 @@ class NbcBases:
     tope: list  # monomials spanning the tope-locus quotient
     covector: list  # monomials spanning the covector-locus quotient
     covector_strata: dict  # flat -> list of monomials contributed by that flat
-    order: tuple  # the total order the NBC sets were taken against
 
 
-def nbc_basis(M, order=None, basic_choice=None, limits=DEFAULT_LIMITS):
+def nbc_basis(M, limits=DEFAULT_LIMITS):
     """Monomial bases indexed by NBC sets.
 
     Tope side: one squarefree y+ monomial per NBC set.  Covector side: per
-    flat F, the chosen z-monomial of F times the NBC monomials of the
+    flat F, the z-monomial of its basic set times the NBC monomials of the
     contraction at F; sizes add up to the covector count.
     """
     n = M.ground.size
-    order = tuple(order) if order is not None else tuple(range(n))
     small_vars = small_variables(M.ground)
     big_vars = big_variables(M.ground)
-    tope_monos = []
-    for N in nbc_sets(M, order, limits):
-        tope_monos.append(
-            _mono(small_vars, [(_y_indices_small(i)[0], 1) for i in sorted(N)])
-        )
+    tope_monos = [
+        _mono(small_vars, [(_y_indices_small(i)[0], 1) for i in sorted(N)])
+        for N in nbc_sets(M, limits=limits)
+    ]
     strata = {}
     cov_monos = []
-    position = {e: k for k, e in enumerate(order)}
     for F in flats_of(M):
-        B = basic_choice(F) if basic_choice else default_basic_set(M, F)
-        zB = _z_monomial(big_vars, B)
+        zB = _z_monomial(big_vars, default_basic_set(M, F))
         keep = [i for i in range(n) if i not in F]
-        sub_order = sorted(range(len(keep)), key=lambda i: position[keep[i]])
-        MF = contract(M, F)
-        flat_monos = []
-        for N in nbc_sets(MF, sub_order, limits):
-            mono = zB * _mono(big_vars, [(_indices_big(keep[i])[0], 1) for i in sorted(N)])
-            flat_monos.append(mono)
+        flat_monos = [
+            zB * _mono(big_vars, [(_indices_big(keep[i])[0], 1) for i in sorted(N)])
+            for N in nbc_sets(contract(M, F), limits=limits)
+        ]
         strata[F] = flat_monos
         cov_monos.extend(flat_monos)
     if len(cov_monos) != len(M):
         raise HarmonicsError(
             f"covector basis size {len(cov_monos)} does not match covector count {len(M)}"
         )
-    return NbcBases(tope_monos, cov_monos, strata, order)
+    return NbcBases(tope_monos, cov_monos, strata)
 
 
 def verify_basis(locus, monomials, field=QQ, filtration=None):
@@ -610,25 +569,16 @@ def verify_basis(locus, monomials, field=QQ, filtration=None):
     return len(taken) == len(locus)
 
 
-def hilbert_from_nbc(M, order=None, limits=DEFAULT_LIMITS):
-    """Hilbert series from NBC counting alone: tope side by NBC size, covector
-    side as the codim-shifted sum of tope series of contractions."""
-    n = M.ground.size
-    order = tuple(order) if order is not None else tuple(range(n))
-    tope_series = HilbertSeries.from_degree_counts(
-        len(N) for N in nbc_sets(M, order, limits)
-    )
-    position = {e: k for k, e in enumerate(order)}
-    total = HilbertSeries(())
-    for F in flats_of(M):
-        keep = [i for i in range(n) if i not in F]
-        sub_order = sorted(range(len(keep)), key=lambda i: position[keep[i]])
-        MF = contract(M, F)
-        stratum = HilbertSeries.from_degree_counts(
-            len(N) for N in nbc_sets(MF, sub_order, limits)
-        )
-        total = total + stratum.shifted(codim(M, F))
-    return {"tope": tope_series, "covector": total}
+def _degree_series(monomials):
+    return HilbertSeries.from_degree_counts(m.degree() for m in monomials)
+
+
+def hilbert_from_nbc(M, limits=DEFAULT_LIMITS):
+    """Hilbert series from NBC counting alone: the degree counts of the NBC
+    bases, so the covector side is the codim-shifted sum of the NBC-size
+    counts of the contractions."""
+    bases = nbc_basis(M, limits)
+    return {"tope": _degree_series(bases.tope), "covector": _degree_series(bases.covector)}
 
 
 # ---------------------------------------------------------------------------
@@ -678,37 +628,36 @@ class PresentationReport:
         }
 
 
-def verify_covector_presentation(M, order=None, j_support_cap=5, field=QQ, limits=DEFAULT_LIMITS):
+_J_SWEEP_MAX_SUPPORT = 5  # the J-sweep covers symmetric circuits with at most this many elements
+
+
+def verify_covector_presentation(M, field=QQ, limits=DEFAULT_LIMITS):
     """Check the covector-locus presentation end to end.
 
     (a) every z-relation and covector-ideal generator is a graded member,
     (b) the NBC monomials are a basis of functions on the covector locus,
-    (c) the rank Hilbert series equals the NBC-counted one,
-    (d) for symmetric circuits with support size <= j_support_cap, membership
-        holds for every admissible mixing subset J, not just the default.
+    (c) the rank Hilbert series equals the degree count of that basis,
+    (d) for symmetric circuits with support size <= _J_SWEEP_MAX_SUPPORT,
+        membership holds for every admissible mixing subset J, not just the
+        default.
     """
     locus = covector_locus(M)
     filt = EvaluationFiltration(locus, field)
-    failures = []
-    checked = 0
-    gens = covector_ideal_generators(M, order, limits=limits)
-    for g in gens:
-        checked += 1
-        if not gr_membership(locus, g, field, filt):
-            failures.append(str(g))
-    bases = nbc_basis(M, order, limits=limits)
+    gens = covector_ideal_generators(M, limits)
+    failures = [str(g) for g in gens if not gr_membership(locus, g, field, filt)]
+    bases = nbc_basis(M, limits)
     basis_ok = verify_basis(locus, bases.covector, field, filt)
     h_rank = filt.hilbert()
-    h_nbc = hilbert_from_nbc(M, order, limits)["covector"]
+    h_nbc = _degree_series(bases.covector)
     j_checked = 0
     j_failures = []
-    for F, X, J in mixing_subsets(M, limits, j_support_cap):
+    for F, X, J in mixing_subsets(M, limits, _J_SWEEP_MAX_SUPPORT):
         g = symmetric_circuit_generator(M, F, X, J)
         j_checked += 1
         if not gr_membership(locus, g, field, filt):
             j_failures.append({"flat": sorted(F), "circuit": X.to_string(), "J": sorted(J)})
     return PresentationReport(
-        checked, failures, basis_ok, h_rank, h_nbc, j_checked, j_failures
+        len(gens), failures, basis_ok, h_rank, h_nbc, j_checked, j_failures
     )
 
 

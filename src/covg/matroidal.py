@@ -183,18 +183,22 @@ def basic_sets(M, F):
     return tuple(out)
 
 
-def codim(M, F):
-    """Common cardinality of the basic sets of F."""
+def default_basic_set(M, F):
+    """Lexicographically smallest basic set of F.
+
+    Refuses a flat whose basic sets differ in size, so every z_B(F) and every
+    codimension comes from a flat with one codimension.
+    """
     basics = basic_sets(M, F)
     sizes = {len(b) for b in basics}
     if len(sizes) != 1:
         raise MatroidalError(f"basic sets of {sorted(F)} have unequal sizes {sizes}")
-    return sizes.pop()
+    return basics[0]
 
 
-def default_basic_set(M, F):
-    """Lexicographically smallest basic set of F (as a sorted index tuple)."""
-    return basic_sets(M, F)[0]
+def codim(M, F):
+    """Common cardinality of the basic sets of F."""
+    return len(default_basic_set(M, F))
 
 
 def nonbasic(M, C):

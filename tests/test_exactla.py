@@ -163,6 +163,18 @@ def test_rowspace_rational_mixed_int_and_fraction_entries():
     assert not rs.contains([0, 0, 1])
 
 
+def test_rowspace_rational_refuses_inexact_entries():
+    # 0.1 is not 1/10: reading it as its binary value would store a wrong row
+    rs = RationalRowSpace(2)
+    for bad in ([0.1, 1], [Fraction(1, 2), 1.0], [True, 0]):
+        with pytest.raises(TypeError):
+            rs.insert(bad)
+        with pytest.raises(TypeError):
+            rs.contains(bad)
+    assert rs.rank == 0 and rs.rows == []
+    assert rs.insert(["1/10", 1]) and rs.rows == [[1, 10]]
+
+
 def test_rowspace_expansion_coefficients():
     rs = RationalRowSpace(3)
     rs.insert([1, 1, 0])

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -33,6 +34,8 @@ from covg import (
 )
 from covg import permstats
 from covg.exactla import ExactLAError, FpRowSpace
+from covg.com import flats_of
+from covg.matroidal import MatroidalError, basic_sets, codim, nbc_sets
 from covg.harmonics import (
     EmptyLocusError,
     EvaluationFiltration,
@@ -461,17 +464,12 @@ def test_z_ideal_boolean_flats():
 
 
 def test_covector_ideal_examples(figure1):
-    # choosing the mixing subset {3} at flat {2} yields the worked generator
-    chosen = covector_ideal_generators(
-        figure1, j_choice=lambda F, x: {1} if F == frozenset({1}) else {sorted(x.support())[0]}
-    )
-    assert "y1+*z2 + z2*y3- + z2*z3" in {str(g) for g in chosen}
     gens = {str(g) for g in covector_ideal_generators(figure1)}
     assert "z1*z2*y3+" in gens and "z1*z2*y3-" in gens  # flat {1,2,3}, basic {1,2}
     assert "y4-" in gens  # circuit of the contraction at the empty flat
-    # the default mixing subset is the order-smallest support element
+    # the mixing subset is the smallest support element
     default = symmetric_circuit_generator(figure1, frozenset({1}), sv("+-0"), {0})
-    assert default in set(covector_ideal_generators(figure1).generators)
+    assert default in set(covector_ideal_generators(figure1))
 
 
 def test_covector_ideal_j_choice(figure1):
@@ -547,6 +545,37 @@ def test_presentation_report(figure1, figure1_rect, braid3):
         assert rep.ok
         assert rep.membership_checked > 0
         assert rep.j_sweep_checked > 0
+
+
+def test_hilbert_from_nbc_independent_of_order(corpus):
+    # presentations fix the ground order; the NBC counts they rest on do not depend on it
+    rng = random.Random(7)
+    for name, M in corpus.items():
+        expected = hilbert_from_nbc(M)
+        n = M.ground.size
+        for _ in range(3):
+            order = list(range(n))
+            rng.shuffle(order)
+            position = {e: k for k, e in enumerate(order)}
+            tope = HilbertSeries.from_degree_counts(len(N) for N in nbc_sets(M, order))
+            degrees = []
+            for F in flats_of(M):
+                keep = [i for i in range(n) if i not in F]
+                sub_order = sorted(range(len(keep)), key=lambda i: position[keep[i]])
+                c = codim(M, F)
+                degrees += [c + len(N) for N in nbc_sets(contract(M, F), sub_order)]
+            assert tope == expected["tope"], (name, order)
+            assert HilbertSeries.from_degree_counts(degrees) == expected["covector"], (name, order)
+
+
+def test_nbc_paths_refuse_unequal_basic_sets():
+    # the flat {a,b,c} is the closure of {a} and of {b,c}: its codimension is undefined
+    M = COM(GroundSet(("a", "b", "c")), [sv(s) for s in ("+++", "+0+", "++0", "000", "---", "-0-", "--0")])
+    assert sorted(map(sorted, basic_sets(M, frozenset({0, 1, 2})))) == [[0], [1, 2]]
+    with pytest.raises(MatroidalError, match="unequal sizes"):
+        hilbert_from_nbc(M)
+    with pytest.raises(MatroidalError, match="unequal sizes"):
+        nbc_basis(M)
 
 
 def test_single_tope_series():
