@@ -238,7 +238,11 @@ def cmd_character(args, limits):
     field = field_from_name(args.field)
     group = GroupSpec.from_json_dict(M, jsonio.read_json(args.group), limits)
     locus = covector_locus(M)
-    ch = graded_character(locus, group, field)
+    if args.verify_decomposition:
+        rep = verify_graded_module_structure(M, group, field=field, limits=limits)
+        ch = rep.lhs
+    else:
+        ch = graded_character(locus, group, field)
     labels = M.ground.labels
     table = []
     for w in group.elements:
@@ -261,7 +265,6 @@ def cmd_character(args, limits):
         )
     }
     if args.verify_decomposition:
-        rep = verify_graded_module_structure(M, group, field=field, limits=limits)
         results["decomposition"] = rep.as_dict()
         assertions["decomposition"] = rep.ok
     return results, assertions

@@ -8,7 +8,7 @@ for tiny ground sets lives at the bottom as a test utility).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -23,13 +23,54 @@ class EquivariantError(Exception):
     pass
 
 
+def _element_key(w):
+    return (w.perm, w.signs)
+
+
 @dataclass(frozen=True)
 class GroupSpec:
-    """A finite group of COM automorphisms, closed and cached from generators."""
+    """A finite group of COM automorphisms, closed and cached from generators.
+
+    The element inverses and the conjugacy classes are computed once, at
+    construction: `classes` lists each class in element order with its smallest
+    element first, and `class_index` maps each element to its class.  Flat
+    orbits and flat stabilizers are computed on first use and kept.
+    """
 
     com: COM
     generators: tuple
     elements: tuple
+    inverses: dict = field(init=False, repr=False, compare=False)
+    classes: tuple = field(init=False, repr=False, compare=False)
+    class_index: dict = field(init=False, repr=False, compare=False)
+    _orbits: tuple = field(default=None, init=False, repr=False, compare=False)
+    _stabilizers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        inverses = {w: w.inverse() for w in self.elements}
+        # the generators generate G, so the conjugacy class of g is its orbit
+        # under conjugation by the generators
+        classes, index = [], {}
+        for g in self.elements:
+            if g in index:
+                continue
+            members, frontier = {g}, [g]
+            while frontier:
+                nxt = []
+                for w in frontier:
+                    for s in self.generators:
+                        c = s.compose(w).compose(inverses[s])
+                        if c not in members:
+                            members.add(c)
+                            nxt.append(c)
+                frontier = nxt
+            for w in members:
+                index[w] = len(classes)
+            # every smaller element is already classified, so g is the smallest
+            classes.append(tuple(sorted(members, key=_element_key)))
+        object.__setattr__(self, "inverses", inverses)
+        object.__setattr__(self, "classes", tuple(classes))
+        object.__setattr__(self, "class_index", index)
 
     @classmethod
     def from_generators(cls, com, generators, limits=DEFAULT_LIMITS):
@@ -60,7 +101,7 @@ class GroupSpec:
                                 f"group closure exceeded {limits.max_group_order} elements"
                             )
             frontier = nxt
-        elements = tuple(sorted(seen, key=lambda w: (w.perm, w.signs)))
+        elements = tuple(sorted(seen, key=_element_key))
         return cls(com, gens, elements)
 
     @property
@@ -69,23 +110,26 @@ class GroupSpec:
 
     def stabilizer_elements(self, flat):
         flat = frozenset(flat)
-        return tuple(
-            w for w in self.elements if frozenset(w.perm[i] for i in flat) == flat
-        )
+        if flat not in self._stabilizers:
+            self._stabilizers[flat] = tuple(
+                w for w in self.elements if frozenset(w.perm[i] for i in flat) == flat
+            )
+        return self._stabilizers[flat]
 
     def flat_orbits(self):
         """Orbits on the flat poset, each listed with its lex-smallest representative."""
-        flats = list(flats_of(self.com))
-        seen = set()
-        orbits = []
-        for f in flats:
-            if f in seen:
-                continue
-            orbit = {frozenset(w.perm[i] for i in f) for w in self.elements}
-            seen |= orbit
-            rep = min(orbit, key=lambda g: tuple(sorted(g)))
-            orbits.append((rep, frozenset(orbit)))
-        return orbits
+        if self._orbits is None:
+            seen = set()
+            orbits = []
+            for f in flats_of(self.com):
+                if f in seen:
+                    continue
+                orbit = {frozenset(w.perm[i] for i in f) for w in self.elements}
+                seen |= orbit
+                rep = min(orbit, key=lambda g: tuple(sorted(g)))
+                orbits.append((rep, frozenset(orbit)))
+            object.__setattr__(self, "_orbits", tuple(orbits))
+        return list(self._orbits)
 
     def to_json_dict(self):
         labels = self.com.ground.labels
@@ -149,55 +193,98 @@ class GradedCharacter:
 
 
 def graded_character(locus, group, field=QQ, filtration=None):
-    """Traces of each group element on each filtration quotient F_d / F_{d-1}."""
+    """Traces of each group element on each filtration quotient F_d / F_{d-1}.
+
+    Each F_d is checked to be invariant under the generators, hence under the
+    whole group; the trace of one representative per conjugacy class is then
+    read at the pivots and shared by its class.
+    """
     if field.characteristic and field.characteristic <= group.order:
         raise EquivariantError("character computations need char 0 or p > group order")
     filt = filtration or EvaluationFiltration(locus, field)
     filt.build()
-    values = {}
-    for w in group.elements:
-        diffs = _graded_traces(filt, locus_action(locus, w))
+    _check_invariant(filt, [locus_action(locus, g) for g in group.generators])
+    per_class = []
+    for members in group.classes:
+        diffs = _graded_traces(filt, locus_action(locus, members[0]))
         if diffs[0] != 1:
             raise EquivariantError("degree-0 character value must be 1")
-        values[w] = tuple(diffs)
+        per_class.append(tuple(diffs))
+    values = {w: per_class[group.class_index[w]] for w in group.elements}
     return GradedCharacter(len(filt.coeffs), values)
 
 
+def _check_invariant(filt, perms):
+    """Raise unless every F_d of a built filtration is invariant under each point permutation."""
+    for d in range(len(filt.coeffs)):
+        space = filt.space_upto(d)
+        for perm in perms:
+            space.trace_under_permutation(perm)
+
+
 def _graded_traces(filt, perm):
-    """Trace of a point permutation on each quotient F_d / F_{d-1} of a built filtration."""
-    traces = [0] + [
-        filt.space_upto(d).trace_under_permutation(perm) for d in range(len(filt.coeffs))
-    ]
+    """Trace of a point permutation on each quotient F_d / F_{d-1} of a built filtration.
+
+    Read at the pivots: valid only for a permutation under which every F_d is
+    invariant, as `_check_invariant` establishes for a generating set.
+    """
+    traces = [0] + [filt.space_upto(d).pivot_trace(perm) for d in range(len(filt.coeffs))]
     return [filt.field.of(t - prev) for prev, t in zip(traces, traces[1:])]
+
+
+def _generating_set(group, sub):
+    """A greedy generating set of the set `sub` of group elements, or None if
+    `sub` is not a subgroup.
+
+    Elements join in group order when they lie outside the closure of those
+    taken so far; `sub` is a subgroup iff that closure ends up equal to it.
+    """
+    gens = []
+    closure = {SignedPermutation.identity(group.com.ground.size)}
+    for h in group.elements:
+        if h not in sub or h in closure:
+            continue
+        gens.append(h)
+        frontier = list(closure)
+        while frontier:
+            nxt = []
+            for w in frontier:
+                for g in gens:
+                    u = g.compose(w)
+                    if u not in closure:
+                        if u not in sub:
+                            return None
+                        closure.add(u)
+                        nxt.append(u)
+            frontier = nxt
+    return gens if closure == sub else None
 
 
 def induced_character(group, sub_elements, chi_values):
     """Induce a by-degree character from a subgroup to the whole group.
 
-    chi_values maps each subgroup element to a tuple of degree values; the
-    induced value at g is the average over x in G of chi(x^-1 g x), counting
-    only conjugates landing in the subgroup.
+    chi_values maps each subgroup element to a tuple of degree values.  By
+    Frobenius' formula the induced value at g is |G| / (|Cl(g)| |H|) times the
+    sum of chi over the elements of H conjugate to g.
     """
     sub = set(sub_elements)
     if not sub:
         raise EquivariantError("subgroup must be nonempty")
     if not sub <= set(group.elements):
         raise EquivariantError("subgroup elements must lie in the group")
-    for a in sub:
-        for b in sub:
-            if a.compose(b) not in sub:
-                raise EquivariantError("subgroup is not closed under composition")
+    if _generating_set(group, sub) is None:
+        raise EquivariantError("subgroup is not closed under composition")
     degrees = max((len(v) for v in chi_values.values()), default=0)
-    values = {}
-    for g in group.elements:
-        acc = [Fraction(0)] * degrees
-        for x in group.elements:
-            conj = x.inverse().compose(g).compose(x)
-            if conj in sub:
-                v = chi_values[conj]
-                for d in range(degrees):
-                    acc[d] += v[d] if d < len(v) else 0
-        values[g] = tuple(a / len(sub) for a in acc)
+    sums = [[0] * degrees for _ in group.classes]
+    for h in sub:
+        acc = sums[group.class_index[h]]
+        for d, x in enumerate(chi_values[h]):
+            acc[d] += x
+    per_class = [
+        tuple(Fraction(group.order * x, len(members) * len(sub)) for x in acc)
+        for members, acc in zip(group.classes, sums)
+    ]
+    values = {g: per_class[group.class_index[g]] for g in group.elements}
     return GradedCharacter(degrees, values)
 
 
@@ -241,7 +328,11 @@ def restricted_permutation(w, flat, n):
 
 def verify_graded_module_structure(M, group, field=QQ, limits=DEFAULT_LIMITS):
     """Match the graded character of the covector locus against the sum over
-    flat orbits of induced, degree-shifted tope characters of contractions."""
+    flat orbits of induced, degree-shifted tope characters of contractions.
+
+    Each contraction's filtration is checked to be invariant under a
+    generating set of the flat's stabilizer; every stabilizer element's trace
+    is then read at the pivots."""
     if field.characteristic:
         raise EquivariantError("the decomposition check compares characters over the rationals")
     big = graded_character(covector_locus(M), group, field)
@@ -255,10 +346,9 @@ def verify_graded_module_structure(M, group, field=QQ, limits=DEFAULT_LIMITS):
         locus = tope_locus(MF)
         filt = EvaluationFiltration(locus, field).build()
         shift = codim(M, rep)
-        chi = {}
-        for w in stab:
-            perm = locus_action(locus, restricted_permutation(w, rep, n))
-            chi[w] = tuple([0] * shift + _graded_traces(filt, perm))
+        perms = {w: locus_action(locus, restricted_permutation(w, rep, n)) for w in stab}
+        _check_invariant(filt, [perms[g] for g in _generating_set(group, set(stab))])
+        chi = {w: tuple([0] * shift + _graded_traces(filt, perm)) for w, perm in perms.items()}
         induced_parts.append(induced_character(group, stab, chi))
     width = max([big.degrees] + [ind.degrees for ind in induced_parts])
     total = {w: [Fraction(0)] * width for w in group.elements}

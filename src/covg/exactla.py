@@ -466,12 +466,25 @@ class RationalRowSpace:
 
         Raises if the span is not invariant under the permutation.
         """
+        for row in self.rows:
+            if any(self._reduce(apply_point_permutation(row, perm))):
+                raise ExactLAError("subspace is not invariant under the permutation")
+        return self.pivot_trace(perm)
+
+    def pivot_trace(self, perm):
+        """Trace of the coordinate permutation j -> perm[j] on the span, read at the pivots.
+
+        Unchecked: the value is the trace only when the span is invariant
+        under the permutation (see `trace_under_permutation`).  Pivot
+        columns are exclusive, so the image of a basis row with pivot j has
+        coefficient row[perm^-1(j)] / row[j] on that row.
+        """
+        inverse = [0] * len(perm)
+        for k, j in enumerate(perm):
+            inverse[j] = k
         total = Fraction(0)
         for row, j in zip(self.rows, self.pivots):
-            moved = apply_point_permutation(row, perm)
-            if any(self._reduce(list(moved))):
-                raise ExactLAError("subspace is not invariant under the permutation")
-            total += Fraction(moved[j], row[j])
+            total += Fraction(row[inverse[j]], row[j])
         return total
 
 
@@ -645,14 +658,32 @@ class FpRowSpace:
         return coeffs
 
     def trace_under_permutation(self, perm):
-        total = 0
+        """Trace of the coordinate permutation j -> perm[j] restricted to the span.
+
+        Raises if the span is not invariant under the permutation.  All moved
+        rows are reduced with one product against the basis (a `_combine`
+        with inner dimension rank <= ambient).
+        """
+        if self._rank:
+            perm = np.asarray(perm)
+            inverse = np.empty_like(perm)
+            inverse[perm] = np.arange(len(perm))
+            moved = self._basis[:, inverse]  # moved[i, perm[k]] = row_i[k]
+            if ((moved - self._combine(moved[:, self.pivots], self._basis)) % self.p).any():
+                raise ExactLAError("subspace is not invariant under the permutation")
+        return self.pivot_trace(perm)
+
+    def pivot_trace(self, perm):
+        """Trace of the coordinate permutation j -> perm[j] on the span, read at the pivots.
+
+        Unchecked: the value is the trace only when the span is invariant
+        under the permutation (see `trace_under_permutation`).  Rows have
+        pivot entry 1, so the image of a row with pivot j has coefficient
+        row[perm^-1(j)] on it.
+        """
         perm = np.asarray(perm)
         inverse = np.empty_like(perm)
         inverse[perm] = np.arange(len(perm))
-        for row, j in zip(self._basis, self.pivots):
-            moved = row[inverse]  # moved[perm[k]] = row[k]
-            if self._reduce(moved.copy()).any():
-                raise ExactLAError("subspace is not invariant under the permutation")
-            total = (total + int(moved[j])) % self.p
-        return total
+        moved = self._basis[np.arange(self._rank), inverse[self.pivots]]
+        return int(moved.sum()) % self.p
 

@@ -244,6 +244,18 @@ def test_criterion_8_equivariant(n):
     print(f"\nACCEPTANCE 8 PASS: graded character and decomposition for braid n={n} ({elapsed:.1f}s)")
 
 
+def test_criterion_8_equivariant_braid5_gate():
+    """The braid n=5 decomposition check under S_5, over Q, in under 60 s."""
+    started = time.monotonic()
+    M = braid_com(5)
+    G = GroupSpec.from_generators(M, braid_automorphism_generators(5))
+    assert len(G.classes) == 7
+    assert verify_graded_module_structure(M, G).ok
+    elapsed = time.monotonic() - started
+    assert elapsed < 60.0
+    print(f"\nACCEPTANCE 8 PASS: decomposition for braid n=5 under S_5 ({elapsed:.1f}s)")
+
+
 def test_criterion_9_permutation_loci():
     for n in range(1, 6):
         assert hilbert_series(kostant_locus(n)).coeffs == tuple(permstats.mahonian(n)), n

@@ -232,6 +232,34 @@ def test_character_command(capsys, tmp_path, braid3_path, braid3):
     assert ident_row["values"] == ["1", "6", "6"]
 
 
+@pytest.mark.parametrize("decompose", [False, True])
+def test_character_command_computes_the_covector_character_once(
+    capsys, tmp_path, braid3_path, braid3, monkeypatch, decompose
+):
+    """With --verify-decomposition the table is read from the decomposition's
+    covector side instead of being computed a second time."""
+    import covg.cli
+    import covg.equivariant
+    from covg import GroupSpec, braid_automorphism_generators
+
+    G = GroupSpec.from_generators(braid3, braid_automorphism_generators(3))
+    gpath = tmp_path / "s3.json"
+    jsonio.write_json(gpath, G.to_json_dict())
+    calls = []
+    real = covg.equivariant.graded_character
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(covg.equivariant, "graded_character", counting)
+    monkeypatch.setattr(covg.cli, "graded_character", counting)
+    argv = ["character", braid3_path, "--group", str(gpath)]
+    code, rep = report(capsys, *argv, *(["--verify-decomposition"] if decompose else []))
+    assert code == 0 and all(rep["assertions"].values())
+    assert len(calls) == 1
+
+
 def test_reports_are_byte_identical(capsys, fig1_path):
     _, out1 = invoke(capsys, "hilbert", fig1_path, "--which", "big")
     _, out2 = invoke(capsys, "hilbert", fig1_path, "--which", "big")

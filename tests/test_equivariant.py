@@ -4,6 +4,7 @@ import pytest
 
 from covg import (
     COM,
+    QQ,
     GroundSet,
     GroupSpec,
     SignedPermutation,
@@ -15,9 +16,21 @@ from covg import (
     hilbert_series,
     induced_character,
     locus_action,
+    tope_locus,
     verify_graded_module_structure,
 )
-from covg.equivariant import EquivariantError, restricted_permutation
+from covg.com import contract
+from covg.equivariant import (
+    DecompositionReport,
+    EquivariantError,
+    GradedCharacter,
+    _generating_set,
+    restricted_permutation,
+)
+from covg.exactla import ExactLAError, PrimeField, RationalRowSpace
+from covg.harmonics import EvaluationFiltration
+from covg.matroidal import codim
+from covg.realize import braid_com
 
 sv = SignedVector.from_string
 
@@ -221,3 +234,189 @@ def test_group_json_roundtrip(braid3, s3):
     data = s3.to_json_dict()
     again = GroupSpec.from_json_dict(braid3, data)
     assert set(again.elements) == set(s3.elements)
+
+
+# ---------------------------------------------------------------------------
+# per-element reference algorithms: a checked trace for every element and
+# degree, and induction by the x^-1 g x sum over the whole group
+
+
+def _reference_traces(locus, actions, field=QQ):
+    """{key: per-degree traces} for {key: signed permutation}, each a checked trace."""
+    filt = EvaluationFiltration(locus, field).build()
+    out = {}
+    for key, w in actions.items():
+        perm = locus_action(locus, w)
+        traces = [0] + [
+            filt.space_upto(d).trace_under_permutation(perm) for d in range(len(filt.coeffs))
+        ]
+        out[key] = tuple(field.of(t - prev) for prev, t in zip(traces, traces[1:]))
+    return out
+
+
+def _reference_induced(group, sub, chi):
+    degrees = max(len(v) for v in chi.values())
+    values = {}
+    for g in group.elements:
+        acc = [Fraction(0)] * degrees
+        for x in group.elements:
+            conj = x.inverse().compose(g).compose(x)
+            if conj in sub:
+                for d, v in enumerate(chi[conj]):
+                    acc[d] += v
+        values[g] = tuple(a / len(sub) for a in acc)
+    return GradedCharacter(degrees, values)
+
+
+def _reference_decomposition(M, group):
+    locus = covector_locus(M)
+    big = _reference_traces(locus, {w: w for w in group.elements})
+    lhs = GradedCharacter(max(map(len, big.values())), big)
+    n = M.ground.size
+    reps, parts = [], []
+    for rep, _ in group.flat_orbits():
+        reps.append(rep)
+        stab = set(group.stabilizer_elements(rep))
+        actions = {w: restricted_permutation(w, rep, n) for w in stab}
+        shift = (0,) * codim(M, rep)
+        chi = {w: shift + v for w, v in _reference_traces(tope_locus(contract(M, rep)), actions).items()}
+        parts.append(_reference_induced(group, stab, chi))
+    width = max([lhs.degrees] + [p.degrees for p in parts])
+    rhs = GradedCharacter(width, {
+        w: tuple(sum((p.value(w, d) for p in parts), Fraction(0)) for d in range(width))
+        for w in group.elements
+    })
+    mismatches = [
+        {
+            "element": {"perm": list(w.perm), "signs": list(w.signs)},
+            "degree": d,
+            "covector_side": str(lhs.value(w, d)),
+            "induced_side": str(rhs.value(w, d)),
+        }
+        for w in group.elements
+        for d in range(width)
+        if lhs.value(w, d) != rhs.value(w, d)
+    ]
+    return DecompositionReport(reps, lhs, rhs, mismatches)
+
+
+@pytest.fixture(scope="module", params=["braid3", "braid4", "figure1"])
+def com_and_group(request):
+    M = request.getfixturevalue(request.param)
+    if request.param == "figure1":
+        return M, automorphism_group_bruteforce(M)
+    n = {"braid3": 3, "braid4": 4}[request.param]
+    return M, GroupSpec.from_generators(M, braid_automorphism_generators(n))
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(1000003)], ids=["rational", "fp"])
+def test_graded_character_matches_per_element_reference(com_and_group, field):
+    M, G = com_and_group
+    locus = covector_locus(M)
+    expected = _reference_traces(locus, {w: w for w in G.elements}, field)
+    assert graded_character(locus, G, field).values == expected
+
+
+def test_decomposition_matches_per_element_reference(com_and_group):
+    M, G = com_and_group
+    report = verify_graded_module_structure(M, G)
+    assert report.ok
+    assert report.as_dict() == _reference_decomposition(M, G).as_dict()
+
+
+def _assert_conjugacy_classes(G):
+    flat = [w for members in G.classes for w in members]
+    assert len(flat) == len(set(flat)) == G.order
+    assert set(flat) == set(G.elements)
+    for i, members in enumerate(G.classes):
+        assert G.order % len(members) == 0
+        assert members[0] == min(members, key=lambda w: (w.perm, w.signs))
+        assert all(G.class_index[w] == i for w in members)
+        conjugates = {x.compose(members[0]).compose(G.inverses[x]) for x in G.elements}
+        assert conjugates == set(members)
+    ident = SignedPermutation.identity(G.com.ground.size)
+    assert all(G.inverses[w].compose(w) == ident for w in G.elements)
+
+
+def test_conjugacy_classes(s3, s4, figure1):
+    for G in (s3, s4, automorphism_group_bruteforce(figure1)):
+        _assert_conjugacy_classes(G)
+    assert len(s3.classes) == 3
+    assert len(s4.classes) == 5
+
+
+def test_conjugacy_classes_braid5():
+    G = GroupSpec.from_generators(braid_com(5), braid_automorphism_generators(5))
+    _assert_conjugacy_classes(G)
+    assert sorted(map(len, G.classes)) == [1, 10, 15, 20, 20, 24, 30]
+
+
+def test_graded_character_checks_generators_only(braid4, s4, monkeypatch):
+    """One checked trace per generator and degree snapshot, made through the
+    class attribute that perfbench/tracing.py wraps; the other traces are
+    read at the pivots."""
+    calls = []
+    checked = RationalRowSpace.trace_under_permutation
+
+    def counting(self, perm):
+        calls.append(perm)
+        return checked(self, perm)
+
+    monkeypatch.setattr(RationalRowSpace, "trace_under_permutation", counting)
+    locus = covector_locus(braid4)
+    filt = EvaluationFiltration(locus).build()
+    graded_character(locus, s4, filtration=filt)
+    assert len(filt.snapshots) == 4
+    assert len(calls) == len(s4.generators) * len(filt.snapshots) == 12  # per element: 96
+
+
+def test_decomposition_checks_stabilizer_generators_only(braid4, s4, monkeypatch):
+    """The decomposition makes one checked trace per generator and degree on
+    the covector side, and per stabilizer generator and degree on each
+    contraction's tope side."""
+    expected = len(s4.generators) * len(EvaluationFiltration(covector_locus(braid4)).build().snapshots)
+    for rep, _ in s4.flat_orbits():
+        tope_side = EvaluationFiltration(tope_locus(contract(braid4, rep))).build()
+        expected += len(_generating_set(s4, set(s4.stabilizer_elements(rep)))) * len(tope_side.snapshots)
+    calls = []
+    checked = RationalRowSpace.trace_under_permutation
+
+    def counting(self, perm):
+        calls.append(perm)
+        return checked(self, perm)
+
+    monkeypatch.setattr(RationalRowSpace, "trace_under_permutation", counting)
+    assert verify_graded_module_structure(braid4, s4).ok
+    assert len(calls) == expected
+
+
+def test_graded_character_refuses_a_noninvariant_span(braid3, s3, monkeypatch):
+    """The generator check is what the pivot reads rest on: a failing check raises."""
+    def refuse(self, perm):
+        raise ExactLAError("subspace is not invariant under the permutation")
+
+    monkeypatch.setattr(RationalRowSpace, "trace_under_permutation", refuse)
+    with pytest.raises(ExactLAError):
+        graded_character(covector_locus(braid3), s3)
+
+
+def test_induced_character_rejects_subset_generating_more(s3):
+    """{e, (12), (123)} contains the identity but generates all of S_3; {(12)}
+    is closed except that it lacks the identity."""
+    s12, s23 = braid_automorphism_generators(3)
+    cycle = s12.compose(s23)
+    for subset in ((SignedPermutation.identity(3), s12, cycle), (s12,)):
+        assert set(subset) <= set(s3.elements)
+        with pytest.raises(EquivariantError, match="not closed"):
+            induced_character(s3, subset, {w: (Fraction(1),) for w in subset})
+
+
+def test_flat_orbits_and_stabilizers_are_memoized(braid3, monkeypatch):
+    import covg.equivariant
+
+    G = GroupSpec.from_generators(braid3, braid_automorphism_generators(3))
+    first = G.flat_orbits()
+    monkeypatch.setattr(covg.equivariant, "flats_of", None)  # a second walk would fail
+    assert G.flat_orbits() == first
+    stab = G.stabilizer_elements({0})
+    assert G.stabilizer_elements(frozenset({0})) is stab

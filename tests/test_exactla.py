@@ -347,3 +347,51 @@ def test_insert_block_matches_sequential_insert(case):
     assert taken == expected
     assert block.rank == sequential.rank == len(expected)
     assert _space_state(block) == _space_state(sequential)
+
+
+def _orbit_span(space, vectors, perm):
+    """The span of the vectors and all their images under the permutation."""
+    for v in vectors:
+        w = list(v)
+        for _ in range(len(perm) + 1):
+            space.insert(w)
+            w = apply_point_permutation(w, perm)
+    return space
+
+
+@given(
+    st.permutations(list(range(5))),
+    st.lists(st.lists(st.integers(-3, 3), min_size=5, max_size=5), min_size=1, max_size=3),
+)
+@settings(max_examples=60)
+def test_pivot_trace_matches_checked_trace(g, seeds):
+    """On an invariant span the unchecked pivot read equals the checked trace,
+    and the F_p traces (float64 and int64 products) are the rational trace mod p."""
+    g = tuple(g)
+    rational_trace = _orbit_span(RationalRowSpace(5), seeds, g).trace_under_permutation(g)
+    assert _orbit_span(RationalRowSpace(5), seeds, g).pivot_trace(g) == rational_trace
+    for p in (1000003, INT64_PRIME):
+        rs = _orbit_span(FpRowSpace(5, p), seeds, g)
+        assert rs.trace_under_permutation(g) == rs.pivot_trace(g) == rational_trace % p
+
+
+@given(
+    st.permutations(list(range(5))),
+    st.lists(st.lists(st.integers(-3, 3), min_size=5, max_size=5), min_size=1, max_size=3),
+)
+@settings(max_examples=60)
+def test_trace_refuses_noninvariant_span_on_both_fields(g, rows):
+    """The checked trace raises on F_p exactly when it raises on Q (entries are
+    tiny, so membership agrees between the fields)."""
+    g = tuple(g)
+    spaces = [RationalRowSpace(5), FpRowSpace(5, 1000003), FpRowSpace(5, INT64_PRIME)]
+    refused = []
+    for rs in spaces:
+        for row in rows:
+            rs.insert(row)
+        try:
+            rs.trace_under_permutation(g)
+            refused.append(False)
+        except ExactLAError:
+            refused.append(True)
+    assert refused[0] == refused[1] == refused[2]
