@@ -38,6 +38,9 @@ for _com, _group in (("braid3", "braid3-group"), ("figure1", "figure1-group")):
         ("character", f"{_com}.json", "--group", f"{_group}.json", "--verify-decomposition"),
         0,
     )
+for _family in ("kostant", "permutohedral", "permmatrix"):
+    CASES[f"loci-{_family}4-hilbert"] = (("loci", "--family", _family, "--n", "4", "--hilbert"), 0)
+CASES["loci-permmatrix4-hilbert-fp"] = ((*FP, "loci", "--family", "permmatrix", "--n", "4", "--hilbert"), 0)
 
 
 def _report(argv, capsys):
