@@ -244,15 +244,19 @@ def cmd_character(args, limits):
     else:
         ch = graded_character(locus, group, field)
     labels = M.ground.labels
+    # the fixed-point count is a class function: one action per class
+    fixed_per_class = [
+        sum(1 for k, img in enumerate(locus_action(locus, members[0])) if k == img)
+        for members in group.classes
+    ]
     table = []
     for w in group.elements:
-        fixed = sum(1 for k, img in enumerate(locus_action(locus, w)) if k == img)
         table.append(
             {
                 "perm": [labels[w.perm[i]] for i in range(len(w))],
                 "signs": list(w.signs),
                 "values": [str(v) for v in ch.values[w]],
-                "fixed_covectors": fixed,
+                "fixed_covectors": fixed_per_class[group.class_index[w]],
             }
         )
     def _sum_matches(w, row):

@@ -412,11 +412,7 @@ class RationalRowSpace:
 
     @staticmethod
     def _primitive(v):
-        g = 0
-        for x in v:
-            g = math.gcd(g, x)
-            if g == 1:
-                break
+        g = math.gcd(*v)
         if g > 1:
             v = [x // g for x in v]
         return v

@@ -8,12 +8,18 @@ Hilbert coefficient in degree d is rank E_d - rank E_{d-1}, and a homogeneous
 form of degree d lies in the graded ideal exactly when its evaluation vector
 already lies in E_{d-1}.
 
-Monomial candidates in each degree are variable multiples of the standard
-(rank-increasing) monomials one degree down; a monomial all of whose degree-d
-divisors failed to increase rank cannot increase it either, because the
-pointwise product of a spanned vector with a coordinate vector is spanned by
-products of earlier monomials.  This prunes the search without changing any
-rank.
+Monomials are offered degree by degree, each degree in descending
+exponent-tuple order.  Degree first, then reversed tuple-lex, is a monomial
+order, and greedy insertion in a monomial order accepts exactly the standard
+monomials: the complement of the leading-term ideal of the vanishing ideal.
+So the standard monomials form an order ideal, and a monomial with a
+non-standard divisor is never standard.  Degree d offers only the border of
+the standard set of degree d - 1, the monomials all of whose degree-(d-1)
+divisors are standard, as the Buchberger-Moeller algorithm for points does
+(Moeller-Buchberger, LNCS 144, 1982; Marinari-Moeller-Mora, AAECC 4, 1993).
+Every standard monomial earlier in the order is still offered, so each
+candidate's verdict, the standard sets and every rank are those of offering
+every monomial, over Q and over F_p.
 
 Candidates of one degree are inserted in blocks (`EvaluationFiltration`): the
 row space returns the same accepted set as inserting them one at a time, and
@@ -217,6 +223,16 @@ class EvaluationFiltration:
     vector format: over Q a tuple of exact numbers, all ints on an integral
     locus; over F_p an int64 array of residues.
 
+    The candidates of degree d are the border of the standard set of degree
+    d - 1, as in the Buchberger-Moeller algorithm for points: a child
+    x_i * s of a standard s is offered only when every one of its
+    degree-(d-1) divisors is standard, that is when the number of (s, i)
+    pairs reaching it equals the size of its support.  Degree first, then
+    reversed tuple-lex, is a monomial order, so the accepted monomials are the
+    complement of a leading-term ideal and form an order ideal: a monomial
+    with a non-standard divisor is a multiple of a leading term and is never
+    standard, and no verdict changes.
+
     Each degree's candidates go to the row space in glex-descending chunks of
     at most `_CHUNK_ROWS` through `insert_block`, which accepts exactly the
     vectors that one-at-a-time insertion would, so the standard monomials and
@@ -228,7 +244,10 @@ class EvaluationFiltration:
     Duplicate vectors are skipped within a degree only: a vector equal to one
     already inserted lies in the span, so inserting it would not raise the
     rank, and a repeat from an earlier degree reduces to zero in the chunk's
-    first product.
+    first product.  The dedup keys still pay on the border: the degree-2
+    products that vanish on every point repeat the zero vector, 230 of 351
+    candidates on `permutohedral_locus(5)` and 99 of 325 on
+    `permmatrix_locus(6)`.
     """
 
     def __init__(self, locus, field=QQ):
@@ -283,16 +302,21 @@ class EvaluationFiltration:
                 "evaluation spans failed to fill by the point-count degree bound; "
                 "this signals an arithmetic bug"
             )
-        candidates = {}
+        # count[c]: standard degree-(d-1) divisors of c; parent_of[c]: one of them and its variable
+        count, parent_of = {}, {}
         for exps in self._standard[d - 1]:
             for i in range(self.n_vars):
                 child = exps[:i] + (exps[i] + 1,) + exps[i + 1 :]
-                if child not in candidates:
-                    candidates[child] = (exps, i)
+                if child in count:
+                    count[child] += 1
+                else:
+                    count[child] = 1
+                    parent_of[child] = (exps, i)
+        border = [c for c, k in count.items() if k == len(c) - c.count(0)]
         product, key_of = self.field.product, self.field.key
         new_standard, seen, chunk = [], set(), []
-        for exps in sorted(candidates, reverse=True):
-            parent, i = candidates[exps]
+        for exps in sorted(border, reverse=True):
+            parent, i = parent_of[exps]
             v = product(self._columns[parent], self._var_evals[i])
             key = key_of(v)
             if key not in seen:

@@ -161,15 +161,20 @@ def _optimize(T, basis, cost, ncols):
         _pivot(T, basis, leaving, entering)
 
 
+def _fractions(values):
+    """A new list of the values as Fractions; entries that already are stay as they are."""
+    return [v if type(v) is Fraction else Fraction(v) for v in values]
+
+
 def simplex_max(A, b, c):
     """Maximize c.x subject to A x = b, x >= 0, over exact rationals.
 
     Returns (status, value, x) with status 'optimal'|'infeasible'|'unbounded'.
     """
     m, n = len(A), len(c)
-    A = [[Fraction(v) for v in row] for row in A]
-    b = [Fraction(v) for v in b]
-    c = [Fraction(v) for v in c]
+    A = [_fractions(row) for row in A]
+    b = _fractions(b)
+    c = _fractions(c)
     for i in range(m):
         if b[i] < 0:
             A[i] = [-v for v in A[i]]

@@ -260,6 +260,33 @@ def test_character_command_computes_the_covector_character_once(
     assert len(calls) == 1
 
 
+def test_character_command_counts_fixed_covectors_once_per_class(
+    capsys, tmp_path, braid3_path, braid3, monkeypatch
+):
+    """The fixed-point count is a class function: one locus action per class
+    representative, and every element's row still has its own count."""
+    import covg.cli
+    from covg import GroupSpec, braid_automorphism_generators, covector_locus
+    from covg.equivariant import locus_action
+
+    G = GroupSpec.from_generators(braid3, braid_automorphism_generators(3))
+    gpath = tmp_path / "s3.json"
+    jsonio.write_json(gpath, G.to_json_dict())
+    calls = []
+
+    def counting(locus, w):
+        calls.append(w)
+        return locus_action(locus, w)
+
+    monkeypatch.setattr(covg.cli, "locus_action", counting)
+    code, rep = report(capsys, "character", braid3_path, "--group", str(gpath))
+    assert code == 0
+    assert len(calls) == len(G.classes) == 3
+    locus = covector_locus(braid3)
+    for w, row in zip(G.elements, rep["results"]["character"]):
+        assert row["fixed_covectors"] == sum(k == img for k, img in enumerate(locus_action(locus, w)))
+
+
 def test_reports_are_byte_identical(capsys, fig1_path):
     _, out1 = invoke(capsys, "hilbert", fig1_path, "--which", "big")
     _, out2 = invoke(capsys, "hilbert", fig1_path, "--which", "big")

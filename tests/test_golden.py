@@ -4,7 +4,9 @@ and the NBC Hilbert series.
 The span-engine reports under tests/golden/ were written by the program
 before the coefficient field was confined to the row spaces, and the
 `--method nbc` reports before the NBC Hilbert series was read off the NBC
-basis; every later change must reproduce them exactly.  Inputs live next to them and are passed by relative
+basis, and the `loci --hilbert` reports before the span engine offered only
+the order-ideal border as candidates; every later change must reproduce them
+exactly.  Inputs live next to them and are passed by relative
 path, so each report's `inputs` block is stable.  To rewrite the reports
 after an intended change of output, run from the repository root:
 

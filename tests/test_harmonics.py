@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import random
 from fractions import Fraction
 
@@ -219,6 +221,87 @@ def test_block_filtration_matches_sequential_insert(braid4):
         assert filt.coeffs == coeffs
         assert filt.space._basis.tolist() == space._basis.tolist()
         assert filt.space.pivots == space.pivots
+
+
+def _all_children_filtration(locus, field):
+    """Standard monomials and Hilbert coefficients of the degree filtration
+    built by offering every child x_i * s of every standard s, one insert at a
+    time in glex-descending order, with columns evaluated point by point."""
+    n, n_vars = len(locus), len(locus.variables)
+
+    def column(exps):
+        return field.vector([math.prod(c**e for c, e in zip(pt, exps)) for pt in locus.points])
+
+    space = field.rowspace(n)
+    unit = (0,) * n_vars
+    space.insert(column(unit))
+    standard, coeffs = [[unit]], [1]
+    while space.rank < n:
+        children = {e[:i] + (e[i] + 1,) + e[i + 1 :] for e in standard[-1] for i in range(n_vars)}
+        new = [e for e in sorted(children, reverse=True) if space.rank < n and space.insert(column(e))]
+        standard.append(new)
+        coeffs.append(len(new))
+    return standard, coeffs
+
+
+def _reference_loci(corpus):
+    loci = {}
+    for name, M in corpus.items():
+        loci[f"{name}-covectors"] = covector_locus(M)
+        if topes(M):
+            loci[f"{name}-topes"] = tope_locus(M)
+    loci["kostant5"] = kostant_locus(5)
+    loci["permutohedral4"] = permutohedral_locus(4)
+    loci["permmatrix5"] = permmatrix_locus(5)
+    return loci
+
+
+@pytest.mark.parametrize("field", [QQ, GF], ids=["Q", "Fp"])
+def test_border_candidates_match_all_children_reference(corpus, field):
+    """Offering only the order-ideal border gives the standard sets and ranks
+    of offering every child.  The Kostant and permutohedral loci are refused
+    over F_p, so their F_p runs use an unflagged copy of the same points."""
+    for name, locus in _reference_loci(corpus).items():
+        if field.characteristic:
+            locus = dataclasses.replace(locus, requires_char_zero=False)
+        filt = EvaluationFiltration(locus, field).build()
+        standard, coeffs = _all_children_filtration(locus, field)
+        assert filt._standard == standard, name
+        assert filt.coeffs == coeffs, name
+
+
+def test_standard_monomials_form_an_order_ideal(corpus):
+    for name, locus in _reference_loci(corpus).items():
+        filt = EvaluationFiltration(locus).build()
+        for d in range(1, len(filt._standard)):
+            below = set(filt._standard[d - 1])
+            for m in filt._standard[d]:
+                for i, e in enumerate(m):
+                    if e:
+                        assert m[:i] + (e - 1,) + m[i + 1 :] in below, (name, m)
+
+
+def test_row_space_is_offered_only_the_border(monkeypatch):
+    """On the braid5 covector locus the border of degrees 3 and 4 is exactly
+    the standard set, 250 and 150 vectors.  Offering every child (2480 and
+    5641) hands the row space 1451 and 1024 vectors after the per-degree
+    dedup and the stop at full rank."""
+    offered = []
+    insert_block = FpRowSpace.insert_block
+
+    def counting(self, vecs):
+        offered.append(len(vecs))
+        return insert_block(self, vecs)
+
+    monkeypatch.setattr(FpRowSpace, "insert_block", counting)
+    filt = EvaluationFiltration(covector_locus(braid_com(5)), GF)
+    per_degree = []
+    while not filt.complete:
+        offered.clear()
+        filt.advance_degree()
+        per_degree.append(sum(offered))
+    assert filt.coeffs == [1, 20, 120, 250, 150]
+    assert per_degree[2:] == [250, 150]
 
 
 def test_hilbert_fp_permmatrix6():

@@ -154,6 +154,18 @@ def test_simplex_infeasible():
     assert status == "infeasible"
 
 
+def test_simplex_takes_fractions_and_ints_alike_and_leaves_inputs_alone():
+    # max x1 with -x1 - x2 = -3/2 (flipped to x1 + x2 = 3/2) and x1 <= 1 (slack s)
+    A = [[F(-1), -1, 0], [1, 0, F(1)]]
+    b = [F(-3, 2), 1]
+    c = [1, F(0), 0]
+    before = [row[:] for row in A], b[:], c[:]
+    status, value, x = simplex_max(A, b, c)
+    assert status == "optimal" and value == 1 and x == [1, F(1, 2), 0]
+    assert all(type(v) is F for v in x)
+    assert (A, b, c) == before
+
+
 def test_enumerate_one_hyperplane():
     arr = Arrangement(1, ("h",), (form((1,)),), ())
     M = enumerate_covectors(arr)
