@@ -10,15 +10,15 @@ the canonical order on covectors is lexicographic on the per-element codes
 check_axioms, the trust boundary for families from outside, packs each
 covector into a plus mask and a minus mask (bit i for element i, in uint16,
 uint32 or uint64 words by the ground-set size), so both axiom scans are
-integer word operations: braid5 validates in well under a second.
+integer word operations: braid5 validates in well under a second.  numpy is
+imported where the packing and the scans run, so COMs that are built but not
+checked never load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
 
 SIGN_CHARS = {1: "+", -1: "-", 0: "0"}
 CHAR_SIGNS = {"+": 1, "-": -1, "0": 0}
@@ -47,7 +47,12 @@ class GroundSet:
         return len(self.labels)
 
     def index(self, label):
-        return self.labels.index(str(label))
+        try:
+            return self.labels.index(str(label))
+        except ValueError:
+            raise COMError(
+                f"unknown ground label {label!r}; the ground set is {list(self.labels)}"
+            ) from None
 
     def __iter__(self):
         return iter(range(self.size))
@@ -163,6 +168,8 @@ def _pack(vectors, n):
     The word is the narrowest unsigned type holding n bits: uint16, uint32 or
     uint64.  Narrow words keep the cubic scans in fewer bytes.
     """
+    import numpy as np
+
     dtype = np.uint16 if n <= 16 else np.uint32 if n <= 32 else np.uint64
     signs = np.array([v.signs for v in vectors], dtype=np.int8).reshape(len(vectors), n)
     bits = np.left_shift(dtype(1), np.arange(n, dtype=dtype))
@@ -173,6 +180,8 @@ def _pack(vectors, n):
 
 def _face_symmetry_witness(P, N, Z, n):
     """First (X, Y) index pair, X first, with X o -Y outside the family."""
+    import numpy as np
+
     # exact uint64 keys: the first index of P among the sorted plus masks
     # (below m < 2^(64-n)) above the n bits of N
     m = P.size
@@ -199,6 +208,8 @@ def _strong_elimination_witness(P, N, Z):
 
     Z eliminates i between X and Y when Z(i) = 0 and Z = X o Y off Sep(X, Y).
     """
+    import numpy as np
+
     m = P.size
     block = max(1, _PAIR_CHUNK_ENTRIES // m)
     for b in range(m):

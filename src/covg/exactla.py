@@ -9,9 +9,16 @@ coefficients and locus coordinates are such numbers.  A field enters only
 where evaluation vectors are formed and reduced: `RationalField` keeps a
 vector as a tuple of exact numbers (all ints over an integral locus) for the
 fraction-free `RationalRowSpace`, and `PrimeField` keeps an int64 array of
-residues mod p for the numpy-backed `FpRowSpace`.  Row spaces keep a fully
-reduced echelon basis so that span membership and trace extraction are
-one-pass operations.
+residues mod p for the numpy-backed `FpRowSpace`.  numpy is imported only
+where the prime field and its row space run, so work over Q never loads it.
+
+`RationalRowSpace` keeps its rows in insertion order as an echelon prefix:
+each new row is reduced against the pivots of the rows before it, and old
+rows are never rewritten, so the span of the first r rows stays readable
+while later rows are added.  Deciding rank needs nothing more.  The fully
+reduced basis, which membership queries, traces and expansion coefficients
+read at the pivots, is built only when one of them asks.  `FpRowSpace` keeps
+a fully reduced basis throughout.
 """
 
 from __future__ import annotations
@@ -20,8 +27,6 @@ import math
 from fractions import Fraction
 from itertools import combinations
 from operator import mul
-
-import numpy as np
 
 
 class ExactLAError(Exception):
@@ -48,9 +53,9 @@ def rational(x):
 #
 # A field reads exact numbers into its elements and owns the vector format of
 # evaluation vectors: `vector` builds one from exact numbers, `product` is the
-# pointwise product, `key` a hashable stand-in for deduplication,
-# `combination` forms sum c * v over (c, v) pairs, and `rowspace` a fresh,
-# empty row space that accepts these vectors.
+# pointwise product, `is_zero` tests for the zero vector, `combination` forms
+# sum c * v over (c, v) pairs, and `rowspace` a fresh, empty row space that
+# accepts these vectors.
 
 
 class RationalField:
@@ -68,8 +73,8 @@ class RationalField:
     def product(self, u, v):
         return tuple(map(mul, u, v))
 
-    def key(self, v):
-        return v
+    def is_zero(self, v):
+        return not any(v)
 
     def combination(self, terms, ambient):
         total = (0,) * ambient
@@ -129,15 +134,19 @@ class PrimeField:
         return x.numerator * pow(den, -1, self.p) % self.p
 
     def vector(self, values):
+        import numpy as np
+
         return np.array([self.of(x) for x in values], dtype=np.int64)
 
     def product(self, u, v):
         return u * v % self.p
 
-    def key(self, v):
-        return v.tobytes()
+    def is_zero(self, v):
+        return not v.any()
 
     def combination(self, terms, ambient):
+        import numpy as np
+
         total = np.zeros(ambient, dtype=np.int64)
         for c, v in terms:
             total = (total + self.of(c) * v % self.p) % self.p
@@ -352,10 +361,14 @@ def elementary_symmetric(d, polys):
 # ---------------------------------------------------------------------------
 # row spaces
 #
-# Both implementations keep a *fully reduced* echelon basis: each basis row
-# owns a pivot column in which every other row is zero.  Reduction of any
-# vector against the basis is then a single pass, and expansion coefficients
-# can be read off at the pivots.
+# A basis row owns a pivot column.  `FpRowSpace` keeps its basis fully
+# reduced: every other row is zero at a row's pivot.  `RationalRowSpace` keeps
+# an echelon prefix instead: a row is zero at the pivots of the rows inserted
+# before it, but later rows are not cleared out of it.  Either way one pass
+# over the rows in their order reduces any vector, eliminating at each pivot
+# in turn: a row changes no entry at the pivots already passed.  A fully
+# reduced basis is unique up to row scale, so expansion coefficients and
+# traces can be read off at its pivots.
 
 
 def apply_point_permutation(vec, perm):
@@ -366,26 +379,49 @@ def apply_point_permutation(vec, perm):
     return out
 
 
-_NORMALIZE_BITS = 512  # renormalize integer rows once entries exceed this
+_NORMALIZE_BITS = 512  # renormalize integer rows once entries exceed this,
+_NORMALIZE_EVERY = 16  # looked at after this many row operations
 _ECHELON_LEAF = 32  # FpRowSpace._echelon eliminates blocks this small row by row
 
 
 class RationalRowSpace:
-    """Row space over Q, stored as primitive integer rows (fraction-free)."""
+    """Row space over Q, stored as primitive integer rows (fraction-free).
+
+    Rows are kept in insertion order, each one primitive with a positive
+    entry at its pivot and zero at the pivots of the rows before it; they are
+    never rewritten, so the first r rows span what the space spanned at rank
+    r.  `copy` is therefore a prefix view that shares the rows.
+
+    `rows` is the fully reduced basis: the primitive rows of the span, in
+    insertion order, each zero at every pivot but its own.  `contains`, the
+    traces and `expansion_coefficients` read it.  It is built on first use
+    and kept per rank in a table that the copies share, and a larger rank's
+    basis is built from the largest smaller one already there, so a
+    filtration's snapshots build theirs degree by degree.
+    """
 
     def __init__(self, ambient):
         self.ambient = ambient
-        self.rows = []  # primitive int rows, positive pivot entries
-        self.pivots = []  # pivot column of each row; columns are exclusive
+        self._rank = 0
+        self._echelon = []  # rows in insertion order; a longer space may share the list
+        self._pivots = []  # pivot column of each row; shared along with the rows
+        self._reduced = {0: []}  # rank -> fully reduced basis of the first rank rows
 
     @property
     def rank(self):
-        return len(self.rows)
+        return self._rank
+
+    @property
+    def pivots(self):
+        return self._pivots[: self._rank]
+
+    @property
+    def rows(self):
+        return list(self._reduced_basis())
 
     def copy(self):
-        dup = RationalRowSpace(self.ambient)
-        dup.rows = [row[:] for row in self.rows]
-        dup.pivots = list(self.pivots)
+        dup = object.__new__(RationalRowSpace)
+        dup.__dict__.update(self.__dict__)
         return dup
 
     def _intvec(self, vec):
@@ -400,13 +436,20 @@ class RationalRowSpace:
         return [int(v * mult) for v in vec]
 
     def _reduce(self, v):
-        # one pass suffices: pivot columns are exclusive to their rows
-        for row, j in zip(self.rows, self.pivots):
+        # one pass in insertion order: each row is zero at the pivots before its own
+        ops = 0
+        for row, j in zip(self._echelon, self._pivots[: self._rank]):
             a = v[j]
             if a:
                 p = row[j]
-                v = [p * x - a * y for x, y in zip(v, row)]
-                if max(map(abs, v), default=0).bit_length() > _NORMALIZE_BITS:
+                if p == 1:  # as at every pivot of the braid5 covector locus
+                    v = [x - a * y for x, y in zip(v, row)]
+                else:
+                    v = [p * x - a * y for x, y in zip(v, row)]
+                ops += 1
+                if not ops % _NORMALIZE_EVERY and (
+                    max(map(abs, v), default=0).bit_length() > _NORMALIZE_BITS
+                ):
                     v = self._primitive(v)
         return v
 
@@ -425,15 +468,14 @@ class RationalRowSpace:
             return False
         if v[j] < 0:
             v = [-x for x in v]
-        v = self._primitive(v)
-        for i, row in enumerate(self.rows):
-            a = row[j]
-            if a:
-                p = v[j]
-                new = [p * x - a * y for x, y in zip(row, v)]
-                self.rows[i] = self._primitive(new)
-        self.rows.append(v)
-        self.pivots.append(j)
+        r = self._rank
+        if r < len(self._echelon):  # rows past r belong to a longer space: stop sharing
+            self._echelon = self._echelon[:r]
+            self._pivots = self._pivots[:r]
+            self._reduced = {k: basis for k, basis in self._reduced.items() if k <= r}
+        self._echelon.append(self._primitive(v))
+        self._pivots.append(j)
+        self._rank = r + 1
         return True
 
     def insert_block(self, vecs):
@@ -446,24 +488,61 @@ class RationalRowSpace:
                 taken.append(i)
         return taken
 
+    def _reduced_basis(self):
+        r = self._rank
+        basis = self._reduced.get(r)
+        if basis is not None:
+            return basis
+        base = max(k for k in self._reduced if k < r)
+        pivots = self._pivots[base:r]
+        # the new rows are zero at the earlier pivots: clear each one at the
+        # pivots of the new rows after it, the last first, then clear the
+        # earlier basis at the new pivots
+        fresh = []
+        for k in range(r - 1, base - 1, -1):
+            fresh.insert(0, self._clear(self._echelon[k], fresh, pivots[k - base + 1 :]))
+        basis = [self._clear(row, fresh, pivots) for row in self._reduced[base]] + fresh
+        self._reduced[r] = basis
+        return basis
+
+    def _clear(self, row, rows, pivots):
+        """The primitive row left when rows with exclusive pivots clear row there.
+
+        Each row is zero at the others' pivots, so row's entry a at a pivot j
+        is what its row f must take away: L * row - sum (L * a / f[j]) * f
+        with L the lcm of the f[j] involved.  Every entry is one such sum, so
+        no fraction-free factor piles up from row to row.
+        """
+        hits = [(a, f, f[j]) for f, j in zip(rows, pivots) if (a := row[j])]
+        if not hits:
+            return row
+        lcm = math.lcm(*(p for _, _, p in hits))
+        v = [lcm * x for x in row] if lcm > 1 else row
+        for a, f, p in hits:
+            m = lcm // p * a
+            v = [x - m * y for x, y in zip(v, f)]
+        return self._primitive(v)
+
     def contains(self, vec):
-        v = self._reduce(self._intvec(vec))
-        return not any(v)
+        # against the fully reduced basis a query needs one row per nonzero
+        # pivot entry and no fraction-free growth
+        return not any(self._clear(self._intvec(vec), self._reduced_basis(), self.pivots))
 
     def expansion_coefficients(self, vec):
-        """Coefficients of vec on the basis rows, or None if outside the span."""
-        if any(self._reduce(self._intvec(vec))):
+        """Coefficients of vec on the `rows` basis, or None if outside the span."""
+        if not self.contains(vec):
             return None
         # pivot columns are exclusive to their rows, so each coefficient sits at its pivot
-        return [Fraction(vec[j], row[j]) for row, j in zip(self.rows, self.pivots)]
+        return [Fraction(vec[j], row[j]) for row, j in zip(self._reduced_basis(), self.pivots)]
 
     def trace_under_permutation(self, perm):
         """Trace of the coordinate permutation j -> perm[j] restricted to the span.
 
         Raises if the span is not invariant under the permutation.
         """
-        for row in self.rows:
-            if any(self._reduce(apply_point_permutation(row, perm))):
+        basis, pivots = self._reduced_basis(), self.pivots
+        for row in basis:
+            if any(self._clear(apply_point_permutation(row, perm), basis, pivots)):
                 raise ExactLAError("subspace is not invariant under the permutation")
         return self.pivot_trace(perm)
 
@@ -471,15 +550,15 @@ class RationalRowSpace:
         """Trace of the coordinate permutation j -> perm[j] on the span, read at the pivots.
 
         Unchecked: the value is the trace only when the span is invariant
-        under the permutation (see `trace_under_permutation`).  Pivot
-        columns are exclusive, so the image of a basis row with pivot j has
-        coefficient row[perm^-1(j)] / row[j] on that row.
+        under the permutation (see `trace_under_permutation`).  In the fully
+        reduced basis pivot columns are exclusive, so the image of a row
+        with pivot j has coefficient row[perm^-1(j)] / row[j] on that row.
         """
         inverse = [0] * len(perm)
         for k, j in enumerate(perm):
             inverse[j] = k
         total = Fraction(0)
-        for row, j in zip(self.rows, self.pivots):
+        for row, j in zip(self._reduced_basis(), self._pivots):
             total += Fraction(row[inverse[j]], row[j])
         return total
 
@@ -488,6 +567,8 @@ class FpRowSpace:
     """Row space over F_p backed by numpy; rows are pivot-normalized."""
 
     def __init__(self, ambient, p):
+        import numpy as np
+
         # int64 dot products of length ambient with entries < p are exact only
         # while ambient * (p - 1)^2 < 2^63
         if ambient * (p - 1) ** 2 >= 2**63:
@@ -519,12 +600,16 @@ class FpRowSpace:
         return dup
 
     def _vec(self, vec):
+        import numpy as np
+
         v = np.asarray(vec, dtype=np.int64)
         if v.shape != (self.ambient,):
             raise ExactLAError("vector length does not match ambient dimension")
         return v % self.p
 
     def _combine(self, coeffs, matrix):
+        import numpy as np
+
         if self._float_ok:
             prod = coeffs.astype(np.float64) @ matrix.astype(np.float64)
             return prod.astype(np.int64) % self.p
@@ -538,6 +623,8 @@ class FpRowSpace:
         return v
 
     def insert(self, vec):
+        import numpy as np
+
         v = self._reduce(self._vec(vec))
         nz = np.nonzero(v)[0]
         if nz.size == 0:
@@ -552,6 +639,8 @@ class FpRowSpace:
         return True
 
     def _append(self, rows, pivots):
+        import numpy as np
+
         new_rank = self._rank + len(rows)
         if new_rank > len(self._store):
             grown = np.zeros((max(16, 2 * len(self._store), new_rank), self.ambient), dtype=np.int64)
@@ -578,6 +667,8 @@ class FpRowSpace:
         residual is put in echelon form by `_echelon`, and the new rows are
         back-substituted into the old basis with one more product.
         """
+        import numpy as np
+
         if not len(vecs) or self._rank == self.ambient:
             return []
         block = np.asarray(vecs, dtype=np.int64) % self.p
@@ -603,6 +694,8 @@ class FpRowSpace:
         Jeannerod-Pernet-Storjohann): echelon the first half, reduce the
         second half against it, recurse, back-substitute.
         """
+        import numpy as np
+
         live = np.flatnonzero(block.any(axis=1))
         block = block[live]
         if len(block) <= _ECHELON_LEAF:
@@ -624,6 +717,8 @@ class FpRowSpace:
         return [int(live[i]) for i in taken], rows, pivots
 
     def _echelon_leaf(self, block, room):
+        import numpy as np
+
         block = block.copy()
         taken, pivots = [], []
         for i in range(len(block)):
@@ -660,6 +755,8 @@ class FpRowSpace:
         rows are reduced with one product against the basis (a `_combine`
         with inner dimension rank <= ambient).
         """
+        import numpy as np
+
         if self._rank:
             perm = np.asarray(perm)
             inverse = np.empty_like(perm)
@@ -677,6 +774,8 @@ class FpRowSpace:
         pivot entry 1, so the image of a row with pivot j has coefficient
         row[perm^-1(j)] on it.
         """
+        import numpy as np
+
         perm = np.asarray(perm)
         inverse = np.empty_like(perm)
         inverse[perm] = np.arange(len(perm))

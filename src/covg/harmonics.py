@@ -24,14 +24,14 @@ every monomial, over Q and over F_p.
 Candidates of one degree are inserted in blocks (`EvaluationFiltration`): the
 row space returns the same accepted set as inserting them one at a time, and
 over F_p reduces each block with a few matrix products whose dot products
-stay exact under the prime bound the row space enforces.  Duplicates are
-dropped within a degree only, which never changes a rank: a repeated vector
-already lies in the span.
+stay exact under the prime bound the row space enforces.  Candidates that
+vanish on every point are skipped, which never changes a rank: the zero
+vector lies in every span.
 
 Loci, polynomials and generators are field-free: coordinates and
 coefficients are exact numbers (ints wherever they are integral).  The field
-enters only at the filtration, which builds, multiplies, deduplicates and
-combines evaluation vectors through it and reduces them in the row space it
+enters only at the filtration, which builds, multiplies, tests and combines
+evaluation vectors through it and reduces them in the row space it
 makes.
 
 Presentations and NBC bases are taken against the ground order: NBC sets
@@ -241,13 +241,18 @@ class EvaluationFiltration:
     one back-substitution; every product has inner dimension at most the
     point count, and the row space's prime bound (points * (p - 1)^2 below
     2^53 for float64, below 2^63 for int64) keeps each dot product exact.
-    Duplicate vectors are skipped within a degree only: a vector equal to one
-    already inserted lies in the span, so inserting it would not raise the
-    rank, and a repeat from an earlier degree reduces to zero in the chunk's
-    first product.  The dedup keys still pay on the border: the degree-2
-    products that vanish on every point repeat the zero vector, 230 of 351
-    candidates on `permutohedral_locus(5)` and 99 of 325 on
-    `permmatrix_locus(6)`.
+    Candidates whose vector is zero are skipped before the row space sees
+    them: products that vanish on every point are common on the border
+    (230 of 351 degree-2 candidates on `permutohedral_locus(5)`, 99 of 325
+    on `permmatrix_locus(6)`).  Any other repeated vector already lies in
+    the span and is rejected by `insert_block`.
+
+    `snapshots[d]` is the row space of E_d, taken when degree d is done.
+    Over Q it is a prefix view of the one growing row space, which never
+    rewrites its rows, and the fully reduced basis that membership queries
+    and traces read is built
+    for each degree from the previous degree's when first asked for; over
+    F_p it is a copy of the basis.
     """
 
     def __init__(self, locus, field=QQ):
@@ -313,14 +318,12 @@ class EvaluationFiltration:
                     count[child] = 1
                     parent_of[child] = (exps, i)
         border = [c for c, k in count.items() if k == len(c) - c.count(0)]
-        product, key_of = self.field.product, self.field.key
-        new_standard, seen, chunk = [], set(), []
+        product, is_zero = self.field.product, self.field.is_zero
+        new_standard, chunk = [], []
         for exps in sorted(border, reverse=True):
             parent, i = parent_of[exps]
             v = product(self._columns[parent], self._var_evals[i])
-            key = key_of(v)
-            if key not in seen:
-                seen.add(key)
+            if not is_zero(v):
                 chunk.append((exps, v))
             if len(chunk) == _CHUNK_ROWS:
                 self._insert_chunk(chunk, new_standard)

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -347,3 +349,51 @@ def test_removed_seed_and_threads_flags_are_rejected(capsys, fig1_path):
         with pytest.raises(SystemExit) as exc:
             run([flag, "2", "flats", fig1_path])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("entry", ["basic", "nbc", "group"])
+def test_unknown_ground_label_is_named(capsys, tmp_path, braid3_path, braid3, entry):
+    """--flat, --order and a group file's permutations all read ground labels;
+    an unknown one is refused with its name and the ground set, exit 2."""
+    if entry == "basic":
+        argv = ("basic", braid3_path, "--flat", "12,zz")
+    elif entry == "nbc":
+        argv = ("nbc", braid3_path, "--order", "23,zz,12")
+    else:
+        gpath = tmp_path / "group.json"
+        jsonio.write_json(gpath, {"generators": [{"perm": ["13", "zz", "23"], "signs": [1, 1, 1]}]})
+        argv = ("character", braid3_path, "--group", str(gpath))
+    code, rep = report(capsys, *argv)
+    assert code == 2
+    assert rep["error"]["type"] == "COMError"
+    assert rep["error"]["message"] == "unknown ground label 'zz'; the ground set is ['12', '13', '23']"
+
+
+_MODULES_AFTER_RUN = """
+import contextlib, io, sys
+from covg.cli import run
+with contextlib.redirect_stdout(io.StringIO()):
+    code = run(sys.argv[1:])
+sys.stderr.write(f"{code} {'numpy' in sys.modules}")
+"""
+
+
+def _loads_numpy(*argv):
+    proc = subprocess.run(
+        [sys.executable, "-c", _MODULES_AFTER_RUN, *argv],
+        capture_output=True, text=True, timeout=120,
+    )
+    code, loaded = proc.stderr.split()
+    assert code == "0", proc.stderr
+    return loaded == "True"
+
+
+def test_rational_commands_do_not_import_numpy(tmp_path, fig1_path):
+    """Work over Q never loads numpy; the prime field and the axiom check do,
+    so the test would fail if numpy were never loaded at all."""
+    arr = tmp_path / "arr.json"
+    jsonio.write_json(arr, {"dimension": 1, "forms": {"h": {"coeffs": ["1"], "const": "0"}}, "region": []})
+    assert not _loads_numpy("loci", "--family", "kostant", "--n", "3", "--hilbert")
+    assert not _loads_numpy("enumerate", str(arr))
+    assert _loads_numpy("--field", "fp:1000003", "loci", "--family", "permmatrix", "--n", "3", "--hilbert")
+    assert _loads_numpy("check", fig1_path)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -10,12 +11,22 @@ from covg.exactla import (
     FpRowSpace,
     Polynomial,
     PrimeField,
+    RationalField,
     RationalRowSpace,
     apply_point_permutation,
     elementary_symmetric,
     field_from_name,
     rational,
 )
+from covg.harmonics import (
+    EvaluationFiltration,
+    covector_locus,
+    kostant_locus,
+    permmatrix_locus,
+    permutohedral_locus,
+    tope_locus,
+)
+from covg.com import topes
 
 GF = PrimeField(1000003)
 
@@ -395,3 +406,174 @@ def test_trace_refuses_noninvariant_span_on_both_fields(g, rows):
         except ExactLAError:
             refused.append(True)
     assert refused[0] == refused[1] == refused[2]
+
+
+class _ReducedRowSpace:
+    """Reference Q row space that keeps a fully reduced basis on every insert:
+    each new row is back-substituted into every old row at its pivot."""
+
+    def __init__(self, ambient):
+        self.ambient = ambient
+        self.rows = []
+        self.pivots = []
+
+    @property
+    def rank(self):
+        return len(self.rows)
+
+    def copy(self):
+        dup = _ReducedRowSpace(self.ambient)
+        dup.rows = [row[:] for row in self.rows]
+        dup.pivots = list(self.pivots)
+        return dup
+
+    def _reduce(self, v):
+        for row, j in zip(self.rows, self.pivots):
+            if v[j]:
+                v = [row[j] * x - v[j] * y for x, y in zip(v, row)]
+        return v
+
+    @staticmethod
+    def _primitive(v):
+        g = math.gcd(*v)
+        return [x // g for x in v] if g > 1 else v
+
+    def insert(self, vec):
+        v = self._reduce(list(vec))
+        j = next((k for k, x in enumerate(v) if x), None)
+        if j is None:
+            return False
+        v = self._primitive([-x for x in v] if v[j] < 0 else v)
+        for i, row in enumerate(self.rows):
+            if row[j]:
+                self.rows[i] = self._primitive([v[j] * x - row[j] * y for x, y in zip(row, v)])
+        self.rows.append(v)
+        self.pivots.append(j)
+        return True
+
+    def insert_block(self, vecs):
+        taken = []
+        for i, vec in enumerate(vecs):
+            if self.rank == self.ambient:
+                break
+            if self.insert(vec):
+                taken.append(i)
+        return taken
+
+    def contains(self, vec):
+        return not any(self._reduce(list(vec)))
+
+    def trace_under_permutation(self, perm):
+        for row in self.rows:
+            if not self.contains(apply_point_permutation(row, perm)):
+                raise ExactLAError("subspace is not invariant under the permutation")
+        return self.pivot_trace(perm)
+
+    def pivot_trace(self, perm):
+        inverse = _inv(perm)
+        return sum((Fraction(row[inverse[j]], row[j]) for row, j in zip(self.rows, self.pivots)), Fraction(0))
+
+
+def _same_span(space, reference):
+    assert space.rank == reference.rank
+    assert space.rows == reference.rows
+    assert space.pivots == reference.pivots
+
+
+@st.composite
+def _rational_cases(draw):
+    """(ambient, rows, reads, cut, extra): rows as in `_block_cases` over Q;
+    reads marks where the reduced basis is read between inserts, cut where a
+    copy is taken, and extra a vector only the copy receives afterwards."""
+    ambient, rows = draw(_block_cases().filter(lambda c: c[0] is None))[1:3]
+    reads = draw(st.sets(st.integers(0, len(rows))))
+    cut = draw(st.integers(0, len(rows)))
+    entry = st.integers(-3, 3)
+    extra = draw(st.lists(entry, min_size=ambient, max_size=ambient))
+    return ambient, rows, reads, cut, extra
+
+
+@given(_rational_cases(), st.lists(st.lists(st.integers(-3, 3), min_size=48, max_size=48), max_size=4))
+@example((40, _SPREAD, {0, 10, 50}, 30, [1] * 40), [[1] * 48])
+@settings(max_examples=150, deadline=None)
+def test_rational_row_space_matches_fully_reduced_reference(case, probes):
+    """Old rows never rewritten: same accepted indices from `insert` and
+    `insert_block`, the same `contains`, and the same reduced `rows` and
+    `pivots`, read at any point between inserts, on a copy taken midway
+    and on that copy after it diverges."""
+    ambient, rows, reads, cut, extra = case
+    probes = [p[:ambient] for p in probes]
+    space, reference = RationalRowSpace(ambient), _ReducedRowSpace(ambient)
+    for i, row in enumerate(rows):
+        if i in reads:
+            _same_span(space, reference)
+        if i == cut:
+            copy, reference_copy = space.copy(), reference.copy()
+        assert space.insert(row) == reference.insert(row)
+    if cut == len(rows):
+        copy, reference_copy = space.copy(), reference.copy()
+    _same_span(space, reference)
+    for probe in probes + rows[-3:]:
+        assert space.contains(probe) == reference.contains(probe)
+    _same_span(copy, reference_copy)
+    assert copy.insert(extra) == reference_copy.insert(extra)
+    _same_span(copy, reference_copy)
+    _same_span(space, reference)
+    block = RationalRowSpace(ambient)
+    taken = block.insert_block(rows[:cut]) + [cut + i for i in block.insert_block(rows[cut:])]
+    assert taken == _ReducedRowSpace(ambient).insert_block(rows)
+    _same_span(block, reference)
+
+
+@given(
+    st.permutations(list(range(6))),
+    st.lists(st.lists(st.integers(-3, 3), min_size=6, max_size=6), min_size=1, max_size=3),
+    st.lists(st.lists(st.integers(-3, 3), min_size=6, max_size=6), max_size=2),
+)
+@settings(max_examples=80, deadline=None)
+def test_rational_traces_match_fully_reduced_reference(g, seeds, noise):
+    """On invariant spans the pivot trace and the checked trace equal the
+    reference's, also after further rows are inserted into a read span; on
+    spans that need not be invariant both refuse or both agree."""
+    g = tuple(g)
+    space = _orbit_span(RationalRowSpace(6), seeds[:1], g)
+    reference = _orbit_span(_ReducedRowSpace(6), seeds[:1], g)
+    assert space.pivot_trace(g) == reference.pivot_trace(g)
+    space, reference = _orbit_span(space, seeds[1:], g), _orbit_span(reference, seeds[1:], g)
+    assert space.trace_under_permutation(g) == reference.trace_under_permutation(g)
+    assert space.pivot_trace(g) == reference.pivot_trace(g)
+    _same_span(space, reference)
+    for row in noise:
+        space.insert(row)
+        reference.insert(row)
+    try:
+        expected = reference.trace_under_permutation(g)
+    except ExactLAError:
+        with pytest.raises(ExactLAError):
+            space.trace_under_permutation(g)
+    else:
+        assert space.trace_under_permutation(g) == expected
+
+
+def test_rational_filtration_snapshots_match_fully_reduced_reference(corpus, monkeypatch):
+    """Every degree's span of the Q filtrations on the corpus loci has the
+    reduced basis and pivots of a filtration whose row space is fully reduced
+    on every insert; one locus reads its degrees from the top down."""
+    loci = {}
+    for name, M in corpus.items():
+        loci[f"{name}-covectors"] = covector_locus(M)
+        if topes(M):
+            loci[f"{name}-topes"] = tope_locus(M)
+    loci["kostant4"] = kostant_locus(4)
+    loci["permutohedral4"] = permutohedral_locus(4)
+    loci["permmatrix4"] = permmatrix_locus(4)
+    built = {name: EvaluationFiltration(locus).build() for name, locus in loci.items()}
+    monkeypatch.setattr(RationalField, "rowspace", lambda self, ambient: _ReducedRowSpace(ambient))
+    for name, locus in loci.items():
+        reference = EvaluationFiltration(locus).build()
+        filt = built[name]
+        assert filt._standard == reference._standard, name
+        assert len(filt.snapshots) == len(reference.snapshots), name
+        order = range(len(filt.snapshots))
+        for d in reversed(order) if name == "braid4-covectors" else order:
+            _same_span(filt.snapshots[d], reference.snapshots[d])

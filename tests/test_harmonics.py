@@ -35,7 +35,7 @@ from covg import (
     z_ideal_generators,
 )
 from covg import permstats
-from covg.exactla import ExactLAError, FpRowSpace
+from covg.exactla import ExactLAError, FpRowSpace, RationalRowSpace
 from covg.com import flats_of
 from covg.matroidal import MatroidalError, basic_sets, codim, nbc_sets
 from covg.harmonics import (
@@ -302,6 +302,22 @@ def test_row_space_is_offered_only_the_border(monkeypatch):
         per_degree.append(sum(offered))
     assert filt.coeffs == [1, 20, 120, 250, 150]
     assert per_degree[2:] == [250, 150]
+
+
+def test_zero_vectors_never_reach_the_row_space(monkeypatch):
+    """Border products that vanish on every point are skipped before the row
+    space: on `permutohedral_locus(4)` many degree-2 products do."""
+    offered = []
+    insert_block = RationalRowSpace.insert_block
+
+    def recording(self, vecs):
+        offered.extend(vecs)
+        return insert_block(self, vecs)
+
+    monkeypatch.setattr(RationalRowSpace, "insert_block", recording)
+    filt = EvaluationFiltration(permutohedral_locus(4)).build()
+    assert filt.coeffs == list(permstats.eulerian(4))
+    assert offered and all(any(v) for v in offered)
 
 
 def test_hilbert_fp_permmatrix6():
