@@ -250,9 +250,8 @@ class EvaluationFiltration:
     `snapshots[d]` is the row space of E_d, taken when degree d is done.
     Over Q it is a prefix view of the one growing row space, which never
     rewrites its rows, and the fully reduced basis that membership queries
-    and traces read is built
-    for each degree from the previous degree's when first asked for; over
-    F_p it is a copy of the basis.
+    and traces read is built for each degree from the previous degree's
+    when first asked for; over F_p it is a copy of the basis.
     """
 
     def __init__(self, locus, field=QQ):
