@@ -4,9 +4,10 @@ and the NBC Hilbert series.
 The span-engine reports under tests/golden/ were written by the program
 before the coefficient field was confined to the row spaces, and the
 `--method nbc` reports before the NBC Hilbert series was read off the NBC
-basis, and the `loci --hilbert` reports before the span engine offered only
-the order-ideal border as candidates; every later change must reproduce them
-exactly.  Inputs live next to them and are passed by relative
+basis, the `loci --hilbert` reports before the span engine offered only
+the order-ideal border as candidates, and the F_p `verify` and `character`
+reports before the F_p row space kept its rows as an echelon prefix; every
+later change must reproduce them exactly.  Inputs live next to them and are passed by relative
 path, so each report's `inputs` block is stable.  To rewrite the reports
 after an intended change of output, run from the repository root:
 
@@ -36,10 +37,12 @@ for _com, _group in (("braid3", "braid3-group"), ("figure1", "figure1-group")):
         )
     for _what in ("big-theorem", "small-generators"):
         CASES[f"{_com}-verify-{_what}"] = (("verify", f"{_com}.json", "--what", _what), 0)
+        CASES[f"{_com}-verify-{_what}-fp"] = ((*FP, "verify", f"{_com}.json", "--what", _what), 0)
     CASES[f"{_com}-character"] = (
         ("character", f"{_com}.json", "--group", f"{_group}.json", "--verify-decomposition"),
         0,
     )
+    CASES[f"{_com}-character-fp"] = ((*FP, "character", f"{_com}.json", "--group", f"{_group}.json"), 0)
 for _family in ("kostant", "permutohedral", "permmatrix"):
     CASES[f"loci-{_family}4-hilbert"] = (("loci", "--family", _family, "--n", "4", "--hilbert"), 0)
 CASES["loci-permmatrix4-hilbert-fp"] = ((*FP, "loci", "--family", "permmatrix", "--n", "4", "--hilbert"), 0)
