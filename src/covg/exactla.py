@@ -12,18 +12,21 @@ fraction-free `RationalRowSpace`, and `PrimeField` keeps an int64 array of
 residues mod p for the numpy-backed `FpRowSpace`.  numpy is imported only
 where the prime field and its row space run, so work over Q never loads it.
 
-`RationalRowSpace` keeps its rows in insertion order as an echelon prefix:
-each new row is reduced against the pivots of the rows before it, and old
-rows are never rewritten, so the span of the first r rows stays readable
-while later rows are added.  Deciding rank needs nothing more.  The fully
+Both row spaces keep one layout, an echelon prefix: rows in insertion order,
+each reduced against the pivots of the rows before it and never rewritten,
+so the span of the first r rows stays readable while later rows are added
+and a copy is a prefix view.  Deciding rank needs nothing more.  The fully
 reduced basis, which membership queries, traces and expansion coefficients
-read at the pivots, is built only when one of them asks.  `FpRowSpace` keeps
-a fully reduced basis throughout.
+read at the pivots, is built per rank only when one of them asks.  Only the
+arithmetic is per field: `RationalRowSpace` stores one primitive integer
+row at a time, `FpRowSpace` one block of residue rows per `insert_block`
+call that raises the rank.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import combinations
 from operator import mul
@@ -361,14 +364,17 @@ def elementary_symmetric(d, polys):
 # ---------------------------------------------------------------------------
 # row spaces
 #
-# A basis row owns a pivot column.  `FpRowSpace` keeps its basis fully
-# reduced: every other row is zero at a row's pivot.  `RationalRowSpace` keeps
-# an echelon prefix instead: a row is zero at the pivots of the rows inserted
-# before it, but later rows are not cleared out of it.  Either way one pass
-# over the rows in their order reduces any vector, eliminating at each pivot
-# in turn: a row changes no entry at the pivots already passed.  A fully
-# reduced basis is unique up to row scale, so expansion coefficients and
-# traces can be read off at its pivots.
+# Both row spaces keep one layout, an echelon prefix.  Rows are stored in
+# insertion order, each owning a pivot column and zero at the pivots of the
+# rows stored before it, and a stored row is never rewritten: the first r rows
+# span what the space spanned at rank r, so a copy is a prefix view.  One pass
+# over the stored rows in their order reduces any vector, eliminating at each
+# pivot in turn: a row changes no entry at the pivots already passed.  The
+# fully reduced basis, in which every row is zero at every pivot but its own,
+# is unique up to row scale, so expansion coefficients and traces can be read
+# off at its pivots; it is built per rank, and only when one of them asks.
+# Only the arithmetic is per field: over Q a stored entry is one primitive
+# integer row, over F_p a block of pivot-normalized residue rows.
 
 
 def apply_point_permutation(vec, perm):
@@ -384,28 +390,25 @@ _NORMALIZE_EVERY = 16  # looked at after this many row operations
 _ECHELON_LEAF = 32  # FpRowSpace._echelon eliminates blocks this small row by row
 
 
-class RationalRowSpace:
-    """Row space over Q, stored as primitive integer rows (fraction-free).
+class _EchelonPrefix:
+    """The echelon-prefix layout that both row spaces share.
 
-    Rows are kept in insertion order, each one primitive with a positive
-    entry at its pivot and zero at the pivots of the rows before it; they are
-    never rewritten, so the first r rows span what the space spanned at rank
-    r.  `copy` is therefore a prefix view that shares the rows.
-
-    `rows` is the fully reduced basis: the primitive rows of the span, in
-    insertion order, each zero at every pivot but its own.  `contains`, the
-    traces and `expansion_coefficients` read it.  It is built on first use
-    and kept per rank in a table that the copies share, and a larger rank's
-    basis is built from the largest smaller one already there, so a
-    filtration's snapshots build theirs degree by degree.
+    `_stored` holds the entries in insertion order, entry k raising the rank
+    to `_ends[k]`, and `_pivots` the pivot column of every stored row.  A
+    copy shares these lists and the `_reduced` table (rank -> fully reduced
+    basis of the first rank rows) and reads only its first `rank` rows; a
+    space that grows while holding fewer rows than the lists stops sharing.
+    Each class binds `copy` as its own attribute, so that wrapping one
+    class's method leaves the other's alone.
     """
 
-    def __init__(self, ambient):
+    def __init__(self, ambient, empty_basis):
         self.ambient = ambient
         self._rank = 0
-        self._echelon = []  # rows in insertion order; a longer space may share the list
-        self._pivots = []  # pivot column of each row; shared along with the rows
-        self._reduced = {0: []}  # rank -> fully reduced basis of the first rank rows
+        self._stored = []  # entries in insertion order; a longer space may share the list
+        self._ends = []  # rank after each entry; shared along with the entries
+        self._pivots = []  # pivot column of each stored row; shared along with the entries
+        self._reduced = {0: empty_basis}
 
     @property
     def rank(self):
@@ -415,14 +418,58 @@ class RationalRowSpace:
     def pivots(self):
         return self._pivots[: self._rank]
 
+    def copy(self):
+        dup = object.__new__(type(self))
+        dup.__dict__.update(self.__dict__)
+        return dup
+
+    def _append(self, entry, pivots):
+        """Store an entry whose rows have these pivots, raising the rank by their count."""
+        r = self._rank
+        if r < len(self._pivots):  # rows past r belong to a longer space: stop sharing
+            k = bisect_right(self._ends, r)
+            self._stored, self._ends, self._pivots = self._stored[:k], self._ends[:k], self._pivots[:r]
+            self._reduced = {k: basis for k, basis in self._reduced.items() if k <= r}
+        self._stored.append(entry)
+        self._pivots.extend(pivots)
+        self._rank = r + len(pivots)
+        self._ends.append(self._rank)
+
+    def _entries(self, lo, hi):
+        """(entry, start, end) for the stored entries that raise the rank from lo to hi."""
+        k = bisect_right(self._ends, lo)
+        while lo < hi:
+            yield self._stored[k], lo, self._ends[k]
+            lo, k = self._ends[k], k + 1
+
+    def _reduced_basis(self):
+        r = self._rank
+        basis = self._reduced.get(r)
+        if basis is None:
+            base = max(k for k in self._reduced if k < r)
+            basis = self._reduced[r] = self._extend_basis(self._reduced[base], base, r)
+        return basis
+
+
+class RationalRowSpace(_EchelonPrefix):
+    """Row space over Q, stored as primitive integer rows (fraction-free).
+
+    Each stored entry is one row, primitive with a positive entry at its
+    pivot.  `rows` is the fully reduced basis: the primitive rows of the
+    span, in insertion order, each zero at every pivot but its own.
+    `contains`, the traces and `expansion_coefficients` read it.  A larger
+    rank's basis is built from the largest smaller one already in the shared
+    table, so a filtration's snapshots build theirs degree by degree.
+    """
+
+    copy = _EchelonPrefix.copy
+
+    def __init__(self, ambient):
+        super().__init__(ambient, [])
+
     @property
     def rows(self):
         return list(self._reduced_basis())
-
-    def copy(self):
-        dup = object.__new__(RationalRowSpace)
-        dup.__dict__.update(self.__dict__)
-        return dup
 
     def _intvec(self, vec):
         if len(vec) != self.ambient:
@@ -438,7 +485,7 @@ class RationalRowSpace:
     def _reduce(self, v):
         # one pass in insertion order: each row is zero at the pivots before its own
         ops = 0
-        for row, j in zip(self._echelon, self._pivots[: self._rank]):
+        for row, j in zip(self._stored, self._pivots[: self._rank]):
             a = v[j]
             if a:
                 p = row[j]
@@ -468,14 +515,7 @@ class RationalRowSpace:
             return False
         if v[j] < 0:
             v = [-x for x in v]
-        r = self._rank
-        if r < len(self._echelon):  # rows past r belong to a longer space: stop sharing
-            self._echelon = self._echelon[:r]
-            self._pivots = self._pivots[:r]
-            self._reduced = {k: basis for k, basis in self._reduced.items() if k <= r}
-        self._echelon.append(self._primitive(v))
-        self._pivots.append(j)
-        self._rank = r + 1
+        self._append(self._primitive(v), [j])
         return True
 
     def insert_block(self, vecs):
@@ -488,22 +528,16 @@ class RationalRowSpace:
                 taken.append(i)
         return taken
 
-    def _reduced_basis(self):
-        r = self._rank
-        basis = self._reduced.get(r)
-        if basis is not None:
-            return basis
-        base = max(k for k in self._reduced if k < r)
+    def _extend_basis(self, basis, base, r):
+        """The fully reduced basis at rank r from the one at rank base."""
         pivots = self._pivots[base:r]
         # the new rows are zero at the earlier pivots: clear each one at the
         # pivots of the new rows after it, the last first, then clear the
         # earlier basis at the new pivots
         fresh = []
         for k in range(r - 1, base - 1, -1):
-            fresh.insert(0, self._clear(self._echelon[k], fresh, pivots[k - base + 1 :]))
-        basis = [self._clear(row, fresh, pivots) for row in self._reduced[base]] + fresh
-        self._reduced[r] = basis
-        return basis
+            fresh.insert(0, self._clear(self._stored[k], fresh, pivots[k - base + 1 :]))
+        return [self._clear(row, fresh, pivots) for row in basis] + fresh
 
     def _clear(self, row, rows, pivots):
         """The primitive row left when rows with exclusive pivots clear row there.
@@ -563,8 +597,19 @@ class RationalRowSpace:
         return total
 
 
-class FpRowSpace:
-    """Row space over F_p backed by numpy; rows are pivot-normalized."""
+class FpRowSpace(_EchelonPrefix):
+    """Row space over F_p backed by numpy int64 residues.
+
+    Each stored entry is the block of rows that one rank-raising
+    `insert_block` call added: pivot-normalized, fully reduced among
+    themselves and zero at the pivots of the blocks before it.  A vector is
+    reduced with one product per block.  `_basis` is the fully reduced
+    basis, which `contains`, the traces and `expansion_coefficients` read; it
+    is built per rank as over Q, each later block clearing the basis before
+    it at its pivots.
+    """
+
+    copy = _EchelonPrefix.copy
 
     def __init__(self, ambient, p):
         import numpy as np
@@ -576,28 +621,14 @@ class FpRowSpace:
                 f"the prime {p} is too large for exact int64 elimination on {ambient} points: "
                 "need points * (p - 1)^2 < 2^63"
             )
-        self.ambient = ambient
+        super().__init__(ambient, np.zeros((0, ambient), dtype=np.int64))
         self.p = p
-        self._store = np.zeros((16, ambient), dtype=np.int64)
-        self._rank = 0
-        self.pivots = []
         # float64 matmul is exact as long as every dot product stays < 2^53
         self._float_ok = ambient * (p - 1) * (p - 1) < 2**53
 
     @property
-    def rank(self):
-        return self._rank
-
-    @property
     def _basis(self):
-        return self._store[: self._rank]
-
-    def copy(self):
-        dup = FpRowSpace(self.ambient, self.p)
-        dup._store = self._store[: self._rank].copy()
-        dup._rank = self._rank
-        dup.pivots = list(self.pivots)
-        return dup
+        return self._reduced_basis()
 
     def _vec(self, vec):
         import numpy as np
@@ -607,6 +638,13 @@ class FpRowSpace:
             raise ExactLAError("vector length does not match ambient dimension")
         return v % self.p
 
+    # Every product below is a `_combine` whose inner dimension counts rows of
+    # one echelon basis, hence is at most `ambient`, and whose factors are
+    # residues in [0, p): each dot product is at most ambient * (p - 1)^2,
+    # which `_float_ok` bounds below 2^53 for the float64 branch and
+    # `__init__` bounds below 2^63 for the int64 branch.  The leaf's outer
+    # products are single products (p - 1)^2 < 2^63.
+
     def _combine(self, coeffs, matrix):
         import numpy as np
 
@@ -615,77 +653,47 @@ class FpRowSpace:
             return prod.astype(np.int64) % self.p
         return (coeffs @ matrix) % self.p
 
+    def _clear(self, v, rows, pivots):
+        """v (a vector or a block) less the multiples of pivot-normalized rows
+        with exclusive pivots that make it zero at those pivots."""
+        coeffs = v[..., pivots]
+        return (v - self._combine(coeffs, rows)) % self.p if coeffs.any() else v
+
     def _reduce(self, v):
-        if self._rank:
-            coeffs = v[self.pivots]
-            if coeffs.any():
-                v = (v - self._combine(coeffs, self._basis)) % self.p
+        # one product per block in insertion order: each block is zero at the pivots before its own
+        for block, start, end in self._entries(0, self._rank):
+            v = self._clear(v, block, self._pivots[start:end])
         return v
 
     def insert(self, vec):
-        import numpy as np
-
-        v = self._reduce(self._vec(vec))
-        nz = np.nonzero(v)[0]
-        if nz.size == 0:
-            return False
-        j = int(nz[0])
-        v = v * pow(int(v[j]), -1, self.p) % self.p
-        if self._rank:
-            col = self._basis[:, j].copy()
-            if col.any():
-                self._store[: self._rank] = (self._basis - np.outer(col, v)) % self.p
-        self._append(v[None, :], [j])
-        return True
-
-    def _append(self, rows, pivots):
-        import numpy as np
-
-        new_rank = self._rank + len(rows)
-        if new_rank > len(self._store):
-            grown = np.zeros((max(16, 2 * len(self._store), new_rank), self.ambient), dtype=np.int64)
-            grown[: self._rank] = self._basis
-            self._store = grown
-        self._store[self._rank : new_rank] = rows
-        self._rank = new_rank
-        self.pivots.extend(pivots)
-
-    # Block insertion.  Every product below is a `_combine` whose inner
-    # dimension counts rows of one echelon basis, hence is at most `ambient`,
-    # and whose factors are residues in [0, p): each dot product is at most
-    # ambient * (p - 1)^2, which `_float_ok` bounds below 2^53 for the float64
-    # branch and `__init__` bounds below 2^63 for the int64 branch.  The leaf's
-    # outer products are single products (p - 1)^2 < 2^63.
+        """Add a vector to the span; returns True iff the rank increased."""
+        return bool(self.insert_block([vec]))
 
     def insert_block(self, vecs):
         """Insert the vectors in order; return the indices of those that raised the rank.
 
-        The accepted indices, basis rows and pivots equal those of calling
-        `insert` on each vector in turn: the greedy independent set in row
-        order is unique, and so is the fully reduced basis at a fixed pivot
-        set.  The block is reduced against the basis with one product, its
-        residual is put in echelon form by `_echelon`, and the new rows are
-        back-substituted into the old basis with one more product.
+        The accepted indices equal those of inserting each vector in turn:
+        the greedy independent set in row order is unique, and so is the
+        fully reduced basis at a fixed pivot set.  The block is reduced
+        against the stored blocks, its residual is put in echelon form by
+        `_echelon`, and the new rows are stored as one block.
         """
         import numpy as np
 
-        if not len(vecs) or self._rank == self.ambient:
+        if not len(vecs):
             return []
         block = np.asarray(vecs, dtype=np.int64) % self.p
         if block.shape[1:] != (self.ambient,):
             raise ExactLAError("vector length does not match ambient dimension")
-        if self._rank:
-            block = (block - self._combine(block[:, self.pivots], self._basis)) % self.p
-        taken, rows, pivots = self._echelon(block, self.ambient - self._rank)
+        if self._rank == self.ambient:
+            return []
+        taken, rows, pivots = self._echelon(self._reduce(block), self.ambient - self._rank)
         if taken:
-            if self._rank:
-                old = self._basis
-                self._store[: self._rank] = (old - self._combine(old[:, pivots], rows)) % self.p
             self._append(rows, pivots)
         return taken
 
     def _echelon(self, block, room):
-        """Greedy independent rows of a block that is zero at the basis pivots.
+        """Greedy independent rows of a block that is zero at the stored pivots.
 
         Returns (indices, rows, pivots): the first `room` at most of the rows
         that are independent of all earlier ones, and the fully reduced
@@ -704,14 +712,10 @@ class FpRowSpace:
             half = len(block) // 2
             taken, rows, pivots = self._echelon(block[:half], room)
             if len(taken) < room:
-                rest = block[half:]
-                if taken:
-                    rest = (rest - self._combine(rest[:, pivots], rows)) % self.p
+                rest = self._clear(block[half:], rows, pivots)
                 more, more_rows, more_pivots = self._echelon(rest, room - len(taken))
                 if more:
-                    if taken:
-                        rows = (rows - self._combine(rows[:, more_pivots], more_rows)) % self.p
-                    rows = np.concatenate([rows, more_rows])
+                    rows = np.concatenate([self._clear(rows, more_rows, more_pivots), more_rows])
                     taken = taken + [half + i for i in more]
                     pivots = pivots + more_pivots
         return [int(live[i]) for i in taken], rows, pivots
@@ -737,16 +741,28 @@ class FpRowSpace:
                 break
         return taken, block[taken], pivots
 
+    def _extend_basis(self, basis, base, r):
+        """The fully reduced basis at rank r from the one at rank base."""
+        import numpy as np
+
+        out = np.empty((r, self.ambient), dtype=np.int64)
+        out[:base] = basis
+        # each block is zero at the pivots before its own: it clears the rows
+        # above it at its pivots and joins them
+        for block, start, end in self._entries(base, r):
+            out[:start] = self._clear(out[:start], block, self._pivots[start:end])
+            out[start:end] = block
+        return out
+
     def contains(self, vec):
-        return not self._reduce(self._vec(vec)).any()
+        return not self._clear(self._vec(vec), self._basis, self.pivots).any()
 
     def expansion_coefficients(self, vec):
-        v = self._vec(vec)
-        coeffs = [int(v[j]) for j in self.pivots]
-        residual = self._reduce(v.copy())
-        if residual.any():
+        """Coefficients of vec on the `_basis` rows, or None if outside the span."""
+        if not self.contains(vec):
             return None
-        return coeffs
+        # rows have pivot entry 1 and exclusive pivot columns: each coefficient is vec at its pivot
+        return [int(x) for x in self._vec(vec)[self.pivots]]
 
     def trace_under_permutation(self, perm):
         """Trace of the coordinate permutation j -> perm[j] restricted to the span.
@@ -757,13 +773,10 @@ class FpRowSpace:
         """
         import numpy as np
 
-        if self._rank:
-            perm = np.asarray(perm)
-            inverse = np.empty_like(perm)
-            inverse[perm] = np.arange(len(perm))
-            moved = self._basis[:, inverse]  # moved[i, perm[k]] = row_i[k]
-            if ((moved - self._combine(moved[:, self.pivots], self._basis)) % self.p).any():
-                raise ExactLAError("subspace is not invariant under the permutation")
+        basis = self._basis
+        moved = basis[:, np.argsort(perm)]  # moved[i, perm[k]] = row_i[k]
+        if self._clear(moved, basis, self.pivots).any():
+            raise ExactLAError("subspace is not invariant under the permutation")
         return self.pivot_trace(perm)
 
     def pivot_trace(self, perm):
@@ -776,9 +789,5 @@ class FpRowSpace:
         """
         import numpy as np
 
-        perm = np.asarray(perm)
-        inverse = np.empty_like(perm)
-        inverse[perm] = np.arange(len(perm))
-        moved = self._basis[np.arange(self._rank), inverse[self.pivots]]
-        return int(moved.sum()) % self.p
-
+        inverse = np.argsort(perm)
+        return int(self._basis[np.arange(self._rank), inverse[self.pivots]].sum()) % self.p

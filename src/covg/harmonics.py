@@ -237,21 +237,22 @@ class EvaluationFiltration:
     at most `_CHUNK_ROWS` through `insert_block`, which accepts exactly the
     vectors that one-at-a-time insertion would, so the standard monomials and
     every rank are those of sequential insertion.  Over F_p a chunk costs one
-    product against the basis, a recursive echelon form of the residual and
-    one back-substitution; every product has inner dimension at most the
-    point count, and the row space's prime bound (points * (p - 1)^2 below
-    2^53 for float64, below 2^63 for int64) keeps each dot product exact.
+    product against each stored block and a recursive echelon form of the
+    residual, which is stored as one new block; every product has inner
+    dimension at most the point count, and the row space's prime bound
+    (points * (p - 1)^2 below 2^53 for float64, below 2^63 for int64) keeps
+    each dot product exact.
     Candidates whose vector is zero are skipped before the row space sees
     them: products that vanish on every point are common on the border
     (230 of 351 degree-2 candidates on `permutohedral_locus(5)`, 99 of 325
     on `permmatrix_locus(6)`).  Any other repeated vector already lies in
     the span and is rejected by `insert_block`.
 
-    `snapshots[d]` is the row space of E_d, taken when degree d is done.
-    Over Q it is a prefix view of the one growing row space, which never
-    rewrites its rows, and the fully reduced basis that membership queries
-    and traces read is built for each degree from the previous degree's
-    when first asked for; over F_p it is a copy of the basis.
+    `snapshots[d]` is the row space of E_d, taken when degree d is done: a
+    prefix view of the one growing row space, which never rewrites its
+    rows.  The fully reduced basis that membership queries and traces read
+    is built for each degree from the previous degree's when first asked
+    for, over Q and over F_p alike.
     """
 
     def __init__(self, locus, field=QQ):

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
@@ -474,36 +475,83 @@ class _ReducedRowSpace:
         return sum((Fraction(row[inverse[j]], row[j]) for row, j in zip(self.rows, self.pivots)), Fraction(0))
 
 
+class _ReducedFpRowSpace(_ReducedRowSpace):
+    """Reference F_p row space that keeps a fully reduced, pivot-normalized
+    basis on every insert: each new row is back-substituted into every old
+    row at its pivot, one row operation (single products below p^2) at a time."""
+
+    def __init__(self, ambient, p):
+        super().__init__(ambient)
+        self.p = p
+
+    def copy(self):
+        dup = _ReducedFpRowSpace(self.ambient, self.p)
+        dup.rows = [row.copy() for row in self.rows]
+        dup.pivots = list(self.pivots)
+        return dup
+
+    def _reduce(self, vec):
+        v = np.asarray(vec, dtype=np.int64) % self.p
+        for row, j in zip(self.rows, self.pivots):
+            v = (v - v[j] * row) % self.p
+        return v
+
+    def insert(self, vec):
+        v = self._reduce(vec)
+        nz = np.flatnonzero(v)
+        if not nz.size:
+            return False
+        j = int(nz[0])
+        v = v * pow(int(v[j]), -1, self.p) % self.p
+        self.rows = [(row - row[j] * v) % self.p for row in self.rows] + [v]
+        self.pivots.append(j)
+        return True
+
+
+def _reference_space(p, ambient):
+    return _ReducedRowSpace(ambient) if p is None else _ReducedFpRowSpace(ambient, p)
+
+
+def _rows(space):
+    """The fully reduced basis of a row space as lists of ints."""
+    rows = space._basis if isinstance(space, FpRowSpace) else space.rows
+    return [[int(x) for x in row] for row in rows]
+
+
 def _same_span(space, reference):
     assert space.rank == reference.rank
-    assert space.rows == reference.rows
+    assert _rows(space) == _rows(reference)
     assert space.pivots == reference.pivots
 
 
 @st.composite
-def _rational_cases(draw):
-    """(ambient, rows, reads, cut, extra): rows as in `_block_cases` over Q;
+def _reference_cases(draw):
+    """(p, ambient, rows, reads, cut, extra): rows as in `_block_cases`;
     reads marks where the reduced basis is read between inserts, cut where a
-    copy is taken, and extra a vector only the copy receives afterwards."""
-    ambient, rows = draw(_block_cases().filter(lambda c: c[0] is None))[1:3]
+    copy is taken, and extra a vector inserted into the copy and then into
+    the original."""
+    p, ambient, rows = draw(_block_cases())[:3]
     reads = draw(st.sets(st.integers(0, len(rows))))
     cut = draw(st.integers(0, len(rows)))
-    entry = st.integers(-3, 3)
+    entry = st.integers(-3, 3) if p is None else st.integers(-2, 2) | st.integers(0, p - 1)
     extra = draw(st.lists(entry, min_size=ambient, max_size=ambient))
-    return ambient, rows, reads, cut, extra
+    return p, ambient, rows, reads, cut, extra
 
 
-@given(_rational_cases(), st.lists(st.lists(st.integers(-3, 3), min_size=48, max_size=48), max_size=4))
-@example((40, _SPREAD, {0, 10, 50}, 30, [1] * 40), [[1] * 48])
+@given(_reference_cases(), st.lists(st.lists(st.integers(-3, 3), min_size=48, max_size=48), max_size=4))
+@example((None, 40, _SPREAD, {0, 10, 50}, 30, [1] * 40), [[1] * 48])
+@example((1000003, 40, _SPREAD, {0, 10, 50}, 30, [1] * 40), [[1] * 48])
+@example((INT64_PRIME, 13, _UNIT_MIX13, {0, 5, 30}, 20, [1] * 13), [[1] * 48])
 @settings(max_examples=150, deadline=None)
-def test_rational_row_space_matches_fully_reduced_reference(case, probes):
-    """Old rows never rewritten: same accepted indices from `insert` and
-    `insert_block`, the same `contains`, and the same reduced `rows` and
-    `pivots`, read at any point between inserts, on a copy taken midway
-    and on that copy after it diverges."""
-    ambient, rows, reads, cut, extra = case
-    probes = [p[:ambient] for p in probes]
-    space, reference = RationalRowSpace(ambient), _ReducedRowSpace(ambient)
+def test_row_space_matches_fully_reduced_reference(case, probes):
+    """Old rows never rewritten, over Q and over F_p (float64 and int64
+    products): same accepted indices from `insert` and `insert_block`, the
+    same `contains`, and the same reduced basis and `pivots`, read at any
+    point between inserts, on a copy taken midway, on that copy after it
+    diverges and on the original after it grows past the copy."""
+    p, ambient, rows, reads, cut, extra = case
+    probes = [v[:ambient] for v in probes]
+    space, reference = _new_space(p, ambient), _reference_space(p, ambient)
     for i, row in enumerate(rows):
         if i in reads:
             _same_span(space, reference)
@@ -519,10 +567,13 @@ def test_rational_row_space_matches_fully_reduced_reference(case, probes):
     assert copy.insert(extra) == reference_copy.insert(extra)
     _same_span(copy, reference_copy)
     _same_span(space, reference)
-    block = RationalRowSpace(ambient)
+    block = _new_space(p, ambient)
     taken = block.insert_block(rows[:cut]) + [cut + i for i in block.insert_block(rows[cut:])]
-    assert taken == _ReducedRowSpace(ambient).insert_block(rows)
+    assert taken == _reference_space(p, ambient).insert_block(rows)
     _same_span(block, reference)
+    assert space.insert(extra) == reference.insert(extra)
+    _same_span(space, reference)
+    _same_span(copy, reference_copy)
 
 
 @given(
@@ -555,10 +606,13 @@ def test_rational_traces_match_fully_reduced_reference(g, seeds, noise):
         assert space.trace_under_permutation(g) == expected
 
 
-def test_rational_filtration_snapshots_match_fully_reduced_reference(corpus, monkeypatch):
-    """Every degree's span of the Q filtrations on the corpus loci has the
-    reduced basis and pivots of a filtration whose row space is fully reduced
-    on every insert; one locus reads its degrees from the top down."""
+def test_filtration_snapshots_match_fully_reduced_reference(corpus, monkeypatch):
+    """Every degree's span of the filtrations on the corpus loci, over Q and
+    over F_p (float64 and int64 products), has the reduced basis and pivots
+    of a filtration whose row space is fully reduced on every insert; one
+    locus reads its degrees from the top down.  The loci that need
+    characteristic zero run over Q only, and the int64 prime only on loci
+    small enough for its products."""
     loci = {}
     for name, M in corpus.items():
         loci[f"{name}-covectors"] = covector_locus(M)
@@ -567,13 +621,41 @@ def test_rational_filtration_snapshots_match_fully_reduced_reference(corpus, mon
     loci["kostant4"] = kostant_locus(4)
     loci["permutohedral4"] = permutohedral_locus(4)
     loci["permmatrix4"] = permmatrix_locus(4)
-    built = {name: EvaluationFiltration(locus).build() for name, locus in loci.items()}
-    monkeypatch.setattr(RationalField, "rowspace", lambda self, ambient: _ReducedRowSpace(ambient))
-    for name, locus in loci.items():
-        reference = EvaluationFiltration(locus).build()
-        filt = built[name]
-        assert filt._standard == reference._standard, name
-        assert len(filt.snapshots) == len(reference.snapshots), name
-        order = range(len(filt.snapshots))
-        for d in reversed(order) if name == "braid4-covectors" else order:
-            _same_span(filt.snapshots[d], reference.snapshots[d])
+    for field in (QQ, GF, PrimeField(INT64_PRIME)):
+        runs = {
+            name: locus
+            for name, locus in loci.items()
+            if not (field.characteristic and locus.requires_char_zero)
+            and len(locus) * (field.characteristic - 1) ** 2 < 2**63
+        }
+        built = {name: EvaluationFiltration(locus, field).build() for name, locus in runs.items()}
+        with monkeypatch.context() as patch:
+            patch.setattr(RationalField, "rowspace", lambda self, ambient: _ReducedRowSpace(ambient))
+            patch.setattr(PrimeField, "rowspace", lambda self, ambient: _ReducedFpRowSpace(ambient, self.p))
+            for name, locus in runs.items():
+                reference = EvaluationFiltration(locus, field).build()
+                filt = built[name]
+                assert filt._standard == reference._standard, (field, name)
+                assert len(filt.snapshots) == len(reference.snapshots), (field, name)
+                order = range(len(filt.snapshots))
+                for d in reversed(order) if name == "braid4-covectors" else order:
+                    _same_span(filt.snapshots[d], reference.snapshots[d])
+
+
+@pytest.mark.parametrize("field", [QQ, GF], ids=["rational", "fp"])
+def test_filtration_snapshots_share_rows_and_build_no_reduced_basis(braid4, field):
+    """A Hilbert series reads ranks only: no reduced basis is built past rank
+    0, and each degree's snapshot reads the growing space's stored rows, not
+    a copy of them."""
+    filt = EvaluationFiltration(covector_locus(braid4), field)
+    assert filt.hilbert().coeffs == (1, 12, 36, 26)
+    space = filt.space
+    assert list(space._reduced) == [0]
+    for d, snapshot in enumerate(filt.snapshots):
+        assert snapshot.rank == sum(filt.coeffs[: d + 1])
+        assert snapshot._reduced is space._reduced
+        for k, (entry, _, _) in enumerate(snapshot._entries(0, snapshot.rank)):
+            if field is QQ:
+                assert entry is space._stored[k]
+            else:
+                assert np.shares_memory(entry, space._stored[k])
