@@ -42,7 +42,8 @@ def main():
         except MatroidalError as refusal:
             nbc, mark = f"refused ({refusal})", "unchecked"
         else:
-            nbc, mark = list(nbc), "ok" if rank == nbc else "MISMATCH"
+            mark = "ok" if rank == nbc else "MISMATCH"
+            nbc = list(nbc)
         print(f"  n={n}  rank={list(rank)}  nbc={nbc}  [{mark}] {_cost(started)}")
 
     print("tope-locus Hilbert series vs cycle statistics")

@@ -429,7 +429,7 @@ class _EchelonPrefix:
         if r < len(self._pivots):  # rows past r belong to a longer space: stop sharing
             k = bisect_right(self._ends, r)
             self._stored, self._ends, self._pivots = self._stored[:k], self._ends[:k], self._pivots[:r]
-            self._reduced = {k: basis for k, basis in self._reduced.items() if k <= r}
+            self._reduced = {rank: basis for rank, basis in self._reduced.items() if rank <= r}
         self._stored.append(entry)
         self._pivots.extend(pivots)
         self._rank = r + len(pivots)
