@@ -6,8 +6,10 @@ before the coefficient field was confined to the row spaces, and the
 `--method nbc` reports before the NBC Hilbert series was read off the NBC
 basis, the `loci --hilbert` reports before the span engine offered only
 the order-ideal border as candidates, and the F_p `verify` and `character`
-reports before the F_p row space kept its rows as an echelon prefix; every
-later change must reproduce them exactly.  Inputs live next to them and are passed by relative
+reports before the F_p row space kept its rows as an echelon prefix, and the
+`refuse-*` error reports (exit 2, one per resource cap the CLI can reach)
+before the caps became module constants; every later change must reproduce
+them exactly.  Inputs live next to them and are passed by relative
 path, so each report's `inputs` block is stable.  To rewrite the reports
 after an intended change of output, run from the repository root:
 
@@ -46,6 +48,10 @@ for _com, _group in (("braid3", "braid3-group"), ("figure1", "figure1-group")):
 for _family in ("kostant", "permutohedral", "permmatrix"):
     CASES[f"loci-{_family}4-hilbert"] = (("loci", "--family", _family, "--n", "4", "--hilbert"), 0)
 CASES["loci-permmatrix4-hilbert-fp"] = ((*FP, "loci", "--family", "permmatrix", "--n", "4", "--hilbert"), 0)
+CASES["refuse-braid10"] = (("braid", "--n", "10"), 2)
+CASES["refuse-loci-kostant8"] = (("loci", "--family", "kostant", "--n", "8"), 2)
+CASES["refuse-enumerate-forms15"] = (("enumerate", "forms15.json"), 2)
+CASES["refuse-circuits-ground15"] = (("circuits", "ground15.json"), 2)
 
 
 def _report(argv, capsys):
@@ -64,6 +70,7 @@ def test_report_matches_golden(name, capsys, monkeypatch):
 
 def _write_all():
     from covg import GroupSpec, automorphism_group_bruteforce, braid_automorphism_generators
+    from covg import COM, AffineForm, Arrangement, GroundSet, SignedVector
     from covg import braid_com, fixture, jsonio
 
     os.chdir(GOLDEN)
@@ -73,6 +80,12 @@ def _write_all():
     group = GroupSpec.from_generators(braid3, braid_automorphism_generators(3))
     jsonio.write_json("braid3-group.json", group.to_json_dict())
     jsonio.write_json("figure1-group.json", automorphism_group_bruteforce(figure1).to_json_dict())
+    # one past the enumerator's form cap and the circuit search's ground cap
+    labels = tuple(f"e{i}" for i in range(15))
+    forms = tuple(AffineForm((1,), -k) for k in range(15))
+    jsonio.write_json("forms15.json", Arrangement(1, labels, forms, ()).to_json_dict())
+    ground15 = COM(GroundSet(labels), [SignedVector((1,) * 15)])
+    jsonio.write_json("ground15.json", ground15.to_json_dict())
 
     import contextlib
     import io
