@@ -20,7 +20,6 @@ from .com import (
     topes,
     verify_automorphism,
 )
-from .config import DEFAULT_LIMITS, Limits
 from .exactla import QQ, Polynomial, PrimeField, elementary_symmetric
 from .harmonics import (
     EmptyLocusError,

@@ -4,8 +4,8 @@ requested computation or verification, and emit a deterministic run report.
 Reports are JSON by default (timing is included only on request so that
 identical inputs give byte-identical output); --format table renders aligned
 text.  Exit status is 0 unless a verification assertion fails or an input is
-rejected.  Covector lists beyond the streaming threshold are written as JSON
-lines: a header object first, then one covector string per line.
+rejected.  Covector lists longer than STREAM_THRESHOLD (10,000) are written
+as JSON lines: a header object first, then one covector string per line.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import time
 
 from . import jsonio
 from .com import COM, check_axioms, coloops, flats_of, topes
-from .config import DEFAULT_LIMITS
 from .equivariant import GroupSpec, graded_character, locus_action, verify_graded_module_structure
 from .exactla import field_from_name
 from .harmonics import (
@@ -45,7 +44,7 @@ from .matroidal import (
 from .realize import Arrangement, braid_com, enumerate_covectors, fixture
 
 
-STREAM_THRESHOLD = 10_000  # default: covector lists longer than this stream as JSON lines
+STREAM_THRESHOLD = 10_000  # covector lists longer than this stream as JSON lines
 
 
 class CliError(Exception):
@@ -81,41 +80,38 @@ def _load_com(path):
 # subcommand handlers: each returns (results, assertions)
 
 
-def cmd_check(args, limits):
+def cmd_check(args):
     M = COM.from_json_dict(jsonio.read_json(args.com), check=False)
     report = check_axioms(M.covectors)
     return report.as_dict(), {"axioms": report.ok}
 
 
-def cmd_enumerate(args, limits):
+def cmd_enumerate(args):
     arr = Arrangement.from_json_dict(jsonio.read_json(args.arrangement))
-    M = enumerate_covectors(arr, limits)
+    M = enumerate_covectors(arr)
     return {"com": M.to_json_dict(), "covector_count": len(M)}, {}
 
 
-def cmd_braid(args, limits):
-    M = braid_com(args.n, limits=limits)
+def cmd_braid(args):
+    M = braid_com(args.n)
     return {"com": M.to_json_dict(), "covector_count": len(M)}, {}
 
 
-def cmd_fixture(args, limits):
+def cmd_fixture(args):
     M = fixture(args.name)
     return {"com": M.to_json_dict(), "covector_count": len(M)}, {}
 
 
-def cmd_circuits(args, limits):
+def cmd_circuits(args):
     M = _load_com(args.com)
-    out = [
-        {"vector": c.vector.to_string(), "symmetric": c.symmetric}
-        for c in circuits(M, limits)
-    ]
+    out = [{"vector": c.vector.to_string(), "symmetric": c.symmetric} for c in circuits(M)]
     return {"circuits": out, "count": len(out)}, {}
 
 
-def cmd_nbc(args, limits):
+def cmd_nbc(args):
     M = _load_com(args.com)
     order = _parse_order(M, args.order)
-    sets = nbc_sets(M, order, limits)
+    sets = nbc_sets(M, order)
     order_labels = (
         list(M.ground.labels) if order is None else [M.ground.labels[i] for i in order]
     )
@@ -126,7 +122,7 @@ def cmd_nbc(args, limits):
     }, {"nbc_count_equals_topes": len(sets) == len(topes(M))}
 
 
-def cmd_flats(args, limits):
+def cmd_flats(args):
     M = _load_com(args.com)
     poset = flats_of(M)
     return {
@@ -136,7 +132,7 @@ def cmd_flats(args, limits):
     }, {}
 
 
-def cmd_basic(args, limits):
+def cmd_basic(args):
     M = _load_com(args.com)
     F = _parse_flat(M, args.flat)
     basics = basic_sets(M, F)
@@ -148,14 +144,14 @@ def cmd_basic(args, limits):
     }, {}
 
 
-def cmd_hilbert(args, limits):
+def cmd_hilbert(args):
     M = _load_com(args.com)
     field = field_from_name(args.field)
     if args.method == "rank":
         locus = tope_locus(M) if args.which == "small" else covector_locus(M)
         series = hilbert_series(locus, field)
     else:
-        pair = hilbert_from_nbc(M, limits=limits)
+        pair = hilbert_from_nbc(M)
         series = pair["tope"] if args.which == "small" else pair["covector"]
     return {
         "which": args.which,
@@ -166,11 +162,11 @@ def cmd_hilbert(args, limits):
     }, {}
 
 
-def cmd_verify(args, limits):
+def cmd_verify(args):
     M = _load_com(args.com)
     field = field_from_name(args.field)
     if args.what == "big-theorem":
-        report = verify_covector_presentation(M, field=field, limits=limits)
+        report = verify_covector_presentation(M, field=field)
         d = report.as_dict()
         return d, {
             "membership": not report.membership_failures,
@@ -180,7 +176,7 @@ def cmd_verify(args, limits):
         }
     if args.what == "small-generators":
         locus = tope_locus(M)
-        gens = tope_ideal_generators(M, limits=limits)
+        gens = tope_ideal_generators(M)
         filt = EvaluationFiltration(locus, field)
         affine_bad = [
             str(g)
@@ -200,9 +196,7 @@ def cmd_verify(args, limits):
             {"affine_vanish": not affine_bad, "graded_membership": not graded_bad},
         )
     if args.what == "two-values":
-        reports = [
-            check_two_values(M, F, X, J, limits) for F, X, J in mixing_subsets(M, limits)
-        ]
+        reports = [check_two_values(M, F, X, J) for F, X, J in mixing_subsets(M)]
         failures = [rep.as_dict() for rep in reports if not rep.ok]
         return {"checked": len(reports), "failures": failures}, {"two_values": not failures}
     if args.what == "tope-count":
@@ -211,13 +205,13 @@ def cmd_verify(args, limits):
     raise CliError(f"unknown verification {args.what!r}")
 
 
-def cmd_loci(args, limits):
+def cmd_loci(args):
     makers = {
         "kostant": kostant_locus,
         "permutohedral": permutohedral_locus,
         "permmatrix": permmatrix_locus,
     }
-    locus = makers[args.family](args.n, limits)
+    locus = makers[args.family](args.n)
     results = {
         "family": args.family,
         "n": args.n,
@@ -233,13 +227,13 @@ def cmd_loci(args, limits):
     return results, {}
 
 
-def cmd_character(args, limits):
+def cmd_character(args):
     M = _load_com(args.com)
     field = field_from_name(args.field)
-    group = GroupSpec.from_json_dict(M, jsonio.read_json(args.group), limits)
+    group = GroupSpec.from_json_dict(M, jsonio.read_json(args.group))
     locus = covector_locus(M)
     if args.verify_decomposition:
-        rep = verify_graded_module_structure(M, group, field=field, limits=limits)
+        rep = verify_graded_module_structure(M, group, field=field)
         ch = rep.lhs
     else:
         ch = graded_character(locus, group, field)
@@ -311,6 +305,11 @@ def _render_scalar(v):
     return str(v)
 
 
+def _inputs(args):
+    """The input files a command read, in report order: COM, arrangement, group."""
+    return [getattr(args, name) for name in ("com", "arrangement", "group") if hasattr(args, name)]
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="covg",
@@ -324,53 +323,47 @@ def build_parser():
         help="coefficient field of the row spaces: rational (default) or fp:<prime>",
     )
     parser.add_argument("--timing", action="store_true", help="include wall time in the report")
-    parser.add_argument(
-        "--stream-threshold",
-        type=int,
-        default=STREAM_THRESHOLD,
-        help="covector lists longer than this stream as JSON lines",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="axiom check for a covector family")
     p.add_argument("com")
-    p.set_defaults(handler=cmd_check, inputs=lambda a: [a.com])
+    p.set_defaults(handler=cmd_check)
 
     p = sub.add_parser("enumerate", help="sign vectors of an arrangement meeting a region")
     p.add_argument("arrangement")
-    p.set_defaults(handler=cmd_enumerate, inputs=lambda a: [a.arrangement])
+    p.set_defaults(handler=cmd_enumerate)
 
     p = sub.add_parser("braid", help="the braid COM on pairs from 1..n")
     p.add_argument("--n", type=int, required=True)
-    p.set_defaults(handler=cmd_braid, inputs=lambda a: [])
+    p.set_defaults(handler=cmd_braid)
 
     p = sub.add_parser("fixture", help="a shipped example COM")
     p.add_argument("--name", required=True)
-    p.set_defaults(handler=cmd_fixture, inputs=lambda a: [])
+    p.set_defaults(handler=cmd_fixture)
 
     p = sub.add_parser("circuits", help="circuits with symmetry flags")
     p.add_argument("com")
-    p.set_defaults(handler=cmd_circuits, inputs=lambda a: [a.com])
+    p.set_defaults(handler=cmd_circuits)
 
     p = sub.add_parser("nbc", help="no-broken-circuit sets")
     p.add_argument("com")
     p.add_argument("--order", default=None, help="comma-separated ground labels")
-    p.set_defaults(handler=cmd_nbc, inputs=lambda a: [a.com])
+    p.set_defaults(handler=cmd_nbc)
 
     p = sub.add_parser("flats", help="the flat poset")
     p.add_argument("com")
-    p.set_defaults(handler=cmd_flats, inputs=lambda a: [a.com])
+    p.set_defaults(handler=cmd_flats)
 
     p = sub.add_parser("basic", help="basic sets of a flat")
     p.add_argument("com")
     p.add_argument("--flat", required=True, help="comma-separated labels; 'empty' for the empty flat")
-    p.set_defaults(handler=cmd_basic, inputs=lambda a: [a.com])
+    p.set_defaults(handler=cmd_basic)
 
     p = sub.add_parser("hilbert", help="graded dimension counts of a locus ring")
     p.add_argument("com")
     p.add_argument("--which", choices=("small", "big"), required=True)
     p.add_argument("--method", choices=("rank", "nbc"), default="rank")
-    p.set_defaults(handler=cmd_hilbert, inputs=lambda a: [a.com])
+    p.set_defaults(handler=cmd_hilbert)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("com")
@@ -379,19 +372,19 @@ def build_parser():
         choices=("big-theorem", "small-generators", "two-values", "tope-count"),
         required=True,
     )
-    p.set_defaults(handler=cmd_verify, inputs=lambda a: [a.com])
+    p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("loci", help="permutation loci and their Hilbert series")
     p.add_argument("--family", choices=("kostant", "permutohedral", "permmatrix"), required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--hilbert", action="store_true")
-    p.set_defaults(handler=cmd_loci, inputs=lambda a: [])
+    p.set_defaults(handler=cmd_loci)
 
     p = sub.add_parser("character", help="graded character of a group on the covector locus")
     p.add_argument("com")
     p.add_argument("--group", required=True)
     p.add_argument("--verify-decomposition", action="store_true")
-    p.set_defaults(handler=cmd_character, inputs=lambda a: [a.com, a.group])
+    p.set_defaults(handler=cmd_character)
 
     return parser
 
@@ -401,7 +394,7 @@ def run(argv):
     args = parser.parse_args(argv)
     started = time.monotonic()
     try:
-        results, assertions = args.handler(args, DEFAULT_LIMITS)
+        results, assertions = args.handler(args)
     except Exception as exc:  # surfaced as a structured error report
         report = {
             "command": args.command,
@@ -413,7 +406,7 @@ def run(argv):
         "command": args.command,
         "inputs": {
             path: {"path": path, "sha256": jsonio.sha256_file(path)}
-            for path in args.inputs(args)
+            for path in _inputs(args)
         },
         "results": results,
         "assertions": assertions,
@@ -426,7 +419,7 @@ def run(argv):
     if (
         args.format == "json"
         and com_block
-        and len(com_block.get("covectors", ())) > args.stream_threshold
+        and len(com_block.get("covectors", ())) > STREAM_THRESHOLD
     ):
         stream_covectors = com_block["covectors"]
         com_block["covectors"] = f"streamed:{len(stream_covectors)}"

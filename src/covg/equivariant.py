@@ -13,7 +13,6 @@ from fractions import Fraction
 from itertools import permutations, product
 
 from .com import COM, SignedPermutation, SignedVector, act, contract, flats_of, verify_automorphism
-from .config import DEFAULT_LIMITS
 from .exactla import QQ, rational
 from .harmonics import EvaluationFiltration, covector_locus, tope_locus
 from .matroidal import codim
@@ -25,6 +24,9 @@ class EquivariantError(Exception):
 
 def _element_key(w):
     return (w.perm, w.signs)
+
+
+MAX_GROUP_ORDER = 100_000  # elements a generated group may close to
 
 
 @dataclass(frozen=True)
@@ -73,7 +75,7 @@ class GroupSpec:
         object.__setattr__(self, "class_index", index)
 
     @classmethod
-    def from_generators(cls, com, generators, limits=DEFAULT_LIMITS):
+    def from_generators(cls, com, generators):
         n = com.ground.size
         gens = tuple(generators) or (SignedPermutation.identity(n),)
         for g in gens:
@@ -96,9 +98,9 @@ class GroupSpec:
                     if u not in seen:
                         seen.add(u)
                         nxt.append(u)
-                        if len(seen) > limits.max_group_order:
+                        if len(seen) > MAX_GROUP_ORDER:
                             raise EquivariantError(
-                                f"group closure exceeded {limits.max_group_order} elements"
+                                f"group closure exceeded {MAX_GROUP_ORDER} elements"
                             )
             frontier = nxt
         elements = tuple(sorted(seen, key=_element_key))
@@ -141,13 +143,13 @@ class GroupSpec:
         }
 
     @classmethod
-    def from_json_dict(cls, com, data, limits=DEFAULT_LIMITS):
+    def from_json_dict(cls, com, data):
         gens = []
         for g in data["generators"]:
             perm = tuple(com.ground.index(l) for l in g["perm"])
             signs = tuple(map(rational, g["signs"]))
             gens.append(SignedPermutation(perm, signs))
-        return cls.from_generators(com, gens, limits)
+        return cls.from_generators(com, gens)
 
 
 def locus_action(locus, w):
@@ -326,7 +328,7 @@ def restricted_permutation(w, flat, n):
     return SignedPermutation(perm, signs)
 
 
-def verify_graded_module_structure(M, group, field=QQ, limits=DEFAULT_LIMITS):
+def verify_graded_module_structure(M, group, field=QQ):
     """Match the graded character of the covector locus against the sum over
     flat orbits of induced, degree-shifted tope characters of contractions.
 
@@ -372,7 +374,7 @@ def verify_graded_module_structure(M, group, field=QQ, limits=DEFAULT_LIMITS):
     return DecompositionReport(reps, big, rhs, mismatches)
 
 
-def automorphism_group_bruteforce(M, limits=DEFAULT_LIMITS):
+def automorphism_group_bruteforce(M):
     """All signed permutations preserving the covector set; test utility only.
 
     Cost is n! 2^n automorphism checks, so the ground set is capped at 6.
@@ -386,4 +388,4 @@ def automorphism_group_bruteforce(M, limits=DEFAULT_LIMITS):
             w = SignedPermutation(perm, signs)
             if verify_automorphism(M, w):
                 found.append(w)
-    return GroupSpec.from_generators(M, tuple(found), limits)
+    return GroupSpec.from_generators(M, tuple(found))

@@ -48,7 +48,6 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 
 from .com import contract, flats_of, topes
-from .config import DEFAULT_LIMITS
 from .exactla import QQ, Polynomial, elementary_symmetric, rational
 from .matroidal import (
     basic_sets,
@@ -418,7 +417,7 @@ def _y_power(vars, index_of, i, sign):
     return _mono(vars, [(yp if sign == 1 else ym, 1)])
 
 
-def tope_ideal_generators(M, limits=DEFAULT_LIMITS):
+def tope_ideal_generators(M):
     """Generators of the vanishing ideal of the tope locus and its graded ideal.
 
     Affine list: y_i+ y_i-, y_i+ + y_i- - 1, and one squarefree monomial per
@@ -429,7 +428,7 @@ def tope_ideal_generators(M, limits=DEFAULT_LIMITS):
     """
     vars = small_variables(M.ground)
     n = M.ground.size
-    circs = circuits(M, limits)
+    circs = circuits(M)
     affine, graded = [], []
     one = Polynomial.one(vars)
     for i in range(n):
@@ -498,7 +497,7 @@ def symmetric_circuit_generator(M, F, circuit_vector, J, basic_set=None):
     return _z_monomial(vars, B) * elementary_symmetric(len(supp) - 1, tilde)
 
 
-def covector_ideal_generators(M, limits=DEFAULT_LIMITS):
+def covector_ideal_generators(M):
     """Generators presenting the graded function ring of the covector locus.
 
     On top of the z-variable relations: per-element quadratics and the sums
@@ -525,7 +524,7 @@ def covector_ideal_generators(M, limits=DEFAULT_LIMITS):
             yp, ym, _ = _indices_big(i)
             gens.append(zB * _mono(vars, [(yp, 1)]))
             gens.append(zB * _mono(vars, [(ym, 1)]))
-        circs = circuits(contract(M, F), limits)
+        circs = circuits(contract(M, F))
         for c in circs:
             pairs = []
             for i in sorted(c.vector.support()):
@@ -551,7 +550,7 @@ class NbcBases:
     covector_strata: dict  # flat -> list of monomials contributed by that flat
 
 
-def nbc_basis(M, limits=DEFAULT_LIMITS):
+def nbc_basis(M):
     """Monomial bases indexed by NBC sets.
 
     Tope side: one squarefree y+ monomial per NBC set.  Covector side: per
@@ -563,7 +562,7 @@ def nbc_basis(M, limits=DEFAULT_LIMITS):
     big_vars = big_variables(M.ground)
     tope_monos = [
         _mono(small_vars, [(_y_indices_small(i)[0], 1) for i in sorted(N)])
-        for N in nbc_sets(M, limits=limits)
+        for N in nbc_sets(M)
     ]
     strata = {}
     cov_monos = []
@@ -572,7 +571,7 @@ def nbc_basis(M, limits=DEFAULT_LIMITS):
         keep = [i for i in range(n) if i not in F]
         flat_monos = [
             zB * _mono(big_vars, [(_indices_big(keep[i])[0], 1) for i in sorted(N)])
-            for N in nbc_sets(contract(M, F), limits=limits)
+            for N in nbc_sets(contract(M, F))
         ]
         strata[F] = flat_monos
         cov_monos.extend(flat_monos)
@@ -600,11 +599,11 @@ def _degree_series(monomials):
     return HilbertSeries.from_degree_counts(m.degree() for m in monomials)
 
 
-def hilbert_from_nbc(M, limits=DEFAULT_LIMITS):
+def hilbert_from_nbc(M):
     """Hilbert series from NBC counting alone: the degree counts of the NBC
     bases, so the covector side is the codim-shifted sum of the NBC-size
     counts of the contractions."""
-    bases = nbc_basis(M, limits)
+    bases = nbc_basis(M)
     return {"tope": _degree_series(bases.tope), "covector": _degree_series(bases.covector)}
 
 
@@ -658,7 +657,7 @@ class PresentationReport:
 _J_SWEEP_MAX_SUPPORT = 5  # the J-sweep covers symmetric circuits with at most this many elements
 
 
-def verify_covector_presentation(M, field=QQ, limits=DEFAULT_LIMITS):
+def verify_covector_presentation(M, field=QQ):
     """Check the covector-locus presentation end to end.
 
     (a) every z-relation and covector-ideal generator is a graded member,
@@ -670,15 +669,15 @@ def verify_covector_presentation(M, field=QQ, limits=DEFAULT_LIMITS):
     """
     locus = covector_locus(M)
     filt = EvaluationFiltration(locus, field)
-    gens = covector_ideal_generators(M, limits)
+    gens = covector_ideal_generators(M)
     failures = [str(g) for g in gens if not gr_membership(locus, g, field, filt)]
-    bases = nbc_basis(M, limits)
+    bases = nbc_basis(M)
     basis_ok = verify_basis(locus, bases.covector, field, filt)
     h_rank = filt.hilbert()
     h_nbc = _degree_series(bases.covector)
     j_checked = 0
     j_failures = []
-    for F, X, J in mixing_subsets(M, limits, _J_SWEEP_MAX_SUPPORT):
+    for F, X, J in mixing_subsets(M, _J_SWEEP_MAX_SUPPORT):
         g = symmetric_circuit_generator(M, F, X, J)
         j_checked += 1
         if not gr_membership(locus, g, field, filt):
@@ -692,16 +691,19 @@ def verify_covector_presentation(M, field=QQ, limits=DEFAULT_LIMITS):
 # permutation loci
 
 
-def _check_locus_n(n, limits):
+MAX_LOCUS_N = 7  # permutation loci stop at n! = 5040 points
+
+
+def _check_locus_n(n):
     if n < 1:
         raise HarmonicsError("permutation loci need n >= 1")
-    if n > limits.max_locus_n:
-        raise HarmonicsError(f"permutation loci capped at n = {limits.max_locus_n}")
+    if n > MAX_LOCUS_N:
+        raise HarmonicsError(f"permutation loci capped at n = {MAX_LOCUS_N}")
 
 
-def kostant_locus(n, limits=DEFAULT_LIMITS):
+def kostant_locus(n):
     """Permutations embedded by one-line notation in n-space."""
-    _check_locus_n(n, limits)
+    _check_locus_n(n)
     variables = tuple(f"x{i}" for i in range(1, n + 1))
     labels, points = [], []
     for w in permutations(range(1, n + 1)):
@@ -717,13 +719,13 @@ def proper_nonempty_subsets(n):
     return subsets
 
 
-def permutohedral_locus(n, limits=DEFAULT_LIMITS):
+def permutohedral_locus(n):
     """Permutations embedded by descent-free prefix drops over proper subsets.
 
     The coordinate at a subset I is w(j) - w(j+1) when I is the set of the
     first j letters of w, and 0 otherwise.
     """
-    _check_locus_n(n, limits)
+    _check_locus_n(n)
     subsets = proper_nonempty_subsets(n)
     variables = tuple("x" + "".join(map(str, s)) for s in subsets)
     index = {s: k for k, s in enumerate(subsets)}
@@ -738,9 +740,9 @@ def permutohedral_locus(n, limits=DEFAULT_LIMITS):
     return PointLocus(variables, tuple(labels), tuple(points), "permutation", True)
 
 
-def permmatrix_locus(n, limits=DEFAULT_LIMITS):
+def permmatrix_locus(n):
     """Permutations embedded as flattened permutation matrices."""
-    _check_locus_n(n, limits)
+    _check_locus_n(n)
     variables = tuple(f"m{i}{j}" for i in range(1, n + 1) for j in range(1, n + 1))
     labels, points = [], []
     for w in permutations(range(1, n + 1)):

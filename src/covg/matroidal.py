@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .com import COMError, SignedVector, contract, flats_of, topes
-from .config import DEFAULT_LIMITS
 
 
 class MatroidalError(COMError):
@@ -76,11 +75,16 @@ class Circuit:
     symmetric: bool
 
 
+MAX_CIRCUIT_GROUND = 14  # ground-set size for 3^n circuit search
+
+
 @lru_cache(maxsize=256)
-def _circuits_cached(M, cap):
+def _circuits_cached(M):
     n = M.ground.size
-    if n > cap:
-        raise MatroidalError(f"circuit search capped at {cap} ground elements, got {n}")
+    if n > MAX_CIRCUIT_GROUND:
+        raise MatroidalError(
+            f"circuit search capped at {MAX_CIRCUIT_GROUND} ground elements, got {n}"
+        )
     realized = _realized_patterns(M)
     masks2 = [3 << (2 * i) for i in range(n)]
     found = set()
@@ -104,12 +108,12 @@ def _circuits_cached(M, cap):
     return tuple(circuits)
 
 
-def circuits(M, limits=DEFAULT_LIMITS):
+def circuits(M):
     """All circuits of M, each flagged symmetric when its negative is one too."""
-    return _circuits_cached(M, limits.max_circuit_ground)
+    return _circuits_cached(M)
 
 
-def nbc_sets(M, order=None, limits=DEFAULT_LIMITS):
+def nbc_sets(M, order=None):
     """No-broken-circuit subsets of the ground set for a fixed total order.
 
     A subset is excluded when it contains the full support of any circuit, or
@@ -121,7 +125,7 @@ def nbc_sets(M, order=None, limits=DEFAULT_LIMITS):
         raise MatroidalError("order must be a permutation of the ground indices")
     position = {e: k for k, e in enumerate(order)}
     forbidden = []
-    for c in circuits(M, limits):
+    for c in circuits(M):
         supp = c.vector.support()
         mask = 0
         for i in supp:
@@ -281,12 +285,12 @@ class TwoValuesReport:
         }
 
 
-def mixing_subsets(M, limits=DEFAULT_LIMITS, max_support=None):
+def mixing_subsets(M, max_support=None):
     """Yield (F, X, J): each flat F, each symmetric circuit X of the contraction
     at F with at most max_support elements (no cap when None), and each
     nonempty proper subset J of the support of X."""
     for F in flats_of(M):
-        for c in circuits(contract(M, F), limits):
+        for c in circuits(contract(M, F)):
             supp = sorted(c.vector.support())
             if not c.symmetric or (max_support is not None and len(supp) > max_support):
                 continue
@@ -294,7 +298,7 @@ def mixing_subsets(M, limits=DEFAULT_LIMITS, max_support=None):
                 yield F, c.vector, frozenset(supp[i] for i in range(len(supp)) if sub >> i & 1)
 
 
-def check_two_values(M, F, circuit_vector, J, limits=DEFAULT_LIMITS):
+def check_two_values(M, F, circuit_vector, J):
     """Shifted sign indicators take both values 0 and 1 on every covector.
 
     For a symmetric circuit X of the contraction at F and a proper nonempty
@@ -305,7 +309,7 @@ def check_two_values(M, F, circuit_vector, J, limits=DEFAULT_LIMITS):
     F = frozenset(F)
     MF = contract(M, F)
     X = circuit_vector
-    sym = {c.vector for c in circuits(MF, limits) if c.symmetric}
+    sym = {c.vector for c in circuits(MF) if c.symmetric}
     if X not in sym:
         raise MatroidalError(f"{X.to_string()} is not a symmetric circuit of the contraction")
     J = frozenset(J)

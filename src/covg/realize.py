@@ -24,7 +24,6 @@ from importlib import resources
 from itertools import product
 
 from .com import COM, GroundSet, SignedPermutation, SignedVector
-from .config import DEFAULT_LIMITS
 from .exactla import rational
 
 
@@ -273,7 +272,10 @@ def _certified(witness, strict, eqs):
     raise RealizeError("a propagated witness misses its cell")
 
 
-def enumerate_covectors(arr, limits=DEFAULT_LIMITS):
+MAX_FORMS = 14  # hyperplanes accepted by the sign-vector enumerator
+
+
+def enumerate_covectors(arr):
     """All sign vectors of the arrangement whose open cell meets the region.
 
     Depth-first over sign prefixes; an infeasible prefix prunes its whole
@@ -298,8 +300,8 @@ def enumerate_covectors(arr, limits=DEFAULT_LIMITS):
     result is not checked against the axioms.
     """
     m = len(arr.forms)
-    if m > limits.max_forms:
-        raise RealizeError(f"enumeration capped at {limits.max_forms} forms, got {m}")
+    if m > MAX_FORMS:
+        raise RealizeError(f"enumeration capped at {MAX_FORMS} forms, got {m}")
     region = list(arr.region)
     root = lp_strict_feasible(region, [], arr.dimension)
     if not root.feasible:
@@ -401,7 +403,10 @@ def braid_covector(n, blocks):
     return SignedVector(signs)
 
 
-def braid_com(n, limits=DEFAULT_LIMITS):
+MAX_BRAID_N = 9  # single-digit pair labels
+
+
+def braid_com(n):
     """The COM of the arrangement x_i = x_j; covectors are ordered set partitions.
 
     The family is the face set of a real arrangement, a COM by construction,
@@ -409,8 +414,8 @@ def braid_com(n, limits=DEFAULT_LIMITS):
     """
     if n < 1:
         raise RealizeError("braid family needs n >= 1")
-    if n > limits.max_braid_n:
-        raise RealizeError(f"braid family capped at n = {limits.max_braid_n}")
+    if n > MAX_BRAID_N:
+        raise RealizeError(f"braid family capped at n = {MAX_BRAID_N}")
     covectors = [braid_covector(n, blocks) for blocks in ordered_set_partitions(n)]
     return COM(GroundSet(braid_labels(n)), covectors)
 

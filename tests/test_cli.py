@@ -326,8 +326,11 @@ def test_table_format(capsys, fig1_path):
     assert "flats" in out and "{" not in out.splitlines()[0]
 
 
-def test_streaming_threshold(capsys):
-    code, out = invoke(capsys, "--stream-threshold", "5", "braid", "--n", "3")
+def test_streaming_threshold(capsys, monkeypatch):
+    import covg.cli
+
+    monkeypatch.setattr(covg.cli, "STREAM_THRESHOLD", 5)
+    code, out = invoke(capsys, "braid", "--n", "3")
     assert code == 0
     lines = out.strip().split("\n")
     header = json.loads(lines[0])
@@ -345,7 +348,7 @@ def test_error_report(capsys, tmp_path):
 
 
 def test_removed_seed_and_threads_flags_are_rejected(capsys, fig1_path):
-    for flag in ("--seed", "--threads"):
+    for flag in ("--seed", "--threads", "--stream-threshold"):
         with pytest.raises(SystemExit) as exc:
             run([flag, "2", "flats", fig1_path])
         assert exc.value.code == 2

@@ -85,6 +85,14 @@ def test_group_checks_each_generator_once_before_closure(braid4, figure1, monkey
     assert products == []  # refused before the closure multiplied anything
 
 
+def test_group_order_cap(braid3, monkeypatch):
+    import covg.equivariant
+
+    monkeypatch.setattr(covg.equivariant, "MAX_GROUP_ORDER", 5)
+    with pytest.raises(EquivariantError, match="group closure exceeded 5 elements"):
+        GroupSpec.from_generators(braid3, braid_automorphism_generators(3))
+
+
 def test_locus_action_identity(braid3):
     locus = covector_locus(braid3)
     ident = SignedPermutation.identity(3)

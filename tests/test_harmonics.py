@@ -721,7 +721,7 @@ def test_char_zero_enforced_for_one_line_loci():
 
 
 def test_locus_cap():
-    with pytest.raises(HarmonicsError):
+    with pytest.raises(HarmonicsError, match="permutation loci capped at n = 7"):
         kostant_locus(8)
 
 

@@ -181,7 +181,7 @@ def test_enumerate_empty_region():
 def test_enumerate_form_cap():
     forms = tuple(form((1,), k) for k in range(15))
     arr = Arrangement(1, tuple(map(str, range(15))), forms, ())
-    with pytest.raises(RealizeError):
+    with pytest.raises(RealizeError, match="enumeration capped at 14 forms, got 15"):
         enumerate_covectors(arr)
 
 
@@ -354,9 +354,9 @@ def test_braid_covector_convention():
 
 
 def test_braid_validation_bounds():
-    with pytest.raises(RealizeError):
+    with pytest.raises(RealizeError, match="braid family needs n >= 1"):
         braid_com(0)
-    with pytest.raises(RealizeError):
+    with pytest.raises(RealizeError, match="braid family capped at n = 9"):
         braid_com(10)
 
 
