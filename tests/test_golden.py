@@ -8,7 +8,9 @@ basis, the `loci --hilbert` reports before the span engine offered only
 the order-ideal border as candidates, and the F_p `verify` and `character`
 reports before the F_p row space kept its rows as an echelon prefix, and the
 `refuse-*` error reports (exit 2, one per resource cap the CLI can reach)
-before the caps became module constants; every later change must reproduce
+before the caps became module constants, and the `check-*` reports (one
+pass, one face-symmetry witness, one strong-elimination witness) before the
+axiom check left numpy; every later change must reproduce
 them exactly.  Inputs live next to them and are passed by relative
 path, so each report's `inputs` block is stable.  To rewrite the reports
 after an intended change of output, run from the repository root:
@@ -52,6 +54,9 @@ CASES["refuse-braid10"] = (("braid", "--n", "10"), 2)
 CASES["refuse-loci-kostant8"] = (("loci", "--family", "kostant", "--n", "8"), 2)
 CASES["refuse-enumerate-forms15"] = (("enumerate", "forms15.json"), 2)
 CASES["refuse-circuits-ground15"] = (("circuits", "ground15.json"), 2)
+CASES["check-braid3"] = (("check", "braid3.json"), 0)
+CASES["check-figure1-face-symmetry"] = (("check", "figure1-no-face-symmetry.json"), 1)
+CASES["check-figure1-elimination"] = (("check", "figure1-no-elimination.json"), 1)
 
 
 def _report(argv, capsys):
@@ -86,6 +91,10 @@ def _write_all():
     jsonio.write_json("forms15.json", Arrangement(1, labels, forms, ()).to_json_dict())
     ground15 = COM(GroundSet(labels), [SignedVector((1,) * 15)])
     jsonio.write_json("ground15.json", ground15.to_json_dict())
+    # figure1 less one covector: -+-+ breaks face symmetry, 000+ only strong elimination
+    for name, dropped in (("face-symmetry", "-+-+"), ("elimination", "000+")):
+        kept = [v for v in figure1.covectors if v.to_string() != dropped]
+        jsonio.write_json(f"figure1-no-{name}.json", COM(figure1.ground, kept).to_json_dict())
 
     import contextlib
     import io
