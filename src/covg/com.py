@@ -7,12 +7,13 @@ symmetry and strong elimination.  Sign values are the ints +1, -1, 0, and
 the canonical order on covectors is lexicographic on the per-element codes
 0 -> 0, + -> 1, - -> 2.
 
-check_axioms, the trust boundary for families from outside, packs each
-covector into a plus mask and a minus mask (bit i for element i, in uint16,
-uint32 or uint64 words by the ground-set size), so both axiom scans are
-integer word operations: braid5 validates in well under a second.  numpy is
-imported where the packing and the scans run, so COMs that are built but not
-checked never load it.
+check_axioms, the trust boundary for families from outside, turns each
+covector into a plus mask and a minus mask (bit i for element i) held in a
+Python int, and imports no numpy.  Face symmetry is tested once per zero
+set; strong elimination is decided on pairs of covectors with the same
+support, which given face symmetry is exact (see check_axioms), with
+memoised bitset queries over covector indices.  braid5 checks in about
+0.04 s and braid6 in about 1.5 s.
 """
 
 from __future__ import annotations
@@ -159,75 +160,113 @@ class AxiomReport:
         }
 
 
-_PAIR_CHUNK_ENTRIES = 1 << 22  # both axiom scans: (X, Y) pairs per chunk, one word each
+def _key(v):
+    """v's plus mask (bits 0..n-1) and minus mask (bits n..2n-1) as one int."""
+    n, key = len(v), 0
+    for i, s in enumerate(v.signs):
+        if s:
+            key |= 1 << (i if s > 0 else n + i)
+    return key
 
 
-def _pack(vectors, n):
-    """The plus, minus and zero masks of each vector, bit i for element i.
+def _first_face_symmetry_miss(keys, n):
+    """First (X, Y) index pair, X first, with X o -Y outside the family.
 
-    The word is the narrowest unsigned type holding n bits: uint16, uint32 or
-    uint64.  Narrow words keep the cubic scans in fewer bytes.
+    X o -Y depends on Y only through -Y restricted to the zero set of X, so
+    the restrictions are built once per zero set (once per flat) and each X
+    is tested against those; Y is scanned only at the first X that fails.
     """
-    import numpy as np
-
-    dtype = np.uint16 if n <= 16 else np.uint32 if n <= 32 else np.uint64
-    signs = np.array([v.signs for v in vectors], dtype=np.int8).reshape(len(vectors), n)
-    bits = np.left_shift(dtype(1), np.arange(n, dtype=dtype))
-    P = np.bitwise_or.reduce(np.where(signs > 0, bits, dtype(0)), axis=1)
-    N = np.bitwise_or.reduce(np.where(signs < 0, bits, dtype(0)), axis=1)
-    return P, N, ~(P | N) & dtype((1 << n) - 1)
-
-
-def _face_symmetry_witness(P, N, Z, n):
-    """First (X, Y) index pair, X first, with X o -Y outside the family."""
-    import numpy as np
-
-    # exact uint64 keys: the first index of P among the sorted plus masks
-    # (below m < 2^(64-n)) above the n bits of N
-    m = P.size
-    plus = np.sort(P)
-    shift = np.uint64(n)
-    keys = np.sort(np.searchsorted(plus, P).astype(np.uint64) << shift | N)
-    block = max(1, _PAIR_CHUNK_ENTRIES // m)
-    for start in range(0, m, block):
-        x = slice(start, start + block)
-        zx = Z[x, None]
-        qP, qN = P[x, None] | N & zx, N[x, None] | P & zx
-        rank = np.minimum(np.searchsorted(plus, qP), m - 1)
-        key = rank.astype(np.uint64) << shift | qN
-        at = np.minimum(np.searchsorted(keys, key), m - 1)
-        missing = (plus[rank] != qP) | (keys[at] != key)
-        if missing.any():
-            a, b = np.argwhere(missing)[0]
-            return start + a, b
+    family, full = set(keys), (1 << n) - 1
+    negated = [(k >> n | k << n) & (full | full << n) for k in keys]
+    restrictions = {}
+    for a, kx in enumerate(keys):
+        z = full & ~(kx | kx >> n)
+        zz = z | z << n
+        if z not in restrictions:
+            restrictions[z] = {g & zz for g in negated}
+        if any(kx | r not in family for r in restrictions[z]):
+            return a, next(b for b, g in enumerate(negated) if kx | g & zz not in family)
     return None
 
 
-def _strong_elimination_witness(P, N, Z):
+class _Cover(dict):
+    """cover[S << 2n | w off S]: the elements e of S at which some covector
+    is zero and agrees with the key w off S, computed on first lookup.
+
+    The covectors that agree with w off S are an AND of bitsets over
+    covector indices, one bitset per element and sign.
+    """
+
+    def __init__(self, keys, n):
+        self.n, self.everything = n, (1 << len(keys)) - 1
+        # key bit (f for + at f, n + f for - at f) -> indices of the covectors with it
+        self.signed = {1 << b: 0 for b in range(2 * n)}
+        self.zero = {1 << f: 0 for f in range(n)}  # element bit -> indices of covectors 0 there
+        for k, key in enumerate(keys):
+            for f in range(n):
+                low = 1 << f
+                if key & (low | low << n):
+                    self.signed[key & (low | low << n)] |= 1 << k
+                else:
+                    self.zero[low] |= 1 << k
+
+    def __missing__(self, query):
+        n, signed, zero = self.n, self.signed, self.zero
+        full = (1 << n) - 1
+        S, w = query >> 2 * n, query & ((1 << 2 * n) - 1)
+        agree, rest = self.everything, w
+        while rest:
+            low = rest & -rest
+            agree &= signed[low]
+            rest ^= low
+        rest = full & ~(S | w | w >> n)
+        while rest:
+            low = rest & -rest
+            agree &= zero[low]
+            rest ^= low
+        covered, rest = 0, S
+        while rest:
+            low = rest & -rest
+            if agree & zero[low]:
+                covered |= low
+            rest ^= low
+        self[query] = covered
+        return covered
+
+
+def _support_classes_eliminate(keys, n, cover):
+    """Strong elimination on the pairs of covectors with the same support.
+
+    Given face symmetry this decides strong elimination for all pairs: see
+    check_axioms.
+    """
+    full, shift, classes = (1 << n) - 1, 2 * n, {}
+    for k in keys:
+        classes.setdefault((k | k >> n) & full, []).append(k)
+    for members in classes.values():
+        for i, kw in enumerate(members):
+            for kv in members[i + 1 :]:
+                S = kw & kv >> n | kw >> n & kv
+                if cover[S << shift | kw & ~(S | S << n)] != S:
+                    return False
+    return True
+
+
+def _first_uneliminated(keys, n, cover):
     """First (X, Y, i), Y first, then X, then the lowest i, that no Z eliminates.
 
     Z eliminates i between X and Y when Z(i) = 0 and Z = X o Y off Sep(X, Y).
     """
-    import numpy as np
-
-    m = P.size
-    block = max(1, _PAIR_CHUNK_ENTRIES // m)
-    for b in range(m):
-        sep = (P & N[b]) | (N & P[b])
-        rows = np.flatnonzero(sep)
-        for start in range(0, rows.size, block):
-            r = rows[start : start + block]
-            s, zx = sep[r, None], Z[r, None]
-            # off: where each Z differs from W = X o Y outside the separator
-            off = P ^ (P[r, None] | P[b] & zx)
-            off |= N ^ (N[r, None] | N[b] & zx)
-            off &= ~s
-            cover = np.bitwise_or.reduce(Z * (off == 0), axis=1)
-            bad = s[:, 0] & ~cover
-            hit = np.flatnonzero(bad)
-            if hit.size:
-                word = int(bad[hit[0]])
-                return r[hit[0]], b, (word & -word).bit_length() - 1
+    full = (1 << n) - 1
+    for b, ky in enumerate(keys):
+        for a, kx in enumerate(keys):
+            S = kx & ky >> n | kx >> n & ky
+            if S:
+                z = full & ~(kx | kx >> n)
+                w = kx | ky & (z | z << n)
+                bad = S & ~cover[S << 2 * n | w & ~(S | S << n)]
+                if bad:
+                    return a, b, (bad & -bad).bit_length() - 1
     return None
 
 
@@ -239,13 +278,25 @@ def check_axioms(vectors):
     the first Y, for face symmetry; the first Y, then the first X, then the
     lowest i, for strong elimination.
 
-    Both scans are word operations on packed covectors (see _pack): a plus
-    mask P, a minus mask N and a zero mask Z = ~(P|N).  X o -Y is
-    (P_X | N_Y&Z_X, N_X | P_Y&Z_X), looked up in the family's sorted exact
-    keys, and Sep(X, Y) is (P_X&N_Y) | (N_X&P_Y).  Strong elimination costs
-    O(m^2) words per Y for m covectors: braid5 (541 covectors on 10
-    elements) checks in about 0.3 s on a 2-vCPU x86-64 machine.  No float or
-    BLAS call is made.
+    Each covector is a plus mask P and a minus mask N in one Python int (see
+    _key), with zero set Z = ~(P|N).  X o -Y is (P_X | N_Y&Z_X, N_X | P_Y&Z_X),
+    looked up in the family's set of keys, and Sep(X, Y) is
+    (P_X&N_Y) | (N_X&P_Y).
+
+    Strong elimination is decided on support classes, exactly.  Face
+    symmetry gives composition, X o Y = X o -(X o -Y).  For X, Y with
+    separator S != {}, W = X o Y and V = Y o X are then in the family, have
+    the same support, Sep(W, V) = S and W = V = X o Y off S.  So (W, V) asks
+    for the same eliminations as (X, Y): a Z with Z(e) = 0 for e in S and
+    Z = X o Y off S.  Hence, given face symmetry, strong elimination holds
+    iff it holds on the unordered pairs of covectors with equal support:
+    10,290 pairs on braid5 (541 covectors on 10 elements) against 275,040
+    ordered pairs with a nonempty separator.  Each pair is one memoised
+    query (S, W off S) to _Cover.  Only when face symmetry fails or a
+    support class fails does the canonical scan over all pairs run, with the
+    same queries, to find the first witness.  braid5 checks in about 0.04 s
+    and braid6 (4683 covectors on 15 elements) in about 1.5 s on a 2-vCPU
+    x86-64 machine; no numpy, float or BLAS call is made.
     """
     vectors = set(vectors)
     if not vectors:
@@ -253,14 +304,18 @@ def check_axioms(vectors):
     n = len(next(iter(vectors)))
     if any(len(v) != n for v in vectors):
         raise COMError("covectors must all have the same length")
+    # the two documented limits of the check; the int masks themselves have none
     if n > 39:
         raise COMError("axiom checking supports at most 39 ground elements")
-    if len(vectors) >> (64 - n):  # keeps the face-symmetry keys exact; never hit for n <= 32
+    if len(vectors) >> (64 - n):  # never hit for n <= 32
         raise COMError(f"axiom checking supports fewer than 2^{64 - n} covectors on {n} elements")
     vectors = sorted(vectors, key=SignedVector.sort_key)
-    P, N, Z = _pack(vectors, n)
-    fs = _face_symmetry_witness(P, N, Z, n)
-    se = _strong_elimination_witness(P, N, Z)
+    keys = [_key(v) for v in vectors]
+    fs = _first_face_symmetry_miss(keys, n)
+    cover = _Cover(keys, n)
+    se = None
+    if fs is not None or not _support_classes_eliminate(keys, n, cover):
+        se = _first_uneliminated(keys, n, cover)
     return AxiomReport(
         fs is None,
         None if fs is None else tuple(vectors[k] for k in fs),

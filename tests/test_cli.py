@@ -392,11 +392,14 @@ def _loads_numpy(*argv):
 
 
 def test_rational_commands_do_not_import_numpy(tmp_path, fig1_path):
-    """Work over Q never loads numpy; the prime field and the axiom check do,
-    so the test would fail if numpy were never loaded at all."""
+    """Work over Q never loads numpy, COM files and their axiom check
+    included; the prime field does, so the test would fail if numpy were
+    never loaded at all."""
     arr = tmp_path / "arr.json"
     jsonio.write_json(arr, {"dimension": 1, "forms": {"h": {"coeffs": ["1"], "const": "0"}}, "region": []})
     assert not _loads_numpy("loci", "--family", "kostant", "--n", "3", "--hilbert")
     assert not _loads_numpy("enumerate", str(arr))
     assert _loads_numpy("--field", "fp:1000003", "loci", "--family", "permmatrix", "--n", "3", "--hilbert")
-    assert _loads_numpy("check", fig1_path)
+    assert not _loads_numpy("check", fig1_path)
+    assert not _loads_numpy("circuits", fig1_path)
+    assert not _loads_numpy("hilbert", fig1_path, "--which", "big")

@@ -94,25 +94,19 @@ def test_axioms_face_symmetry_failure():
     assert not report.face_symmetry_ok
 
 
-def test_axioms_chunked_scan_matches(figure1, braid3, monkeypatch):
-    # force the face-symmetry pair scan through many tiny chunks
-    import covg.com as com_mod
-
-    monkeypatch.setattr(com_mod, "_PAIR_CHUNK_ENTRIES", 8)
+def test_axioms_witnesses_on_figure1_mutants(figure1, braid3):
     assert check_axioms(figure1.covectors).ok
     assert check_axioms(braid3.covectors).ok
     report = check_axioms([v for v in figure1.covectors if v.to_string() != "-+-+"])
     assert not report.face_symmetry_ok
     x, y = report.face_symmetry_witness
-    from covg.com import compose
-
     assert compose(x, -y) == sv("-+-+")
-    # the strong-elimination rows go through the same budget
+    # strong elimination alone fails; its witness is the first pair of the
+    # canonical scan, as in the definition
     family = [v for v in figure1.covectors if v.to_string() != "000+"]
-    chunked = check_axioms(family)
-    monkeypatch.undo()
-    assert not chunked.strong_elimination_ok
-    assert chunked.as_dict() == check_axioms(family).as_dict()
+    report = check_axioms(family)
+    assert report.face_symmetry_ok and not report.strong_elimination_ok
+    assert report.as_dict() == _reference_axioms(family)
 
 
 def test_axioms_catch_missing_meeting_point(figure1):
@@ -121,6 +115,25 @@ def test_axioms_catch_missing_meeting_point(figure1):
     family = [v for v in figure1.covectors if v.to_string() != "000+"]
     report = check_axioms(family)
     assert not report.strong_elimination_ok
+
+
+def test_axioms_braid6():
+    assert check_axioms(braid_com(6).covectors).ok
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_axioms_braid_without_zero_covector(n):
+    # face symmetry holds, so the support classes decide strong elimination,
+    # and one of them fails; the witness is checked against the definition
+    family = [v for v in braid_com(n).covectors if any(v.signs)]
+    report = check_axioms(family)
+    assert report.face_symmetry_ok and not report.strong_elimination_ok
+    x, y, i = report.strong_elimination_witness
+    sep = separator(x, y)
+    assert i in sep
+    w = compose(x, y)
+    off = [j for j in range(len(w)) if j not in sep]
+    assert not any(z[i] == 0 and all(z[j] == w[j] for j in off) for z in family)
 
 
 def test_axioms_ground_set_limit():
