@@ -65,6 +65,40 @@ def test_circuit_conditions_hold(corpus):
                 assert any(compose(z, y) == y for y in M.covectors)
 
 
+def _circuits_by_definition(M):
+    """Circuits straight from the definition, over all 3^n sign vectors: X != 0
+    fixes no covector (compose(X, Y) != Y for every Y), while each corank-1
+    subpattern of X fixes some covector; X is symmetric when -X is a circuit."""
+    from itertools import product
+
+    from covg.com import compose
+
+    def fixes_some(x):
+        return any(compose(x, y) == y for y in M.covectors)
+
+    found = set()
+    for signs in product((0, 1, -1), repeat=M.ground.size):
+        x = SignedVector(signs)
+        if not any(signs) or fixes_some(x):
+            continue
+        if all(
+            fixes_some(SignedVector(0 if j == i else s for j, s in enumerate(signs)))
+            for i, s in enumerate(signs)
+            if s
+        ):
+            found.add(x)
+    return {(x.to_string(), -x in found) for x in found}
+
+
+def test_circuit_search_complete(corpus, braid4):
+    """circuits(M) is exactly the set the definition gives, flags included."""
+    coms = list(corpus.values()) + [contract(braid4, F) for F in flat_poset(braid4)]
+    assert len(coms) == len(corpus) + 15
+    for M in coms:
+        expected = _circuits_by_definition(M)
+        assert {(c.vector.to_string(), c.symmetric) for c in circuits(M)} == expected, M
+
+
 def test_condition_one_monotone_under_shrinking(corpus):
     """If a pattern fixes no covector, neither does any extension of it;
     equivalently shrinking a fixing pattern keeps it fixing.  This is the
