@@ -60,3 +60,38 @@ def test_tracer_targets_resolve():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+_COUNTED = '''"""Module docstring: not counted."""
+
+# a comment line: not counted
+X = 1  # code with a trailing comment
+
+
+def f(a,
+      b):
+    """Function docstring,
+    over two lines: not counted."""
+    return """a string
+that is not a docstring"""
+'''
+
+
+def test_code_lines_counts_code_only(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(_COUNTED, encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "code_lines.py"), str(sample)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [f"5 {sample}", "5 total"]
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "code_lines.py")], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    counts = dict(line.split()[::-1] for line in proc.stdout.splitlines())
+    assert {"com.py", "matroidal.py", "total"} <= counts.keys()
+    assert sum(int(c) for name, c in counts.items() if name != "total") == int(counts["total"])
