@@ -7,19 +7,26 @@ symmetry and strong elimination.  Sign values are the ints +1, -1, 0, and
 the canonical order on covectors is lexicographic on the per-element codes
 0 -> 0, + -> 1, - -> 2.
 
-check_axioms, the trust boundary for families from outside, turns each
-covector into a plus mask and a minus mask (bit i for element i) held in a
-Python int, and imports no numpy.  Face symmetry is tested once per zero
-set; strong elimination is decided on pairs of covectors with the same
-support, which given face symmetry is exact (see check_axioms), with
-memoised bitset queries over covector indices.  braid5 checks in about
-0.04 s and braid6 in about 1.5 s.
+Sets of ground elements are masks (bit i for element i; mask_of and bits
+convert), and a signed vector is its sign key: the plus mask in bits
+0..n-1 and the minus mask in bits n..2n-1 of one Python int (key_of and
+vector_of convert).  A COM computes, once, the key and the zero-set mask of
+each covector and the set of those zero-set masks, its flats; topes,
+coloops, flats, contractions and the matroidal searches read these.
+
+check_axioms, the trust boundary for families from outside, works on the
+same keys and imports no numpy.  Face symmetry is tested once per zero set;
+strong elimination is decided on pairs of covectors with the same support,
+which given face symmetry is exact (see check_axioms), with memoised bitset
+queries over covector indices.  braid5 checks in about 0.04 s and braid6 in
+about 1.5 s.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import and_, or_
 
 SIGN_CHARS = {1: "+", -1: "-", 0: "0"}
 CHAR_SIGNS = {"+": 1, "-": -1, "0": 0}
@@ -160,13 +167,28 @@ class AxiomReport:
         }
 
 
-def _key(v):
-    """v's plus mask (bits 0..n-1) and minus mask (bits n..2n-1) as one int."""
+def key_of(v):
+    """v's sign key: plus mask (bits 0..n-1) and minus mask (bits n..2n-1) as one int."""
     n, key = len(v), 0
     for i, s in enumerate(v.signs):
         if s:
             key |= 1 << (i if s > 0 else n + i)
     return key
+
+
+def vector_of(key, n):
+    """The signed vector of length n whose sign key is key."""
+    return SignedVector(1 if key >> i & 1 else -1 if key >> n + i & 1 else 0 for i in range(n))
+
+
+def mask_of(indices):
+    """The mask with bit i set for each ground index i."""
+    return reduce(or_, (1 << i for i in indices), 0)
+
+
+def bits(mask):
+    """The ground indices whose bits are set in mask."""
+    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def _first_face_symmetry_miss(keys, n):
@@ -279,7 +301,7 @@ def check_axioms(vectors):
     lowest i, for strong elimination.
 
     Each covector is a plus mask P and a minus mask N in one Python int (see
-    _key), with zero set Z = ~(P|N).  X o -Y is (P_X | N_Y&Z_X, N_X | P_Y&Z_X),
+    key_of), with zero set Z = ~(P|N).  X o -Y is (P_X | N_Y&Z_X, N_X | P_Y&Z_X),
     looked up in the family's set of keys, and Sep(X, Y) is
     (P_X&N_Y) | (N_X&P_Y).
 
@@ -304,13 +326,8 @@ def check_axioms(vectors):
     n = len(next(iter(vectors)))
     if any(len(v) != n for v in vectors):
         raise COMError("covectors must all have the same length")
-    # the two documented limits of the check; the int masks themselves have none
-    if n > 39:
-        raise COMError("axiom checking supports at most 39 ground elements")
-    if len(vectors) >> (64 - n):  # never hit for n <= 32
-        raise COMError(f"axiom checking supports fewer than 2^{64 - n} covectors on {n} elements")
     vectors = sorted(vectors, key=SignedVector.sort_key)
-    keys = [_key(v) for v in vectors]
+    keys = [key_of(v) for v in vectors]
     fs = _first_face_symmetry_miss(keys, n)
     cover = _Cover(keys, n)
     se = None
@@ -331,9 +348,12 @@ class COM:
     check the axioms.  Families from outside come in through from_json_dict,
     which does; minors, enumerated and generated families are COMs by
     theorem or by construction and are built as they are.
+
+    keys[k] and zero_masks[k] are the sign key and zero-set mask of
+    covectors[k]; flat_masks is the set of zero-set masks.
     """
 
-    __slots__ = ("ground", "covectors", "_set", "_hash")
+    __slots__ = ("ground", "covectors", "keys", "zero_masks", "flat_masks", "_set", "_hash")
 
     def __init__(self, ground, covectors):
         if not isinstance(ground, GroundSet):
@@ -345,6 +365,12 @@ class COM:
             raise COMError("covector length does not match ground-set size")
         object.__setattr__(self, "ground", ground)
         object.__setattr__(self, "covectors", tuple(covectors))
+        full = (1 << ground.size) - 1
+        keys = tuple(key_of(v) for v in covectors)
+        zero_masks = tuple(full & ~(k | k >> ground.size) for k in keys)
+        object.__setattr__(self, "keys", keys)
+        object.__setattr__(self, "zero_masks", zero_masks)
+        object.__setattr__(self, "flat_masks", frozenset(zero_masks))
         object.__setattr__(self, "_set", frozenset(covectors))
         # flats_of, contract and circuits are lru_caches keyed on the COM: hash it once
         object.__setattr__(self, "_hash", hash((ground.labels, self.covectors)))
@@ -392,17 +418,12 @@ class COM:
 
 def topes(M):
     """Covectors with full support (empty when M has a coloop)."""
-    return tuple(v for v in M.covectors if v.is_tope())
+    return tuple(v for v, z in zip(M.covectors, M.zero_masks) if not z)
 
 
 def coloops(M):
     """Elements that are zero in every covector."""
-    out = set(range(M.ground.size))
-    for v in M.covectors:
-        out &= v.zero_set()
-        if not out:
-            break
-    return frozenset(out)
+    return bits(reduce(and_, M.flat_masks))
 
 
 @dataclass(frozen=True)
@@ -426,7 +447,7 @@ class FlatPoset:
 
 
 def flat_poset(M):
-    flats = {v.zero_set() for v in M.covectors}
+    flats = M.flat_masks
     for f in flats:
         for g in flats:
             if f & g not in flats:
@@ -434,7 +455,7 @@ def flat_poset(M):
                     "flat family is not intersection-closed; the covector family "
                     "cannot satisfy the COM axioms"
                 )
-    ordered = tuple(sorted(flats, key=lambda f: (len(f), tuple(sorted(f)))))
+    ordered = tuple(sorted(map(bits, flats), key=lambda f: (len(f), tuple(sorted(f)))))
     poset = FlatPoset(ordered)
     if poset.minimum != coloops(M):
         raise COMError("minimum flat does not equal the coloop set")
@@ -442,10 +463,11 @@ def flat_poset(M):
 
 
 def _require_flat(M, F):
-    F = frozenset(F)
-    if F not in {v.zero_set() for v in M.covectors}:
+    """F's mask, when F is a flat of M."""
+    f = mask_of(F)
+    if f not in M.flat_masks:
         raise COMError(f"{sorted(F)} is not a flat of this COM")
-    return F
+    return f
 
 
 def restrict(M, F):
@@ -453,8 +475,8 @@ def restrict(M, F):
 
     A restriction of a COM is a COM, so the result is not re-checked.
     """
-    F = _require_flat(M, F)
-    keep = [i for i in range(M.ground.size) if i in F]
+    f = _require_flat(M, F)
+    keep = [i for i in range(M.ground.size) if f >> i & 1]
     ground = GroundSet(tuple(M.ground.labels[i] for i in keep))
     return COM(ground, {v.restrict(keep) for v in M.covectors})
 
@@ -470,10 +492,10 @@ def contract(M, F):
 
 @lru_cache(maxsize=256)
 def _contract_cached(M, F):
-    F = _require_flat(M, F)
-    keep = [i for i in range(M.ground.size) if i not in F]
+    f = _require_flat(M, F)
+    keep = [i for i in range(M.ground.size) if not f >> i & 1]
     ground = GroundSet(tuple(M.ground.labels[i] for i in keep))
-    return COM(ground, {v.restrict(keep) for v in M.covectors if F <= v.zero_set()})
+    return COM(ground, {v.restrict(keep) for v, z in zip(M.covectors, M.zero_masks) if z & f == f})
 
 
 @dataclass(frozen=True)

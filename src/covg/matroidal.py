@@ -1,13 +1,20 @@
 """Circuits, no-broken-circuit sets, closure, basic sets, and the counting
 checks that tie them to topes and contractions.
 
-Circuit search packs signed vectors two bits per element (00=0, 01=+, 10=-)
-and enumerates all 3^n sign patterns against the set of patterns realized by
-some covector; a sign pattern is realized when a covector agrees with it on
-its whole support.  Minimality is checked on corank-1 subpatterns only: if a
-pattern is unrealized, so is every superpattern extending it on new elements,
-hence failing condition (1) is monotone under shrinking supports and the
-corank-1 check suffices.  That monotonicity is itself exercised by the tests.
+Everything here reads the sign keys and masks a COM computes once (see
+covg.com): a sign pattern is a sign key, a set of ground elements a mask.
+The circuit search enumerates all 3^n sign patterns against the set of
+patterns realized by some covector; a sign pattern is realized when a
+covector agrees with it on its whole support, so the realized patterns are
+the covector keys cut down to each subset of their support.  Minimality is
+checked on corank-1 subpatterns only: if a pattern is unrealized, so is
+every superpattern extending it on new elements, hence failing condition
+(1) is monotone under shrinking supports and the corank-1 check suffices.
+That monotonicity is itself exercised by the tests.
+
+Closure and basic sets meet flat masks.  The subset scans of basic_sets and
+minimal_nonbasic_sets visit 2^n subsets and refuse more than
+MAX_SUBSET_GROUND elements up front.
 """
 
 from __future__ import annotations
@@ -15,57 +22,29 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .com import COMError, SignedVector, contract, flats_of, topes
+from .com import COMError, SignedVector, bits, contract, flats_of, mask_of, topes, vector_of
 
 
 class MatroidalError(COMError):
     pass
 
 
-def _pack(signs):
-    key = 0
-    for i, s in enumerate(signs):
-        if s == 1:
-            key |= 1 << (2 * i)
-        elif s == -1:
-            key |= 2 << (2 * i)
-    return key
-
-
-def _unpack(key, n):
-    out = []
-    for i in range(n):
-        code = (key >> (2 * i)) & 3
-        out.append(0 if code == 0 else (1 if code == 1 else -1))
-    return SignedVector(out)
-
-
-def _expand_masks(n):
-    # expand2[mask] doubles each bit of mask into a 2-bit field
-    table = [0] * (1 << n)
-    for m in range(1, 1 << n):
-        low = m & -m
-        i = low.bit_length() - 1
-        table[m] = table[m ^ low] | (3 << (2 * i))
-    return table
+def _submasks(mask):
+    """Every submask of mask, from mask itself down to 0."""
+    sub = mask
+    while True:
+        yield sub
+        if not sub:
+            return
+        sub = (sub - 1) & mask
 
 
 def _realized_patterns(M):
-    """All packed sign patterns that some covector extends."""
+    """The sign keys of all patterns that some covector extends."""
     n = M.ground.size
-    expand = _expand_masks(n)
-    seen = set()
-    for v in M.covectors:
-        key = _pack(v.signs)
-        supp = 0
-        for i in v.support():
-            supp |= 1 << i
-        sub = supp
-        while True:
-            seen.add(key & expand[sub])
-            if sub == 0:
-                break
-            sub = (sub - 1) & supp
+    full, seen = (1 << n) - 1, set()
+    for key in M.keys:
+        seen.update(key & (sub | sub << n) for sub in _submasks((key | key >> n) & full))
     return seen
 
 
@@ -86,24 +65,22 @@ def _circuits_cached(M):
             f"circuit search capped at {MAX_CIRCUIT_GROUND} ground elements, got {n}"
         )
     realized = _realized_patterns(M)
-    masks2 = [3 << (2 * i) for i in range(n)]
+    # key bit of + and of - at each element, built once: the loop below runs 3^n times
+    signs = [(1 << i, 1 << n + i) for i in range(n)]
+    both = [plus | minus for plus, minus in signs]
     found = set()
     for supp in range(1, 1 << n):
         positions = [i for i in range(n) if supp >> i & 1]
-        k = len(positions)
-        for choice in range(1 << k):
+        for choice in range(1 << len(positions)):
             key = 0
             for t, i in enumerate(positions):
-                key |= (2 if choice >> t & 1 else 1) << (2 * i)
+                key |= signs[i][choice >> t & 1]
             if key in realized:
                 continue
-            if all((key & ~masks2[i]) in realized for i in positions):
+            if all(key & ~both[i] in realized for i in positions):
                 found.add(key)
-    circuits = []
-    for key in found:
-        v = _unpack(key, n)
-        neg_key = _pack((-v).signs)
-        circuits.append(Circuit(v, neg_key in found))
+    full = (1 << n) - 1
+    circuits = [Circuit(vector_of(key, n), (key >> n | (key & full) << n) in found) for key in found]
     circuits.sort(key=lambda c: c.vector.sort_key())
     return tuple(circuits)
 
@@ -127,58 +104,48 @@ def nbc_sets(M, order=None):
     forbidden = []
     for c in circuits(M):
         supp = c.vector.support()
-        mask = 0
-        for i in supp:
-            mask |= 1 << i
-        forbidden.append(mask)
+        forbidden.append(mask_of(supp))
         if c.symmetric:
-            smallest = min(supp, key=position.get)
-            forbidden.append(mask & ~(1 << smallest))
+            forbidden.append(mask_of(supp - {min(supp, key=position.get)}))
     forbidden = sorted(set(forbidden))
     out = []
     for sub in range(1 << n):
         if all(f & sub != f for f in forbidden):
-            out.append(frozenset(i for i in range(n) if sub >> i & 1))
+            out.append(bits(sub))
     out.sort(key=lambda s: (len(s), tuple(sorted(s))))
     return tuple(out)
 
 
-@lru_cache(maxsize=256)
-def _flat_masks(M):
-    """Bitmask of each flat of M; cached per COM like its flat poset."""
-    masks = []
-    for f in flats_of(M).flats:
-        mask = 0
-        for i in f:
-            mask |= 1 << i
-        masks.append(mask)
-    return tuple(masks)
-
-
 def closure(M, C):
     """Smallest flat containing C, or None when no flat contains C."""
-    masks = _flat_masks(M)
-    cmask = 0
-    for i in C:
-        cmask |= 1 << i
+    c = mask_of(C)
     meet = None
-    for mask in masks:
-        if mask & cmask == cmask:
-            meet = mask if meet is None else meet & mask
-    if meet is None:
-        return None
-    return frozenset(i for i in range(M.ground.size) if meet >> i & 1)
+    for f in M.flat_masks:
+        if f & c == c:
+            meet = f if meet is None else meet & f
+    return None if meet is None else bits(meet)
+
+
+MAX_SUBSET_GROUND = 20  # elements whose 2^n subsets basic_sets and minimal_nonbasic_sets scan
+
+
+def _refuse_subset_scan(size, what):
+    if size > MAX_SUBSET_GROUND:
+        raise MatroidalError(
+            f"{what} scans 2^{size} subsets; capped at {MAX_SUBSET_GROUND} elements"
+        )
 
 
 def basic_sets(M, F):
     """All inclusion-minimal subsets of the flat F whose closure is F."""
     F = frozenset(F)
-    if F not in set(flats_of(M).flats):
+    f = mask_of(F)
+    if f not in M.flat_masks:
         raise MatroidalError(f"{sorted(F)} is not a flat")
-    elems = sorted(F)
+    _refuse_subset_scan(len(F), "basic_sets")
     out = []
-    for sub in range(1 << len(elems)):
-        B = frozenset(elems[i] for i in range(len(elems)) if sub >> i & 1)
+    for sub in _submasks(f):
+        B = bits(sub)
         if closure(M, B) != F:
             continue
         if all(closure(M, B - {b}) != F for b in B):
@@ -217,9 +184,10 @@ def nonbasic(M, C):
 def minimal_nonbasic_sets(M):
     """Inclusion-minimal nonbasic subsets (supersets of nonbasic sets stay nonbasic)."""
     n = M.ground.size
+    _refuse_subset_scan(n, "minimal_nonbasic_sets")
     out = []
     for sub in range(1 << n):
-        C = frozenset(i for i in range(n) if sub >> i & 1)
+        C = bits(sub)
         if nonbasic(M, C) and all(not nonbasic(M, C - {c}) for c in C):
             out.append(C)
     out.sort(key=lambda s: tuple(sorted(s)))
@@ -258,7 +226,8 @@ def check_tope_contraction_count(M):
         MF = contract(M, F)
         per_flat[F] = len(topes(MF))
         keep = [i for i in range(M.ground.size) if i not in F]
-        images = [v.restrict(keep) for v in M.covectors if v.zero_set() == F]
+        f = mask_of(F)
+        images = [v.restrict(keep) for v, z in zip(M.covectors, M.zero_masks) if z == f]
         if len(set(images)) != len(images):
             injective = False
     return TopeContractionReport(len(M), per_flat, injective, M.ground.labels)

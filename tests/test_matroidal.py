@@ -318,7 +318,20 @@ def test_two_values_sweep_checks_each_contraction_once(braid4, monkeypatch):
     assert calls == []  # contractions of a COM are COMs: none is re-checked
 
 
-def test_basic_sets_build_flat_masks_once(braid4, monkeypatch):
+def test_sign_masks_match_covectors(corpus, braid4):
+    """The keys and masks a COM computes once agree with its covectors and flats."""
+    from covg.com import bits, flats_of, mask_of, vector_of
+
+    coms = list(corpus.values()) + [contract(braid4, F) for F in flat_poset(braid4)]
+    for M in coms:
+        n = M.ground.size
+        for k, v in enumerate(M.covectors):
+            assert vector_of(M.keys[k], n) == v
+            assert bits(M.zero_masks[k]) == v.zero_set()
+        assert M.flat_masks == {mask_of(F) for F in flats_of(M)}
+
+
+def test_basic_sets_read_flat_masks(braid4, monkeypatch):
     import covg.matroidal
 
     calls = []
@@ -329,11 +342,27 @@ def test_basic_sets_build_flat_masks_once(braid4, monkeypatch):
         return real(M)
 
     monkeypatch.setattr(covg.matroidal, "flats_of", counting)
-    covg.matroidal._flat_masks.cache_clear()
-    top = max(flat_poset(braid4).flats, key=len)
-    assert len(basic_sets(braid4, top)) == 16  # spanning trees of K_4
-    # one lookup for the flat check in basic_sets, one for the cached masks;
-    # every closure call after the first reuses them
-    assert len(calls) == 2
-    basic_sets(braid4, top)
-    assert len(calls) == 3
+    flats = covg.matroidal.flats_of(braid4).flats
+    basics = [basic_sets(braid4, F) for F in flats]
+    assert len(basics[-1]) == 16  # spanning trees of K_4
+    assert len(calls) == 1  # basic_sets and closure read braid4.flat_masks
+
+
+def _parallel_class(n, with_minus=True):
+    """{0, +^n, -^n}: n parallel elements, a COM on n elements with two flats."""
+    vectors = [SignedVector((0,) * n), SignedVector((1,) * n), SignedVector((-1,) * n)]
+    return COM(GroundSet(tuple(f"e{i}" for i in range(n))), vectors[: 3 if with_minus else 2])
+
+
+def test_subset_scans_refused_up_front():
+    from covg.matroidal import MAX_SUBSET_GROUND
+
+    M = _parallel_class(MAX_SUBSET_GROUND + 1)
+    whole = frozenset(range(MAX_SUBSET_GROUND + 1))
+    with pytest.raises(MatroidalError, match=r"minimal_nonbasic_sets scans 2\^21 subsets; capped at 20"):
+        minimal_nonbasic_sets(M)
+    with pytest.raises(MatroidalError, match=r"basic_sets scans 2\^21 subsets; capped at 20"):
+        basic_sets(M, whole)
+    assert basic_sets(M, frozenset()) == (frozenset(),)
+    small = _parallel_class(4)
+    assert minimal_nonbasic_sets(small) == tuple(frozenset({i, j}) for i in range(4) for j in range(i + 1, 4))
