@@ -464,10 +464,10 @@ def flat_poset(M):
 
 def _require_flat(M, F):
     """F's mask, when F is a flat of M."""
-    f = mask_of(F)
-    if f not in M.flat_masks:
+    F = frozenset(F)
+    if min(F, default=0) < 0 or mask_of(F) not in M.flat_masks:
         raise COMError(f"{sorted(F)} is not a flat of this COM")
-    return f
+    return mask_of(F)
 
 
 def restrict(M, F):

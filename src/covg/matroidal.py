@@ -139,12 +139,11 @@ def _refuse_subset_scan(size, what):
 def basic_sets(M, F):
     """All inclusion-minimal subsets of the flat F whose closure is F."""
     F = frozenset(F)
-    f = mask_of(F)
-    if f not in M.flat_masks:
+    if min(F, default=0) < 0 or mask_of(F) not in M.flat_masks:
         raise MatroidalError(f"{sorted(F)} is not a flat")
     _refuse_subset_scan(len(F), "basic_sets")
     out = []
-    for sub in _submasks(f):
+    for sub in _submasks(mask_of(F)):
         B = bits(sub)
         if closure(M, B) != F:
             continue

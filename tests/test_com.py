@@ -277,6 +277,9 @@ def test_restrict_empty_flat(figure1):
 def test_restrict_requires_flat(figure1):
     with pytest.raises(COMError):
         restrict(figure1, frozenset({3}))  # {4} is not a flat
+    for bad in ({-1}, {9}):  # indices off the ground set name no flat either
+        with pytest.raises(COMError, match="is not a flat"):
+            contract(figure1, bad)
 
 
 def test_contract_figure1(figure1):

@@ -225,8 +225,9 @@ def test_basic_sets_nest_along_flat_containment(corpus):
 
 
 def test_basic_sets_requires_flat(figure1):
-    with pytest.raises(MatroidalError):
-        basic_sets(figure1, frozenset({3}))
+    for bad in ({3}, {-1}, {9}):
+        with pytest.raises(MatroidalError, match="is not a flat"):
+            basic_sets(figure1, frozenset(bad))
 
 
 def test_tope_contraction_count_figure1(figure1):
