@@ -56,7 +56,9 @@ def code_lines(source):
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
     parser.add_argument("files", nargs="*", type=Path)
     args = parser.parse_args(argv)
     files = args.files or sorted((ROOT / "src" / "covg").glob("*.py"))

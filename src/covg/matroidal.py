@@ -80,7 +80,7 @@ def _circuits_cached(M):
             if all(key & ~both[i] in realized for i in positions):
                 found.add(key)
     full = (1 << n) - 1
-    circuits = [Circuit(vector_of(key, n), (key >> n | (key & full) << n) in found) for key in found]
+    circuits = [Circuit(vector_of(k, n), (k >> n | (k & full) << n) in found) for k in found]
     circuits.sort(key=lambda c: c.vector.sort_key())
     return tuple(circuits)
 

@@ -90,11 +90,15 @@ def _circuits_by_definition(M):
     return {(x.to_string(), -x in found) for x in found}
 
 
-def test_circuit_search_complete(corpus, braid4):
-    """circuits(M) is exactly the set the definition gives, flags included."""
+def _corpus_and_braid4_contractions(corpus, braid4):
     coms = list(corpus.values()) + [contract(braid4, F) for F in flat_poset(braid4)]
     assert len(coms) == len(corpus) + 15
-    for M in coms:
+    return coms
+
+
+def test_circuit_search_complete(corpus, braid4):
+    """circuits(M) is exactly the set the definition gives, flags included."""
+    for M in _corpus_and_braid4_contractions(corpus, braid4):
         expected = _circuits_by_definition(M)
         assert {(c.vector.to_string(), c.symmetric) for c in circuits(M)} == expected, M
 
@@ -323,8 +327,7 @@ def test_sign_masks_match_covectors(corpus, braid4):
     """The keys and masks a COM computes once agree with its covectors and flats."""
     from covg.com import bits, flats_of, mask_of, vector_of
 
-    coms = list(corpus.values()) + [contract(braid4, F) for F in flat_poset(braid4)]
-    for M in coms:
+    for M in _corpus_and_braid4_contractions(corpus, braid4):
         n = M.ground.size
         for k, v in enumerate(M.covectors):
             assert vector_of(M.keys[k], n) == v
@@ -349,10 +352,10 @@ def test_basic_sets_read_flat_masks(braid4, monkeypatch):
     assert len(calls) == 1  # basic_sets and closure read braid4.flat_masks
 
 
-def _parallel_class(n, with_minus=True):
+def _parallel_class(n):
     """{0, +^n, -^n}: n parallel elements, a COM on n elements with two flats."""
-    vectors = [SignedVector((0,) * n), SignedVector((1,) * n), SignedVector((-1,) * n)]
-    return COM(GroundSet(tuple(f"e{i}" for i in range(n))), vectors[: 3 if with_minus else 2])
+    vectors = [SignedVector((s,) * n) for s in (0, 1, -1)]
+    return COM(GroundSet(tuple(f"e{i}" for i in range(n))), vectors)
 
 
 def test_subset_scans_refused_up_front():
@@ -360,10 +363,11 @@ def test_subset_scans_refused_up_front():
 
     M = _parallel_class(MAX_SUBSET_GROUND + 1)
     whole = frozenset(range(MAX_SUBSET_GROUND + 1))
-    with pytest.raises(MatroidalError, match=r"minimal_nonbasic_sets scans 2\^21 subsets; capped at 20"):
+    with pytest.raises(MatroidalError, match=r"^minimal_nonbasic_sets scans 2\^21 subsets"):
         minimal_nonbasic_sets(M)
-    with pytest.raises(MatroidalError, match=r"basic_sets scans 2\^21 subsets; capped at 20"):
+    with pytest.raises(MatroidalError, match=r"^basic_sets scans 2\^21 subsets; capped at 20"):
         basic_sets(M, whole)
     assert basic_sets(M, frozenset()) == (frozenset(),)
-    small = _parallel_class(4)
-    assert minimal_nonbasic_sets(small) == tuple(frozenset({i, j}) for i in range(4) for j in range(i + 1, 4))
+    # below the cap the scans run: every pair of parallel elements is minimal nonbasic
+    pairs = tuple(frozenset({i, j}) for i in range(4) for j in range(i + 1, 4))
+    assert minimal_nonbasic_sets(_parallel_class(4)) == pairs
