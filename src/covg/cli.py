@@ -36,7 +36,7 @@ from .matroidal import (
     check_tope_contraction_count,
     check_two_values,
     circuits,
-    codim,
+    codim_of_basic_sets,
     minimal_nonbasic_sets,
     mixing_subsets,
     nbc_sets,
@@ -139,7 +139,7 @@ def cmd_basic(args):
     return {
         "flat": _labels(M, F),
         "basic_sets": [_labels(M, b) for b in basics],
-        "codim": codim(M, F),
+        "codim": codim_of_basic_sets(F, basics),
         "minimal_nonbasic_sets": [_labels(M, c) for c in minimal_nonbasic_sets(M)],
     }, {}
 

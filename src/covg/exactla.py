@@ -8,9 +8,11 @@ integral and a Fraction otherwise, and refuses floats and bools; polynomial
 coefficients and locus coordinates are such numbers.  A field enters only
 where evaluation vectors are formed and reduced: `RationalField` keeps a
 vector as a tuple of exact numbers (all ints over an integral locus) for the
-fraction-free `RationalRowSpace`, and `PrimeField` keeps an int64 array of
-residues mod p for the numpy-backed `FpRowSpace`.  numpy is imported only
-where the prime field and its row space run, so work over Q never loads it.
+fraction-free `RationalRowSpace`, and `PrimeField` keeps an array of residues
+mod p, int32 when p <= 2^31 and int64 otherwise, for the numpy-backed
+`FpRowSpace`, which stores its rows in the same integer type.  numpy is
+imported only where the prime field and its row space run, so work over Q
+never loads it.
 
 Both row spaces keep one layout, an echelon prefix: rows in insertion order,
 each reduced against the pivots of the rows before it and never rewritten,
@@ -117,8 +119,19 @@ def _is_prime(n):
     return True
 
 
+def _residue_dtype(p):
+    """The numpy integer type that holds residues mod p: int32 when p <= 2^31."""
+    return "int32" if p <= 2**31 else "int64"
+
+
 class PrimeField:
-    """The field of integers mod p; elements are ints in [0, p), vectors int64 arrays."""
+    """The field of integers mod p; elements are ints in [0, p), vectors arrays
+    of residues, int32 when p <= 2^31 and int64 otherwise.
+
+    Residues are promoted to int64 before every multiplication: under NumPy 2
+    a Python int times an int32 array stays int32, so neither a product of
+    two vectors nor a scaled vector may be formed in the stored type.
+    """
 
     def __init__(self, p):
         if not _is_prime(p):
@@ -126,6 +139,7 @@ class PrimeField:
         self.p = p
         self.name = f"fp:{p}"
         self.characteristic = p
+        self.dtype = _residue_dtype(p)
 
     def of(self, x):
         x = rational(x)
@@ -139,10 +153,13 @@ class PrimeField:
     def vector(self, values):
         import numpy as np
 
-        return np.array([self.of(x) for x in values], dtype=np.int64)
+        return np.array([self.of(x) for x in values], dtype=self.dtype)
 
     def product(self, u, v):
-        return u * v % self.p
+        import numpy as np
+
+        out = np.multiply(u, v, dtype=np.int64)
+        return np.remainder(out, self.p, out=out).astype(self.dtype, copy=False)
 
     def is_zero(self, v):
         return not v.any()
@@ -152,8 +169,9 @@ class PrimeField:
 
         total = np.zeros(ambient, dtype=np.int64)
         for c, v in terms:
-            total = (total + self.of(c) * v % self.p) % self.p
-        return total
+            total += np.multiply(v, self.of(c), dtype=np.int64)  # < p + (p - 1)^2 < 2^63
+            np.remainder(total, self.p, out=total)
+        return total.astype(self.dtype, copy=False)
 
     def rowspace(self, ambient):
         return FpRowSpace(ambient, self.p)
@@ -598,7 +616,8 @@ class RationalRowSpace(_EchelonPrefix):
 
 
 class FpRowSpace(_EchelonPrefix):
-    """Row space over F_p backed by numpy int64 residues.
+    """Row space over F_p backed by numpy residues, int32 when p <= 2^31 and
+    int64 otherwise (only one point admits a larger prime).
 
     Each stored entry is the block of rows that one rank-raising
     `insert_block` call added: pivot-normalized, fully reduced among
@@ -606,7 +625,9 @@ class FpRowSpace(_EchelonPrefix):
     reduced with one product per block.  `_basis` is the fully reduced
     basis, which `contains`, the traces and `expansion_coefficients` read; it
     is built per rank as over Q, each later block clearing the basis before
-    it at its pivots.
+    it at its pivots.  Stored blocks and reduced bases are kept in the
+    residue type; products and the leaf's row operations run in int64, and
+    a block is cast back to the residue type when it is stored.
     """
 
     copy = _EchelonPrefix.copy
@@ -621,7 +642,8 @@ class FpRowSpace(_EchelonPrefix):
                 f"the prime {p} is too large for exact int64 elimination on {ambient} points: "
                 "need points * (p - 1)^2 < 2^63"
             )
-        super().__init__(ambient, np.zeros((0, ambient), dtype=np.int64))
+        self.dtype = _residue_dtype(p)
+        super().__init__(ambient, np.zeros((0, ambient), dtype=self.dtype))
         self.p = p
         # float64 matmul is exact as long as every dot product stays < 2^53
         self._float_ok = ambient * (p - 1) * (p - 1) < 2**53
@@ -640,24 +662,34 @@ class FpRowSpace(_EchelonPrefix):
 
     # Every product below is a `_combine` whose inner dimension counts rows of
     # one echelon basis, hence is at most `ambient`, and whose factors are
-    # residues in [0, p): each dot product is at most ambient * (p - 1)^2,
-    # which `_float_ok` bounds below 2^53 for the float64 branch and
-    # `__init__` bounds below 2^63 for the int64 branch.  The leaf's outer
-    # products are single products (p - 1)^2 < 2^63.
+    # residues in [0, p), stored as int32 or int64 and promoted to float64 or
+    # int64 before they are multiplied: each dot product is at most
+    # ambient * (p - 1)^2, which `_float_ok` bounds below 2^53 for the float64
+    # branch and `__init__` bounds below 2^63 for the int64 branch.  The
+    # leaf's outer products are single int64 products (p - 1)^2 < 2^63.
 
     def _combine(self, coeffs, matrix):
+        """coeffs @ matrix mod p, as a fresh int64 array."""
         import numpy as np
 
         if self._float_ok:
-            prod = coeffs.astype(np.float64) @ matrix.astype(np.float64)
-            return prod.astype(np.int64) % self.p
-        return (coeffs @ matrix) % self.p
+            prod = (coeffs.astype(np.float64) @ matrix.astype(np.float64)).astype(np.int64)
+        else:
+            prod = coeffs.astype(np.int64, copy=False) @ matrix.astype(np.int64, copy=False)
+        return np.remainder(prod, self.p, out=prod)
 
     def _clear(self, v, rows, pivots):
         """v (a vector or a block) less the multiples of pivot-normalized rows
-        with exclusive pivots that make it zero at those pivots."""
+        with exclusive pivots that make it zero at those pivots; int64 unless
+        nothing is taken away, when v itself is returned."""
+        import numpy as np
+
         coeffs = v[..., pivots]
-        return (v - self._combine(coeffs, rows)) % self.p if coeffs.any() else v
+        if not coeffs.any():
+            return v
+        out = self._combine(coeffs, rows)
+        np.subtract(v, out, out=out)
+        return np.remainder(out, self.p, out=out)
 
     def _reduce(self, v):
         # one product per block in insertion order: each block is zero at the pivots before its own
@@ -689,7 +721,7 @@ class FpRowSpace(_EchelonPrefix):
             return []
         taken, rows, pivots = self._echelon(self._reduce(block), self.ambient - self._rank)
         if taken:
-            self._append(rows, pivots)
+            self._append(rows.astype(self.dtype, copy=False), pivots)
         return taken
 
     def _echelon(self, block, room):
@@ -723,7 +755,7 @@ class FpRowSpace(_EchelonPrefix):
     def _echelon_leaf(self, block, room):
         import numpy as np
 
-        block = block.copy()
+        block = block.astype(np.int64)  # a copy, with room for the row operations
         taken, pivots = [], []
         for i in range(len(block)):
             nz = np.flatnonzero(block[i])
@@ -745,7 +777,7 @@ class FpRowSpace(_EchelonPrefix):
         """The fully reduced basis at rank r from the one at rank base."""
         import numpy as np
 
-        out = np.empty((r, self.ambient), dtype=np.int64)
+        out = np.empty((r, self.ambient), dtype=self.dtype)
         out[:base] = basis
         # each block is zero at the pivots before its own: it clears the rows
         # above it at its pivots and joins them

@@ -214,22 +214,50 @@ class HilbertSeries:
 _CHUNK_ROWS = 256  # candidates per row-space block insertion; bounds the block's memory
 
 
+def _border(standard, n_vars):
+    """The border of one degree of an order ideal, glex-descending.
+
+    Each monomial x_i * s all of whose divisors of the degree of s lie in
+    `standard` is listed once, as (x_i * s, s, i) with x_i its last variable:
+    it is made only from that divisor, and kept when its divisors by the
+    earlier variables of its support are in `standard` too.
+    """
+    members = set(standard)
+    border = []
+    for exps in standard:
+        last = max((k for k, e in enumerate(exps) if e), default=0)
+        for i in range(last, n_vars):
+            child = exps[:i] + (exps[i] + 1,) + exps[i + 1 :]
+            if all(
+                child[:k] + (e - 1,) + child[k + 1 :] in members
+                for k, e in enumerate(child[:i])
+                if e
+            ):
+                border.append((child, exps, i))
+    border.sort(reverse=True)
+    return border
+
+
 class EvaluationFiltration:
     """Degree filtration of functions on a locus by monomial evaluation spans.
 
     Evaluation columns of monomials are cached by exponent tuple; each is one
     variable-column product of a cached divisor.  Columns are in the field's
     vector format: over Q a tuple of exact numbers, all ints on an integral
-    locus; over F_p an int64 array of residues.
+    locus; over F_p an array of residues, int32 when p <= 2^31.
 
     The candidates of degree d are the border of the standard set of degree
-    d - 1, as in the Buchberger-Moeller algorithm for points: a child
-    x_i * s of a standard s is offered only when every one of its
-    degree-(d-1) divisors is standard, that is when the number of (s, i)
-    pairs reaching it equals the size of its support.  Degree first, then
-    reversed tuple-lex, is a monomial order, so the accepted monomials are the
-    complement of a leading-term ideal and form an order ideal: a monomial
-    with a non-standard divisor is a multiple of a leading term and is never
+    d - 1, as in the Buchberger-Moeller algorithm for points: a monomial is
+    offered only when every one of its degree-(d-1) divisors is standard.
+    `_border` makes each candidate once, as x_i * s from its divisor s by its
+    last variable x_i, and keeps it when its divisors by the other variables
+    of its support are in a set of the standard monomials of degree d - 1;
+    no other (s, i) pair is formed or counted.  Its column is the product of
+    the cached column of s with that of x_i, and is the same exact vector
+    whichever divisor builds it.  Degree first, then reversed tuple-lex, is a
+    monomial order, so the accepted monomials are the complement of a
+    leading-term ideal and form an order ideal: a monomial with a
+    non-standard divisor is a multiple of a leading term and is never
     standard, and no verdict changes.
 
     Each degree's candidates go to the row space in glex-descending chunks of
@@ -240,7 +268,7 @@ class EvaluationFiltration:
     residual, which is stored as one new block; every product has inner
     dimension at most the point count, and the row space's prime bound
     (points * (p - 1)^2 below 2^53 for float64, below 2^63 for int64) keeps
-    each dot product exact.
+    each dot product exact once residues are promoted from their stored type.
     Candidates whose vector is zero are skipped before the row space sees
     them: products that vanish on every point are common on the border
     (230 of 351 degree-2 candidates on `permutohedral_locus(5)`, 99 of 325
@@ -306,21 +334,9 @@ class EvaluationFiltration:
                 "evaluation spans failed to fill by the point-count degree bound; "
                 "this signals an arithmetic bug"
             )
-        # count[c]: standard degree-(d-1) divisors of c; parent_of[c]: one of them and its variable
-        count, parent_of = {}, {}
-        for exps in self._standard[d - 1]:
-            for i in range(self.n_vars):
-                child = exps[:i] + (exps[i] + 1,) + exps[i + 1 :]
-                if child in count:
-                    count[child] += 1
-                else:
-                    count[child] = 1
-                    parent_of[child] = (exps, i)
-        border = [c for c, k in count.items() if k == len(c) - c.count(0)]
         product, is_zero = self.field.product, self.field.is_zero
         new_standard, chunk = [], []
-        for exps in sorted(border, reverse=True):
-            parent, i = parent_of[exps]
+        for exps, parent, i in _border(self._standard[d - 1], self.n_vars):
             v = product(self._columns[parent], self._var_evals[i])
             if not is_zero(v):
                 chunk.append((exps, v))

@@ -153,16 +153,23 @@ def basic_sets(M, F):
     return tuple(out)
 
 
-def default_basic_set(M, F):
-    """Lexicographically smallest basic set of F.
+def codim_of_basic_sets(F, basics):
+    """The common size of the basic sets `basics` of the flat F.
 
     Refuses a flat whose basic sets differ in size, so every z_B(F) and every
     codimension comes from a flat with one codimension.
     """
-    basics = basic_sets(M, F)
     sizes = {len(b) for b in basics}
     if len(sizes) != 1:
         raise MatroidalError(f"basic sets of {sorted(F)} have unequal sizes {sizes}")
+    return sizes.pop()
+
+
+def default_basic_set(M, F):
+    """Lexicographically smallest basic set of F; refuses unequal sizes
+    (see `codim_of_basic_sets`)."""
+    basics = basic_sets(M, F)
+    codim_of_basic_sets(F, basics)
     return basics[0]
 
 
@@ -180,15 +187,48 @@ def nonbasic(M, C):
     return any(closure(M, C - {c}) == target for c in C)
 
 
+def _drops(mask):
+    """mask less each one of its elements."""
+    rest = mask
+    while rest:
+        low = rest & -rest
+        yield mask ^ low
+        rest ^= low
+
+
+def _closure_masks(M):
+    """The closure mask of every subset mask of the ground set, -1 where no flat
+    contains the subset: the meet of the flats above each mask, taken one
+    element at a time over all 2^n masks."""
+    n = M.ground.size
+    meet = [-1] * (1 << n)  # -1 has every bit set: the meet of no flats
+    for f in M.flat_masks:
+        meet[f] = f
+    for i in range(n):
+        bit = 1 << i
+        for sub in range(1 << n):
+            if not sub & bit:
+                meet[sub] &= meet[sub | bit]
+    return meet
+
+
 def minimal_nonbasic_sets(M):
-    """Inclusion-minimal nonbasic subsets (supersets of nonbasic sets stay nonbasic)."""
+    """Inclusion-minimal nonbasic subsets (supersets of nonbasic sets stay nonbasic).
+
+    One closure and one nonbasic flag per subset mask, as `nonbasic` defines it.
+    """
     n = M.ground.size
     _refuse_subset_scan(n, "minimal_nonbasic_sets")
-    out = []
-    for sub in range(1 << n):
-        C = bits(sub)
-        if nonbasic(M, C) and all(not nonbasic(M, C - {c}) for c in C):
-            out.append(C)
+    meet = _closure_masks(M)
+    flag = [
+        target == -1 or any(meet[less] == target for less in _drops(sub))
+        for sub, target in enumerate(meet)
+    ]
+    out = [
+        bits(sub)
+        for sub, nb in enumerate(flag)
+        if nb and not any(flag[less] for less in _drops(sub))
+    ]
     out.sort(key=lambda s: tuple(sorted(s)))
     return tuple(out)
 

@@ -104,6 +104,23 @@ def test_basic_command(capsys, fig1_path):
     ]
 
 
+def test_basic_command_computes_basic_sets_once(capsys, fig1_path, monkeypatch):
+    """The codim field is read off the basic sets the report already lists."""
+    from covg import cli, matroidal
+
+    calls, basic_sets = [], matroidal.basic_sets
+
+    def counting(M, F):
+        calls.append(F)
+        return basic_sets(M, F)
+
+    monkeypatch.setattr(cli, "basic_sets", counting)
+    monkeypatch.setattr(matroidal, "basic_sets", counting)
+    code, rep = report(capsys, "basic", fig1_path, "--flat", "1,2,3")
+    assert code == 0 and rep["results"]["codim"] == 2
+    assert len(calls) == 1
+
+
 def test_hilbert_command_both_methods(capsys, braid3_path):
     code, rep = report(capsys, "hilbert", braid3_path, "--which", "big", "--method", "rank")
     assert code == 0 and rep["results"]["coeffs"] == [1, 6, 6]

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -659,3 +660,99 @@ def test_filtration_snapshots_share_rows_and_build_no_reduced_basis(braid4, fiel
                 assert entry is space._stored[k]
             else:
                 assert np.shares_memory(entry, space._stored[k])
+
+
+# ---------------------------------------------------------------------------
+# residues at the edges of their integer type: int32 up to p = 2^31 - 1, which
+# two points admit, and int64 past 2^31, which only one point admits
+
+
+P_INT32_EDGE = 2**31 - 1
+P_INT64_EDGE = 2147483659  # the least prime above 2^31
+
+
+def _python_echelon(rows, p):
+    """(taken, basis, pivots) of greedy insertion mod p in Python ints, the
+    basis fully reduced with pivot entries 1, rows in acceptance order."""
+    taken, basis, pivots = [], [], []
+    for k, row in enumerate(rows):
+        v = [x % p for x in row]
+        for b, j in zip(basis, pivots):
+            v = [(x - v[j] * y) % p for x, y in zip(v, b)]
+        j = next((i for i, x in enumerate(v) if x), None)
+        if j is None:
+            continue
+        inv = pow(v[j], -1, p)
+        v = [x * inv % p for x in v]
+        basis = [[(x - b[j] * y) % p for x, y in zip(b, v)] for b in basis]
+        taken.append(k)
+        basis.append(v)
+        pivots.append(j)
+    return taken, basis, pivots
+
+
+def _python_trace(basis, pivots, perm, p):
+    """The trace of j -> perm[j] on the span mod p, or None when it is not invariant."""
+    for row in basis:
+        moved = apply_point_permutation(row, perm)
+        for b, j in zip(basis, pivots):
+            moved = [(x - moved[j] * y) % p for x, y in zip(moved, b)]
+        if any(moved):
+            return None
+    inverse = _inv(perm)
+    return sum(row[inverse[j]] for row, j in zip(basis, pivots)) % p
+
+
+@pytest.mark.parametrize(
+    "p, ambient, dtype", [(P_INT32_EDGE, 2, np.int32), (P_INT64_EDGE, 1, np.int64)]
+)
+def test_residues_at_the_type_edge_match_python_ints(p, ambient, dtype):
+    field = PrimeField(p)
+    top = [p - 1, p - 2, (p - 1) // 2, 1, 0]
+    vectors = [list(t) for t in itertools.product(top, repeat=ambient)]
+    for u in vectors:
+        for w in vectors:
+            got = field.product(field.vector(u), field.vector(w))
+            assert got.dtype == dtype
+            assert got.tolist() == [x * y % p for x, y in zip(u, w)]
+    terms = [(p - 1, vectors[0]), (-1, vectors[1]), (Fraction(1, 3), vectors[2])]
+    terms.append((p - 2, vectors[0]))
+    got = field.combination(((c, field.vector(v)) for c, v in terms), ambient)
+    assert got.dtype == dtype
+    assert got.tolist() == [
+        sum(field.of(c) * v[k] for c, v in terms) % p for k in range(ambient)
+    ]
+    assert not FpRowSpace(ambient, p)._float_ok  # the int64 product branch
+    for first in range(len(vectors)):
+        rows = vectors[first:] + vectors[:first]
+        for cut in (1, len(rows) // 2):
+            space = FpRowSpace(ambient, p)
+            taken = space.insert_block(rows[:cut])
+            taken += [cut + i for i in space.insert_block(rows[cut:])]
+            ref_taken, basis, pivots = _python_echelon(rows[:cut] + rows[cut:], p)
+            assert taken == ref_taken
+            assert space._basis.dtype == dtype and space._basis.tolist() == basis
+            assert all(block.dtype == dtype for block in space._stored)
+            small = FpRowSpace(ambient, p)
+            small.insert(rows[0])
+            _, small_basis, small_pivots = _python_echelon(rows[:1], p)
+            for v in vectors:
+                inside = _python_echelon(rows[:1] + [v], p)[0] == _python_echelon(rows[:1], p)[0]
+                assert small.contains(v) == inside
+            for perm in itertools.permutations(range(ambient)):
+                expected = _python_trace(small_basis, small_pivots, perm, p)
+                if expected is None:
+                    with pytest.raises(ExactLAError):
+                        small.trace_under_permutation(perm)
+                else:
+                    assert small.trace_under_permutation(perm) == expected
+
+
+def test_residues_are_stored_in_32_bits_below_2_to_the_31(braid3):
+    """Vectors, cached columns, stored blocks and reduced bases are int32 at
+    p = 1000003: the arrays a filtration keeps take half the bytes of int64."""
+    filt = EvaluationFiltration(covector_locus(braid3), GF).build()
+    assert GF.vector([1, -1, 2]).dtype == np.int32
+    assert all(column.dtype == np.int32 for column in filt._columns.values())
+    assert all(block.dtype == np.int32 for block in filt.space._stored)
+    assert all(snapshot._basis.dtype == np.int32 for snapshot in filt.snapshots)

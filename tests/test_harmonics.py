@@ -34,7 +34,7 @@ from covg import (
     verify_covector_presentation,
     z_ideal_generators,
 )
-from covg import permstats
+from covg import harmonics, permstats
 from covg.exactla import ExactLAError, FpRowSpace, RationalRowSpace
 from covg.com import flats_of
 from covg.matroidal import MatroidalError, basic_sets, codim, nbc_sets
@@ -268,6 +268,60 @@ def test_border_candidates_match_all_children_reference(corpus, field):
         standard, coeffs = _all_children_filtration(locus, field)
         assert filt._standard == standard, name
         assert filt.coeffs == coeffs, name
+
+
+def _reference_border(standard, n_vars):
+    """The border as it was first built: every child x_i * s of every standard
+    s is counted, and a child is kept when its count equals its support size;
+    its parent is the first (s, i) that reached it."""
+    count, parent_of = {}, {}
+    for exps in standard:
+        for i in range(n_vars):
+            child = exps[:i] + (exps[i] + 1,) + exps[i + 1 :]
+            if child in count:
+                count[child] += 1
+            else:
+                count[child] = 1
+                parent_of[child] = (exps, i)
+    border = [c for c, k in count.items() if k == len(c) - c.count(0)]
+    return [(c, *parent_of[c]) for c in sorted(border, reverse=True)]
+
+
+def _border_oracle_loci(braid3, braid4, figure1):
+    loci = {}
+    for n in range(1, 6):
+        loci[f"kostant{n}"] = kostant_locus(n)
+        loci[f"permutohedral{n}"] = permutohedral_locus(n)
+        loci[f"permmatrix{n}"] = permmatrix_locus(n)
+    for name, M in (("braid3", braid3), ("braid4", braid4), ("figure1", figure1)):
+        loci[f"{name}-topes"] = tope_locus(M)
+        loci[f"{name}-covectors"] = covector_locus(M)
+    return loci
+
+
+@pytest.mark.parametrize("field", [QQ, GF], ids=["Q", "Fp"])
+def test_border_matches_count_reference(monkeypatch, braid3, braid4, figure1, field):
+    """Each border child made once from its last-variable divisor gives the
+    count-based border at every degree, the same standard sets, ranks and
+    columns.  Kostant and permutohedral loci run over F_p unflagged."""
+    for name, locus in _border_oracle_loci(braid3, braid4, figure1).items():
+        if field.characteristic:
+            locus = dataclasses.replace(locus, requires_char_zero=False)
+        filt = EvaluationFiltration(locus, field).build()
+        n_vars = len(locus.variables)
+        for d in range(1, len(filt._standard)):
+            below = filt._standard[d - 1]
+            new = [c for c, _, _ in harmonics._border(below, n_vars)]
+            assert new == [c for c, _, _ in _reference_border(below, n_vars)], (name, d)
+            assert set(filt._standard[d]) <= set(new), (name, d)
+        with monkeypatch.context() as patch:
+            patch.setattr(harmonics, "_border", _reference_border)
+            reference = EvaluationFiltration(locus, field).build()
+        assert filt._standard == reference._standard, name
+        assert filt.coeffs == reference.coeffs, name
+        assert filt._columns.keys() == reference._columns.keys(), name
+        for exps, column in filt._columns.items():
+            assert list(column) == list(reference._columns[exps]), (name, exps)
 
 
 def test_standard_monomials_form_an_order_ideal(corpus):

@@ -7,6 +7,7 @@ from covg import (
     GroundSet,
     SignedVector,
     basic_sets,
+    braid_com,
     check_tope_contraction_count,
     check_two_values,
     circuits,
@@ -209,6 +210,22 @@ def test_minimal_nonbasic_figure1(figure1):
     assert nonbasic(figure1, {3})
     assert nonbasic(figure1, {0, 1, 2})
     assert not nonbasic(figure1, {0, 1})
+
+
+def test_minimal_nonbasic_sets_match_their_definition(corpus):
+    """One closure per subset mask gives the sets that `nonbasic` calls
+    minimal nonbasic, also where no flat contains a set (the only flat of a
+    lone tope is the empty set, so its one element is nonbasic)."""
+    coms = dict(corpus, braid5=braid_com(5), lone_tope=COM(GroundSet(("a",)), [sv("+")]))
+    for name, M in coms.items():
+        n = M.ground.size
+        subsets = [frozenset(i for i in range(n) if sub >> i & 1) for sub in range(1 << n)]
+        expected = {
+            C for C in subsets if nonbasic(M, C) and not any(nonbasic(M, C - {c}) for c in C)
+        }
+        got = minimal_nonbasic_sets(M)
+        assert set(got) == expected and len(got) == len(expected), name
+    assert minimal_nonbasic_sets(coms["lone_tope"]) == (frozenset({0}),)
 
 
 def test_basic_sets_share_cardinality(corpus):

@@ -17,6 +17,7 @@ SCRIPTS = ROOT / "scripts"
         ["braid_tables.py", "--max-n", "3"],
         ["permutation_loci.py", "--max-n", "3"],
         ["four_lines_example.py"],
+        ["braid_tables.py", "--max-n", "3", "--field", "fp"],
     ],
 )
 def test_script_runs_clean(argv):
