@@ -729,23 +729,23 @@ def test_residues_at_the_type_edge_match_python_ints(p, ambient, dtype):
             space = FpRowSpace(ambient, p)
             taken = space.insert_block(rows[:cut])
             taken += [cut + i for i in space.insert_block(rows[cut:])]
-            ref_taken, basis, pivots = _python_echelon(rows[:cut] + rows[cut:], p)
-            assert taken == ref_taken
-            assert space._basis.dtype == dtype and space._basis.tolist() == basis
+            assert taken == _python_echelon(rows, p)[0]
+            assert space._basis.dtype == dtype
+            assert space._basis.tolist() == _python_echelon(rows, p)[1]
             assert all(block.dtype == dtype for block in space._stored)
-            small = FpRowSpace(ambient, p)
-            small.insert(rows[0])
-            _, small_basis, small_pivots = _python_echelon(rows[:1], p)
-            for v in vectors:
-                inside = _python_echelon(rows[:1] + [v], p)[0] == _python_echelon(rows[:1], p)[0]
-                assert small.contains(v) == inside
-            for perm in itertools.permutations(range(ambient)):
-                expected = _python_trace(small_basis, small_pivots, perm, p)
-                if expected is None:
-                    with pytest.raises(ExactLAError):
-                        small.trace_under_permutation(perm)
-                else:
-                    assert small.trace_under_permutation(perm) == expected
+        # a span of one vector: contains and the traces, checked or refused
+        line = FpRowSpace(ambient, p)
+        line.insert(rows[0])
+        _, basis, pivots = _python_echelon(rows[:1], p)
+        for v in vectors:
+            assert line.contains(v) == (len(_python_echelon([rows[0], v], p)[0]) == len(basis))
+        for perm in itertools.permutations(range(ambient)):
+            expected = _python_trace(basis, pivots, perm, p)
+            if expected is None:
+                with pytest.raises(ExactLAError):
+                    line.trace_under_permutation(perm)
+            else:
+                assert line.trace_under_permutation(perm) == expected
 
 
 def test_residues_are_stored_in_32_bits_below_2_to_the_31(braid3):
