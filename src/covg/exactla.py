@@ -9,8 +9,8 @@ coefficients and locus coordinates are such numbers.  A field enters only
 where evaluation vectors are formed and reduced: `RationalField` keeps a
 vector as a tuple of exact numbers (all ints over an integral locus) for the
 fraction-free `RationalRowSpace`, and `PrimeField` keeps an array of residues
-mod p, int32 when p <= 2^31 and int64 otherwise, for the numpy-backed
-`FpRowSpace`, which stores its rows in the same integer type.  numpy is
+mod p, stored as uint32, for the numpy-backed `FpRowSpace`, which stores
+its rows in the same integer type.  numpy is
 imported only where the prime field and its row space run, so work over Q
 never loads it.
 
@@ -119,17 +119,17 @@ def _is_prime(n):
     return True
 
 
-def _residue_dtype(p):
-    """The numpy integer type that holds residues mod p: int32 when p <= 2^31."""
-    return "int32" if p <= 2**31 else "int64"
+# the numpy type of stored residues: every prime a row space admits is below
+# 2^32 (ambient * (p - 1)^2 < 2^63 with ambient >= 1)
+_RESIDUE = "uint32"
 
 
 class PrimeField:
     """The field of integers mod p; elements are ints in [0, p), vectors arrays
-    of residues, int32 when p <= 2^31 and int64 otherwise.
+    of uint32 residues.
 
     Residues are promoted to int64 before every multiplication: under NumPy 2
-    a Python int times an int32 array stays int32, so neither a product of
+    a Python int times a uint32 array stays uint32, so neither a product of
     two vectors nor a scaled vector may be formed in the stored type.
     """
 
@@ -139,7 +139,6 @@ class PrimeField:
         self.p = p
         self.name = f"fp:{p}"
         self.characteristic = p
-        self.dtype = _residue_dtype(p)
 
     def of(self, x):
         x = rational(x)
@@ -153,13 +152,13 @@ class PrimeField:
     def vector(self, values):
         import numpy as np
 
-        return np.array([self.of(x) for x in values], dtype=self.dtype)
+        return np.array([self.of(x) for x in values], dtype=_RESIDUE)
 
     def product(self, u, v):
         import numpy as np
 
         out = np.multiply(u, v, dtype=np.int64)
-        return np.remainder(out, self.p, out=out).astype(self.dtype, copy=False)
+        return np.remainder(out, self.p, out=out).astype(_RESIDUE, copy=False)
 
     def is_zero(self, v):
         return not v.any()
@@ -171,7 +170,7 @@ class PrimeField:
         for c, v in terms:
             total += np.multiply(v, self.of(c), dtype=np.int64)  # < p + (p - 1)^2 < 2^63
             np.remainder(total, self.p, out=total)
-        return total.astype(self.dtype, copy=False)
+        return total.astype(_RESIDUE, copy=False)
 
     def rowspace(self, ambient):
         return FpRowSpace(ambient, self.p)
@@ -616,8 +615,7 @@ class RationalRowSpace(_EchelonPrefix):
 
 
 class FpRowSpace(_EchelonPrefix):
-    """Row space over F_p backed by numpy residues, int32 when p <= 2^31 and
-    int64 otherwise (only one point admits a larger prime).
+    """Row space over F_p backed by numpy arrays of uint32 residues.
 
     Each stored entry is the block of rows that one rank-raising
     `insert_block` call added: pivot-normalized, fully reduced among
@@ -625,9 +623,9 @@ class FpRowSpace(_EchelonPrefix):
     reduced with one product per block.  `_basis` is the fully reduced
     basis, which `contains`, the traces and `expansion_coefficients` read; it
     is built per rank as over Q, each later block clearing the basis before
-    it at its pivots.  Stored blocks and reduced bases are kept in the
-    residue type; products and the leaf's row operations run in int64, and
-    a block is cast back to the residue type when it is stored.
+    it at its pivots.  Stored blocks and reduced bases are kept as uint32;
+    products and row operations run in int64, and a block is cast back to
+    uint32 when it is stored.
     """
 
     copy = _EchelonPrefix.copy
@@ -642,8 +640,7 @@ class FpRowSpace(_EchelonPrefix):
                 f"the prime {p} is too large for exact int64 elimination on {ambient} points: "
                 "need points * (p - 1)^2 < 2^63"
             )
-        self.dtype = _residue_dtype(p)
-        super().__init__(ambient, np.zeros((0, ambient), dtype=self.dtype))
+        super().__init__(ambient, np.zeros((0, ambient), dtype=_RESIDUE))
         self.p = p
         # float64 matmul is exact as long as every dot product stays < 2^53
         self._float_ok = ambient * (p - 1) * (p - 1) < 2**53
@@ -662,8 +659,8 @@ class FpRowSpace(_EchelonPrefix):
 
     # Every product below is a `_combine` whose inner dimension counts rows of
     # one echelon basis, hence is at most `ambient`, and whose factors are
-    # residues in [0, p), stored as int32 or int64 and promoted to float64 or
-    # int64 before they are multiplied: each dot product is at most
+    # residues in [0, p), stored as uint32 and promoted to float64 or int64
+    # before they are multiplied: each dot product is at most
     # ambient * (p - 1)^2, which `_float_ok` bounds below 2^53 for the float64
     # branch and `__init__` bounds below 2^63 for the int64 branch.  The
     # leaf's outer products are single int64 products (p - 1)^2 < 2^63.
@@ -721,7 +718,7 @@ class FpRowSpace(_EchelonPrefix):
             return []
         taken, rows, pivots = self._echelon(self._reduce(block), self.ambient - self._rank)
         if taken:
-            self._append(rows.astype(self.dtype, copy=False), pivots)
+            self._append(rows.astype(_RESIDUE, copy=False), pivots)
         return taken
 
     def _echelon(self, block, room):
@@ -755,7 +752,7 @@ class FpRowSpace(_EchelonPrefix):
     def _echelon_leaf(self, block, room):
         import numpy as np
 
-        block = block.astype(np.int64)  # a copy, with room for the row operations
+        block = block.copy()
         taken, pivots = [], []
         for i in range(len(block)):
             nz = np.flatnonzero(block[i])
@@ -777,7 +774,7 @@ class FpRowSpace(_EchelonPrefix):
         """The fully reduced basis at rank r from the one at rank base."""
         import numpy as np
 
-        out = np.empty((r, self.ambient), dtype=self.dtype)
+        out = np.empty((r, self.ambient), dtype=_RESIDUE)
         out[:base] = basis
         # each block is zero at the pivots before its own: it clears the rows
         # above it at its pivots and joins them

@@ -244,7 +244,7 @@ class EvaluationFiltration:
     Evaluation columns of monomials are cached by exponent tuple; each is one
     variable-column product of a cached divisor.  Columns are in the field's
     vector format: over Q a tuple of exact numbers, all ints on an integral
-    locus; over F_p an array of residues, int32 when p <= 2^31.
+    locus; over F_p an array of uint32 residues.
 
     The candidates of degree d are the border of the standard set of degree
     d - 1, as in the Buchberger-Moeller algorithm for points: a monomial is

@@ -663,12 +663,14 @@ def test_filtration_snapshots_share_rows_and_build_no_reduced_basis(braid4, fiel
 
 
 # ---------------------------------------------------------------------------
-# residues at the edges of their integer type: int32 up to p = 2^31 - 1, which
-# two points admit, and int64 past 2^31, which only one point admits
+# residues stored as uint32 at large primes: p = 2^31 - 1, which two points
+# admit, and past 2^31, which only one point admits, up to the largest prime
+# with (p - 1)^2 < 2^63
 
 
-P_INT32_EDGE = 2**31 - 1
-P_INT64_EDGE = 2147483659  # the least prime above 2^31
+P_TWO_POINT_EDGE = 2**31 - 1
+P_ONE_POINT_EDGE = 2147483659  # the least prime above 2^31
+P_ONE_POINT_TOP = 3037000493
 
 
 def _python_echelon(rows, p):
@@ -704,21 +706,21 @@ def _python_trace(basis, pivots, perm, p):
 
 
 @pytest.mark.parametrize(
-    "p, ambient, dtype", [(P_INT32_EDGE, 2, np.int32), (P_INT64_EDGE, 1, np.int64)]
+    "p, ambient", [(P_TWO_POINT_EDGE, 2), (P_ONE_POINT_EDGE, 1), (P_ONE_POINT_TOP, 1)]
 )
-def test_residues_at_the_type_edge_match_python_ints(p, ambient, dtype):
+def test_residues_at_the_type_edge_match_python_ints(p, ambient):
     field = PrimeField(p)
     top = [p - 1, p - 2, (p - 1) // 2, 1, 0]
     vectors = [list(t) for t in itertools.product(top, repeat=ambient)]
     for u in vectors:
         for w in vectors:
             got = field.product(field.vector(u), field.vector(w))
-            assert got.dtype == dtype
+            assert got.dtype == np.uint32
             assert got.tolist() == [x * y % p for x, y in zip(u, w)]
     terms = [(p - 1, vectors[0]), (-1, vectors[1]), (Fraction(1, 3), vectors[2])]
     terms.append((p - 2, vectors[0]))
     got = field.combination(((c, field.vector(v)) for c, v in terms), ambient)
-    assert got.dtype == dtype
+    assert got.dtype == np.uint32
     assert got.tolist() == [
         sum(field.of(c) * v[k] for c, v in terms) % p for k in range(ambient)
     ]
@@ -730,9 +732,9 @@ def test_residues_at_the_type_edge_match_python_ints(p, ambient, dtype):
             taken = space.insert_block(rows[:cut])
             taken += [cut + i for i in space.insert_block(rows[cut:])]
             assert taken == _python_echelon(rows, p)[0]
-            assert space._basis.dtype == dtype
+            assert space._basis.dtype == np.uint32
             assert space._basis.tolist() == _python_echelon(rows, p)[1]
-            assert all(block.dtype == dtype for block in space._stored)
+            assert all(block.dtype == np.uint32 for block in space._stored)
         # a span of one vector: contains and the traces, checked or refused
         line = FpRowSpace(ambient, p)
         line.insert(rows[0])
@@ -748,11 +750,11 @@ def test_residues_at_the_type_edge_match_python_ints(p, ambient, dtype):
                 assert line.trace_under_permutation(perm) == expected
 
 
-def test_residues_are_stored_in_32_bits_below_2_to_the_31(braid3):
-    """Vectors, cached columns, stored blocks and reduced bases are int32 at
-    p = 1000003: the arrays a filtration keeps take half the bytes of int64."""
+def test_residues_are_stored_in_32_bits(braid3):
+    """Vectors, cached columns, stored blocks and reduced bases are uint32:
+    the arrays a filtration keeps take half the bytes of int64."""
     filt = EvaluationFiltration(covector_locus(braid3), GF).build()
-    assert GF.vector([1, -1, 2]).dtype == np.int32
-    assert all(column.dtype == np.int32 for column in filt._columns.values())
-    assert all(block.dtype == np.int32 for block in filt.space._stored)
-    assert all(snapshot._basis.dtype == np.int32 for snapshot in filt.snapshots)
+    assert GF.vector([1, -1, 2]).dtype == np.uint32
+    assert all(column.dtype == np.uint32 for column in filt._columns.values())
+    assert all(block.dtype == np.uint32 for block in filt.space._stored)
+    assert all(snapshot._basis.dtype == np.uint32 for snapshot in filt.snapshots)

@@ -223,25 +223,40 @@ def test_block_filtration_matches_sequential_insert(braid4):
         assert filt.space.pivots == space.pivots
 
 
+def _pointwise_column(locus, field, exps):
+    return field.vector([math.prod(c**e for c, e in zip(pt, exps)) for pt in locus.points])
+
+
 def _all_children_filtration(locus, field):
     """Standard monomials and Hilbert coefficients of the degree filtration
     built by offering every child x_i * s of every standard s, one insert at a
     time in glex-descending order, with columns evaluated point by point."""
     n, n_vars = len(locus), len(locus.variables)
-
-    def column(exps):
-        return field.vector([math.prod(c**e for c, e in zip(pt, exps)) for pt in locus.points])
-
     space = field.rowspace(n)
     unit = (0,) * n_vars
-    space.insert(column(unit))
+    space.insert(_pointwise_column(locus, field, unit))
     standard, coeffs = [[unit]], [1]
     while space.rank < n:
         children = {e[:i] + (e[i] + 1,) + e[i + 1 :] for e in standard[-1] for i in range(n_vars)}
-        new = [e for e in sorted(children, reverse=True) if space.rank < n and space.insert(column(e))]
+        new = [
+            e
+            for e in sorted(children, reverse=True)
+            if space.rank < n and space.insert(_pointwise_column(locus, field, e))
+        ]
         standard.append(new)
         coeffs.append(len(new))
     return standard, coeffs
+
+
+def _reference_border(standard, n_vars):
+    """The border as it was first built: every child x_i * s of every standard
+    s is counted, and a child is kept when its count equals its support size."""
+    count = {}
+    for exps in standard:
+        for i in range(n_vars):
+            child = exps[:i] + (exps[i] + 1,) + exps[i + 1 :]
+            count[child] = count.get(child, 0) + 1
+    return sorted((c for c, k in count.items() if k == len(c) - c.count(0)), reverse=True)
 
 
 def _reference_loci(corpus):
@@ -250,17 +265,20 @@ def _reference_loci(corpus):
         loci[f"{name}-covectors"] = covector_locus(M)
         if topes(M):
             loci[f"{name}-topes"] = tope_locus(M)
-    loci["kostant5"] = kostant_locus(5)
-    loci["permutohedral4"] = permutohedral_locus(4)
-    loci["permmatrix5"] = permmatrix_locus(5)
+    for n in range(1, 6):
+        loci[f"kostant{n}"] = kostant_locus(n)
+        loci[f"permutohedral{n}"] = permutohedral_locus(n)
+        loci[f"permmatrix{n}"] = permmatrix_locus(n)
     return loci
 
 
 @pytest.mark.parametrize("field", [QQ, GF], ids=["Q", "Fp"])
 def test_border_candidates_match_all_children_reference(corpus, field):
     """Offering only the order-ideal border gives the standard sets and ranks
-    of offering every child.  The Kostant and permutohedral loci are refused
-    over F_p, so their F_p runs use an unflagged copy of the same points."""
+    of offering every child; each degree's border equals the count-based one,
+    and every cached column is the pointwise evaluation, whichever divisor
+    built it.  The Kostant and permutohedral loci are refused over F_p, so
+    their F_p runs use an unflagged copy of the same points."""
     for name, locus in _reference_loci(corpus).items():
         if field.characteristic:
             locus = dataclasses.replace(locus, requires_char_zero=False)
@@ -268,60 +286,13 @@ def test_border_candidates_match_all_children_reference(corpus, field):
         standard, coeffs = _all_children_filtration(locus, field)
         assert filt._standard == standard, name
         assert filt.coeffs == coeffs, name
-
-
-def _reference_border(standard, n_vars):
-    """The border as it was first built: every child x_i * s of every standard
-    s is counted, and a child is kept when its count equals its support size;
-    its parent is the first (s, i) that reached it."""
-    count, parent_of = {}, {}
-    for exps in standard:
-        for i in range(n_vars):
-            child = exps[:i] + (exps[i] + 1,) + exps[i + 1 :]
-            if child in count:
-                count[child] += 1
-            else:
-                count[child] = 1
-                parent_of[child] = (exps, i)
-    border = [c for c, k in count.items() if k == len(c) - c.count(0)]
-    return [(c, *parent_of[c]) for c in sorted(border, reverse=True)]
-
-
-def _border_oracle_loci(braid3, braid4, figure1):
-    loci = {}
-    for n in range(1, 6):
-        loci[f"kostant{n}"] = kostant_locus(n)
-        loci[f"permutohedral{n}"] = permutohedral_locus(n)
-        loci[f"permmatrix{n}"] = permmatrix_locus(n)
-    for name, M in (("braid3", braid3), ("braid4", braid4), ("figure1", figure1)):
-        loci[f"{name}-topes"] = tope_locus(M)
-        loci[f"{name}-covectors"] = covector_locus(M)
-    return loci
-
-
-@pytest.mark.parametrize("field", [QQ, GF], ids=["Q", "Fp"])
-def test_border_matches_count_reference(monkeypatch, braid3, braid4, figure1, field):
-    """Each border child made once from its last-variable divisor gives the
-    count-based border at every degree, the same standard sets, ranks and
-    columns.  Kostant and permutohedral loci run over F_p unflagged."""
-    for name, locus in _border_oracle_loci(braid3, braid4, figure1).items():
-        if field.characteristic:
-            locus = dataclasses.replace(locus, requires_char_zero=False)
-        filt = EvaluationFiltration(locus, field).build()
         n_vars = len(locus.variables)
         for d in range(1, len(filt._standard)):
             below = filt._standard[d - 1]
-            new = [c for c, _, _ in harmonics._border(below, n_vars)]
-            assert new == [c for c, _, _ in _reference_border(below, n_vars)], (name, d)
-            assert set(filt._standard[d]) <= set(new), (name, d)
-        with monkeypatch.context() as patch:
-            patch.setattr(harmonics, "_border", _reference_border)
-            reference = EvaluationFiltration(locus, field).build()
-        assert filt._standard == reference._standard, name
-        assert filt.coeffs == reference.coeffs, name
-        assert filt._columns.keys() == reference._columns.keys(), name
+            border = [c for c, _, _ in harmonics._border(below, n_vars)]
+            assert border == _reference_border(below, n_vars), (name, d)
         for exps, column in filt._columns.items():
-            assert list(column) == list(reference._columns[exps]), (name, exps)
+            assert list(column) == list(_pointwise_column(locus, field, exps)), (name, exps)
 
 
 def test_standard_monomials_form_an_order_ideal(corpus):
