@@ -24,7 +24,16 @@ from pathlib import Path
 
 import pytest
 
+from covg import COM, jsonio
 from covg.cli import run
+from covg.harmonics import (
+    covector_ideal_generators,
+    nbc_basis,
+    symmetric_circuit_generator,
+    tope_ideal_generators,
+    z_ideal_generators,
+)
+from covg.matroidal import mixing_subsets
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -75,10 +84,36 @@ def test_report_matches_golden(name, capsys, monkeypatch):
     assert out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
 
 
+GENERATOR_COMS = ("braid3", "figure1")
+
+
+def _generator_lists(M):
+    """str() of every generator list and NBC basis, in order: a wrong generator
+    that still lies in the ideal passes the `verify` reports, not these."""
+    tope, bases = tope_ideal_generators(M), nbc_basis(M)
+    lists = {
+        "tope_affine": tope["affine"],
+        "tope_graded": tope["graded"],
+        "z": z_ideal_generators(M),
+        "covector": covector_ideal_generators(M),
+        "nbc_tope": bases.tope,
+        "nbc_covector": bases.covector,
+        "j_sweep": [symmetric_circuit_generator(M, F, X, J) for F, X, J in mixing_subsets(M, 5)],
+    }
+    return {name: [str(g) for g in gens] for name, gens in lists.items()}
+
+
+@pytest.mark.parametrize("com", GENERATOR_COMS)
+def test_generators_match_golden(com):
+    M = COM.from_json_dict(jsonio.read_json(GOLDEN / f"{com}.json"))
+    expected = (GOLDEN / f"{com}-generators.json").read_text(encoding="utf-8")
+    assert jsonio.dumps(_generator_lists(M)) == expected
+
+
 def _write_all():
     from covg import GroupSpec, automorphism_group_bruteforce, braid_automorphism_generators
-    from covg import COM, AffineForm, Arrangement, GroundSet, SignedVector
-    from covg import braid_com, fixture, jsonio
+    from covg import AffineForm, Arrangement, GroundSet, SignedVector
+    from covg import braid_com, fixture
 
     os.chdir(GOLDEN)
     braid3, figure1 = braid_com(3), fixture("figure1")
@@ -114,6 +149,9 @@ def _write_all():
         if code != expected_code:
             raise SystemExit(f"{name}: exit {code}, expected {expected_code}")
         (GOLDEN / f"{name}.json").write_text(buf.getvalue(), encoding="utf-8")
+    for com in GENERATOR_COMS:
+        M = COM.from_json_dict(jsonio.read_json(f"{com}.json"))
+        jsonio.write_json(f"{com}-generators.json", _generator_lists(M))
 
 
 if __name__ == "__main__":
