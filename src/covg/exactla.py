@@ -119,9 +119,19 @@ def _is_prime(n):
     return True
 
 
-# the numpy type of stored residues: every prime a row space admits is below
-# 2^32 (ambient * (p - 1)^2 < 2^63 with ambient >= 1)
+# the numpy type of stored residues: every prime a field admits is below 2^32
 _RESIDUE = "uint32"
+
+
+def _residue(x, p):
+    """The residue mod p of the exact number x, read by `rational`."""
+    x = rational(x)
+    if type(x) is int:
+        return x % p
+    den = x.denominator % p
+    if den == 0:
+        raise ZeroDivisionError(f"denominator of {x} vanishes mod {p}")
+    return x.numerator * pow(den, -1, p) % p
 
 
 class PrimeField:
@@ -134,6 +144,12 @@ class PrimeField:
     """
 
     def __init__(self, p):
+        # a product of two residues must be exact in int64, and no row space
+        # (which needs points * (p - 1)^2 < 2^63) admits a larger prime
+        if (p - 1) ** 2 >= 2**63:
+            raise ExactLAError(
+                f"{p} is too large for exact int64 residue products: need (p - 1)^2 < 2^63"
+            )
         if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
@@ -141,13 +157,7 @@ class PrimeField:
         self.characteristic = p
 
     def of(self, x):
-        x = rational(x)
-        if type(x) is int:
-            return x % self.p
-        den = x.denominator % self.p
-        if den == 0:
-            raise ZeroDivisionError(f"denominator of {x} vanishes mod {self.p}")
-        return x.numerator * pow(den, -1, self.p) % self.p
+        return _residue(x, self.p)
 
     def vector(self, values):
         import numpy as np
@@ -649,13 +659,22 @@ class FpRowSpace(_EchelonPrefix):
     def _basis(self):
         return self._reduced_basis()
 
+    def _read(self, vec):
+        """An integer array as it is; any other vector's entries read exactly
+        into residues, so Fractions are not truncated and floats and bools raise."""
+        import numpy as np
+
+        if isinstance(vec, np.ndarray) and vec.dtype.kind in "iu":
+            return vec
+        return [_residue(x, self.p) for x in vec]
+
     def _vec(self, vec):
         import numpy as np
 
-        v = np.asarray(vec, dtype=np.int64)
+        v = np.remainder(self._read(vec), self.p, dtype=np.int64)
         if v.shape != (self.ambient,):
             raise ExactLAError("vector length does not match ambient dimension")
-        return v % self.p
+        return v
 
     # Every product below is a `_combine` whose inner dimension counts rows of
     # one echelon basis, hence is at most `ambient`, and whose factors are
@@ -711,7 +730,7 @@ class FpRowSpace(_EchelonPrefix):
 
         if not len(vecs):
             return []
-        block = np.asarray(vecs, dtype=np.int64) % self.p
+        block = np.remainder([self._read(v) for v in vecs], self.p, dtype=np.int64)
         if block.shape[1:] != (self.ambient,):
             raise ExactLAError("vector length does not match ambient dimension")
         if self._rank == self.ambient:

@@ -34,6 +34,14 @@ enters only at the filtration, which builds, multiplies, tests and combines
 evaluation vectors through it and reduces them in the row space it
 makes.
 
+The presentations follow the flat filtration of the big ring, whose
+subquotient at a flat F is the graded ring of the contraction M/F: the
+covector presentation adds, at each flat F, z_B(F) times the circuit
+generators of M/F (a signed y-monomial per circuit, and e_{s-1} of the
+signed y-variables of each symmetric circuit of support size s, one of them
+mixed with its z-variable), and the tope presentation is the same circuit
+builder at the empty flat in the y-variables alone, with nothing mixed.
+
 Presentations and NBC bases are taken against the ground order: NBC sets
 break circuits at their smallest element, each flat F uses its
 lexicographically smallest basic set B for z_B(F), and each symmetric
@@ -192,13 +200,6 @@ class HilbertSeries:
                 q = "q" if d == 1 else f"q^{d}"
                 bits.append(q if c == 1 else f"{c}{q}")
         return " + ".join(bits) if bits else "0"
-
-    def to_json_dict(self):
-        return {"coeffs": list(self.coeffs)}
-
-    @classmethod
-    def from_json_dict(cls, data):
-        return cls(tuple(data["coeffs"]))
 
     @classmethod
     def from_degree_counts(cls, degrees):
@@ -411,26 +412,52 @@ def gr_membership(locus, poly, field=QQ, filtration=None):
 
 # ---------------------------------------------------------------------------
 # ideal presentations
+#
+# Element e owns the variables y_e+ and y_e- at indices stride*e and
+# stride*e + 1: stride 2 in the tope locus's variables, 3 in the covector
+# locus's, where z_e follows at 3e + 2.
 
 
-def _y_indices_small(i):
-    return 2 * i, 2 * i + 1
-
-
-def _indices_big(i):
-    return 3 * i, 3 * i + 1, 3 * i + 2
-
-
-def _mono(vars, pairs):
+def _monomial(vars, indices):
+    """The monomial in the variables at these indices; a repeated index is a power."""
     exps = [0] * len(vars)
-    for idx, e in pairs:
-        exps[idx] += e
-    return Polynomial.monomial(vars, tuple(exps))
+    for k in indices:
+        exps[k] += 1
+    return Polynomial.monomial(vars, exps)
 
 
-def _y_power(vars, index_of, i, sign):
-    yp, ym = index_of(i)[:2]
-    return _mono(vars, [(yp if sign == 1 else ym, 1)])
+def _contraction_frame(M, F, vars):
+    """z_B(F) in the covector variables, and the ground element at each position
+    of the contraction M/F."""
+    zB = _monomial(vars, [3 * e + 2 for e in default_basic_set(M, F)])
+    return zB, [e for e in range(M.ground.size) if e not in F]
+
+
+def _symmetric_term(vars, stride, keep, X, J):
+    """e_{s-1} of the signed y-variables of the s support positions of X (read
+    on the ground through keep), the one at each position in J plus its z."""
+    terms = []
+    for i in sorted(X.support()):
+        term = _monomial(vars, [stride * keep[i] + (X[i] < 0)])
+        terms.append(term + _monomial(vars, [3 * keep[i] + 2]) if i in J else term)
+    return elementary_symmetric(len(terms) - 1, terms)
+
+
+def _circuit_generators(vars, stride, keep, circs, mixed):
+    """The circuit relations of circs, circuits of a COM whose position i is
+    ground element keep[i]: the signed y-monomial of each circuit, and the
+    symmetric term of each symmetric circuit, mixed at J = {its smallest
+    support position} when `mixed` and at J = {} otherwise."""
+    monomials = [
+        _monomial(vars, [stride * keep[i] + (c.vector[i] < 0) for i in c.vector.support()])
+        for c in circs
+    ]
+    symmetric = [
+        _symmetric_term(vars, stride, keep, c.vector, {min(c.vector.support())} if mixed else ())
+        for c in circs
+        if c.symmetric
+    ]
+    return monomials, symmetric
 
 
 def tope_ideal_generators(M):
@@ -440,118 +467,63 @@ def tope_ideal_generators(M):
     circuit.  Graded list: all quadratics in each {y_i+, y_i-}, the sums
     y_i+ + y_i-, the circuit monomials, and for each symmetric circuit with
     support size s the elementary symmetric polynomial e_{s-1} of its signed
-    y-variables.
+    y-variables: the circuit relations of the covector presentation at the
+    empty flat, in the y-variables alone.
     """
     vars = small_variables(M.ground)
     n = M.ground.size
-    circs = circuits(M)
-    affine, graded = [], []
     one = Polynomial.one(vars)
-    for i in range(n):
-        yp, ym = _y_indices_small(i)
-        affine.append(_mono(vars, [(yp, 1), (ym, 1)]))
-        affine.append(_mono(vars, [(yp, 1)]) + _mono(vars, [(ym, 1)]) - one)
-        graded.append(_mono(vars, [(yp, 2)]))
-        graded.append(_mono(vars, [(yp, 1), (ym, 1)]))
-        graded.append(_mono(vars, [(ym, 2)]))
-        graded.append(_mono(vars, [(yp, 1)]) + _mono(vars, [(ym, 1)]))
-    for c in circs:
-        pairs = []
-        for i in sorted(c.vector.support()):
-            yp, ym = _y_indices_small(i)
-            pairs.append((yp if c.vector[i] == 1 else ym, 1))
-        monomial = _mono(vars, pairs)
-        affine.append(monomial)
-        graded.append(monomial)
-    for c in circs:
-        if not c.symmetric:
-            continue
-        supp = sorted(c.vector.support())
-        ys = [_y_power(vars, _y_indices_small, i, c.vector[i]) for i in supp]
-        graded.append(elementary_symmetric(len(supp) - 1, ys))
-    return {"affine": affine, "graded": graded}
-
-
-def _z_monomial(vars, indices):
-    return _mono(vars, [(_indices_big(i)[2], 1) for i in sorted(indices)])
+    affine, graded = [], []
+    for e in range(n):
+        yp, ym = _monomial(vars, [2 * e]), _monomial(vars, [2 * e + 1])
+        affine += [yp * ym, yp + ym - one]
+        graded += [yp * yp, yp * ym, ym * ym, yp + ym]
+    monomials, symmetric = _circuit_generators(vars, 2, range(n), circuits(M), mixed=False)
+    return {"affine": affine + monomials, "graded": graded + monomials + symmetric}
 
 
 def z_ideal_generators(M):
     """z-variable relations carried by the flat structure: a product over each
     minimal nonbasic set, and a difference for each pair of basic sets of a flat."""
     vars = big_variables(M.ground)
-    gens = []
-    for C in minimal_nonbasic_sets(M):
-        gens.append(_z_monomial(vars, C))
+    gens = [_monomial(vars, [3 * e + 2 for e in C]) for C in minimal_nonbasic_sets(M)]
     for F in flats_of(M):
-        basics = basic_sets(M, F)
-        for a in range(len(basics)):
-            for b in range(a + 1, len(basics)):
-                gens.append(_z_monomial(vars, basics[a]) - _z_monomial(vars, basics[b]))
+        zs = [_monomial(vars, [3 * e + 2 for e in B]) for B in basic_sets(M, F)]
+        gens += [a - b for k, a in enumerate(zs) for b in zs[k + 1 :]]
     return gens
 
 
-def symmetric_circuit_generator(M, F, circuit_vector, J, basic_set=None):
+def symmetric_circuit_generator(M, F, circuit_vector, J):
     """The degree codim(F)+s-1 generator attached to a symmetric circuit of the
     contraction at F, built from the mixing subset J of its support."""
     vars = big_variables(M.ground)
-    F = frozenset(F)
-    keep = [i for i in range(M.ground.size) if i not in F]
-    B = basic_set if basic_set is not None else default_basic_set(M, F)
-    supp = sorted(circuit_vector.support())
+    zB, keep = _contraction_frame(M, F, vars)
     J = frozenset(J)
-    if not (J and J < set(supp)):
+    if not (J and J < circuit_vector.support()):
         raise HarmonicsError("J must be a nonempty proper subset of the circuit support")
-    tilde = []
-    for i in supp:
-        gi = keep[i]
-        yp, ym, zi = _indices_big(gi)
-        term = _mono(vars, [(yp if circuit_vector[i] == 1 else ym, 1)])
-        if i in J:
-            term = term + _mono(vars, [(zi, 1)])
-        tilde.append(term)
-    return _z_monomial(vars, B) * elementary_symmetric(len(supp) - 1, tilde)
+    return zB * _symmetric_term(vars, 3, keep, circuit_vector, J)
 
 
 def covector_ideal_generators(M):
     """Generators presenting the graded function ring of the covector locus.
 
     On top of the z-variable relations: per-element quadratics and the sums
-    y_i+ + y_i- + z_i; and per flat F (through its basic-set monomial z_B(F)):
-    z_B(F) y_i^± for i in F, a monomial for each circuit of the contraction
-    at F, and an elementary symmetric generator for each of its symmetric
-    circuits built from the mixing subset J = {smallest support element}.
+    y_i+ + y_i- + z_i; and per flat F, z_B(F) times each y_i^± for i in F and
+    times each circuit relation of the contraction at F, as the tope
+    presentation builds them, with each symmetric circuit's mixing subset
+    J = {smallest support element}.
     """
     vars = big_variables(M.ground)
-    n = M.ground.size
     gens = z_ideal_generators(M)
-    for i in range(n):
-        yp, ym, zi = _indices_big(i)
-        for a, b in ((yp, yp), (yp, ym), (yp, zi), (ym, ym), (ym, zi), (zi, zi)):
-            gens.append(_mono(vars, [(a, 1), (b, 1)]) if a != b else _mono(vars, [(a, 2)]))
-        gens.append(
-            _mono(vars, [(yp, 1)]) + _mono(vars, [(ym, 1)]) + _mono(vars, [(zi, 1)])
-        )
+    for e in range(M.ground.size):
+        yp, ym, z = (_monomial(vars, [3 * e + k]) for k in range(3))
+        gens += [yp * yp, yp * ym, yp * z, ym * ym, ym * z, z * z, yp + ym + z]
     for F in flats_of(M):
-        B = default_basic_set(M, F)
-        zB = _z_monomial(vars, B)
-        keep = [i for i in range(n) if i not in F]
-        for i in sorted(F):
-            yp, ym, _ = _indices_big(i)
-            gens.append(zB * _mono(vars, [(yp, 1)]))
-            gens.append(zB * _mono(vars, [(ym, 1)]))
+        zB, keep = _contraction_frame(M, F, vars)
+        gens += [zB * _monomial(vars, [3 * e + k]) for e in sorted(F) for k in (0, 1)]
         circs = circuits(contract(M, F))
-        for c in circs:
-            pairs = []
-            for i in sorted(c.vector.support()):
-                gi = keep[i]
-                yp, ym, _ = _indices_big(gi)
-                pairs.append((yp if c.vector[i] == 1 else ym, 1))
-            gens.append(zB * _mono(vars, pairs))
-        for c in circs:
-            if c.symmetric:
-                J = {min(c.vector.support())}
-                gens.append(symmetric_circuit_generator(M, F, c.vector, J, basic_set=B))
+        monomials, symmetric = _circuit_generators(vars, 3, keep, circs, mixed=True)
+        gens += [zB * g for g in monomials + symmetric]
     return gens
 
 
@@ -573,29 +545,20 @@ def nbc_basis(M):
     flat F, the z-monomial of its basic set times the NBC monomials of the
     contraction at F; sizes add up to the covector count.
     """
-    n = M.ground.size
-    small_vars = small_variables(M.ground)
-    big_vars = big_variables(M.ground)
-    tope_monos = [
-        _mono(small_vars, [(_y_indices_small(i)[0], 1) for i in sorted(N)])
-        for N in nbc_sets(M)
-    ]
+    vars = big_variables(M.ground)
+    tope = [_monomial(small_variables(M.ground), [2 * e for e in N]) for N in nbc_sets(M)]
     strata = {}
-    cov_monos = []
     for F in flats_of(M):
-        zB = _z_monomial(big_vars, default_basic_set(M, F))
-        keep = [i for i in range(n) if i not in F]
-        flat_monos = [
-            zB * _mono(big_vars, [(_indices_big(keep[i])[0], 1) for i in sorted(N)])
-            for N in nbc_sets(contract(M, F))
+        zB, keep = _contraction_frame(M, F, vars)
+        strata[F] = [
+            zB * _monomial(vars, [3 * keep[i] for i in N]) for N in nbc_sets(contract(M, F))
         ]
-        strata[F] = flat_monos
-        cov_monos.extend(flat_monos)
-    if len(cov_monos) != len(M):
+    covector = [m for monos in strata.values() for m in monos]
+    if len(covector) != len(M):
         raise HarmonicsError(
-            f"covector basis size {len(cov_monos)} does not match covector count {len(M)}"
+            f"covector basis size {len(covector)} does not match covector count {len(M)}"
         )
-    return NbcBases(tope_monos, cov_monos, strata)
+    return NbcBases(tope, covector, strata)
 
 
 def verify_basis(locus, monomials, field=QQ, filtration=None):

@@ -188,6 +188,33 @@ def test_rowspace_rational_refuses_inexact_entries():
     assert rs.insert(["1/10", 1]) and rs.rows == [[1, 10]]
 
 
+def test_rowspace_fp_reads_entries_exactly():
+    # 1/2 is a residue mod p, not 0; floats and bools raise as they do over Q
+    rs = FpRowSpace(2, GF.p)
+    assert not rs.contains([Fraction(1, 2), 0])
+    for bad in ([0.5, 0], [1.0, 0], [True, 0], np.array([0.5, 0])):
+        with pytest.raises(TypeError):
+            rs.insert(bad)
+        with pytest.raises(TypeError):
+            rs.contains(bad)
+        with pytest.raises(TypeError):
+            rs.insert_block([[1, 0], bad])
+    assert rs.rank == 0
+    assert rs.insert([Fraction(1, 2), 0]) and rs.rank == 1
+    assert rs.contains(["3/7", 0]) and not rs.contains([0, Fraction(1, 2)])
+
+
+def test_prime_field_refuses_primes_past_int64_products():
+    # at p = 4294967311 uint32 residues wrap and int64 products overflow:
+    # (p - 1) * [1, 2, 3] once combined to [14, 13, 12], not [p - 1, p - 2, p - 3]
+    for p in (4294967311, 2**61 - 1, 2**64):
+        with pytest.raises(ExactLAError, match=r"2\^63"):
+            PrimeField(p)
+    top = PrimeField(3037000493)  # the largest prime with (p - 1)^2 < 2^63
+    v = top.vector([1, 2, 3])
+    assert top.combination([(top.p - 1, v)], 3).tolist() == [top.p - 1, top.p - 2, top.p - 3]
+
+
 def test_rowspace_expansion_coefficients():
     rs = RationalRowSpace(3)
     rs.insert([1, 1, 0])
