@@ -148,7 +148,8 @@ class PrimeField:
         # (which needs points * (p - 1)^2 < 2^63) admits a larger prime
         if (p - 1) ** 2 >= 2**63:
             raise ExactLAError(
-                f"{p} is too large for exact int64 residue products: need (p - 1)^2 < 2^63"
+                f"the prime {p} is too large for exact int64 residue products: "
+                "need (p - 1)^2 < 2^63"
             )
         if not _is_prime(p):
             raise ValueError(f"{p} is not prime")

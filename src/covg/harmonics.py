@@ -40,7 +40,8 @@ covector presentation adds, at each flat F, z_B(F) times the circuit
 generators of M/F (a signed y-monomial per circuit, and e_{s-1} of the
 signed y-variables of each symmetric circuit of support size s, one of them
 mixed with its z-variable), and the tope presentation is the same circuit
-builder at the empty flat in the y-variables alone, with nothing mixed.
+builder on the circuits of M itself, in the y-variables alone, with nothing
+mixed.
 
 Presentations and NBC bases are taken against the ground order: NBC sets
 break circuits at their smallest element, each flat F uses its
@@ -467,8 +468,8 @@ def tope_ideal_generators(M):
     circuit.  Graded list: all quadratics in each {y_i+, y_i-}, the sums
     y_i+ + y_i-, the circuit monomials, and for each symmetric circuit with
     support size s the elementary symmetric polynomial e_{s-1} of its signed
-    y-variables: the circuit relations of the covector presentation at the
-    empty flat, in the y-variables alone.
+    y-variables: the circuit relations the covector presentation builds for
+    each contraction, here on M itself and in the y-variables alone.
     """
     vars = small_variables(M.ground)
     n = M.ground.size
