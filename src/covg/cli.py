@@ -145,8 +145,8 @@ def cmd_basic(args):
 
 
 def cmd_hilbert(args):
-    M = _load_com(args.com)
     field = field_from_name(args.field)
+    M = _load_com(args.com)
     if args.method == "rank":
         locus = tope_locus(M) if args.which == "small" else covector_locus(M)
         series = hilbert_series(locus, field)
@@ -163,8 +163,8 @@ def cmd_hilbert(args):
 
 
 def cmd_verify(args):
-    M = _load_com(args.com)
     field = field_from_name(args.field)
+    M = _load_com(args.com)
     if args.what == "big-theorem":
         report = verify_covector_presentation(M, field=field)
         d = report.as_dict()
@@ -206,6 +206,7 @@ def cmd_verify(args):
 
 
 def cmd_loci(args):
+    field = field_from_name(args.field)
     makers = {
         "kostant": kostant_locus,
         "permutohedral": permutohedral_locus,
@@ -219,7 +220,6 @@ def cmd_loci(args):
         "variables": list(locus.variables),
     }
     if args.hilbert:
-        field = field_from_name(args.field)
         series = hilbert_series(locus, field)
         results["hilbert"] = list(series.coeffs)
     else:
@@ -228,8 +228,8 @@ def cmd_loci(args):
 
 
 def cmd_character(args):
-    M = _load_com(args.com)
     field = field_from_name(args.field)
+    M = _load_com(args.com)
     group = GroupSpec.from_json_dict(M, jsonio.read_json(args.group))
     locus = covector_locus(M)
     if args.verify_decomposition:

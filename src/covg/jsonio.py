@@ -7,8 +7,17 @@ produce byte-identical output.
 
 from __future__ import annotations
 
-import hashlib
 import json
+
+# CPython's built-in SHA-256; `hashlib` would load OpenSSL's libcrypto
+# (about 3.6 MB of resident memory) for this one digest
+try:
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 
 def dumps(obj):
@@ -30,7 +39,7 @@ def write_json(path, obj):
 
 
 def sha256_file(path):
-    h = hashlib.sha256()
+    h = sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):
             h.update(chunk)

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -219,6 +220,23 @@ def test_hilbert_refuses_prime_past_int64_bound(capsys, braid3_path):
     assert "results" not in rep
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("hilbert", "missing.json", "--which", "big"),
+        ("verify", "missing.json", "--what", "big-theorem"),
+        ("character", "missing.json", "--group", "missing-group.json"),
+        ("loci", "--family", "kostant", "--n", "3"),
+    ],
+)
+def test_bad_field_is_refused_before_any_input_is_read(capsys, tmp_path, monkeypatch, argv):
+    # the field is parsed first, so the missing input files are never opened
+    monkeypatch.chdir(tmp_path)
+    code, rep = report(capsys, "--field", "fp:100", *argv)
+    assert code == 2
+    assert rep["error"] == {"type": "ValueError", "message": "100 is not prime"}
+
+
 def test_verify_commands(capsys, fig1_path):
     for what in ("tope-count", "small-generators", "two-values", "big-theorem"):
         code, rep = report(capsys, "verify", fig1_path, "--what", what)
@@ -392,15 +410,18 @@ def test_unknown_ground_label_is_named(capsys, tmp_path, braid3_path, braid3, en
 _MODULES_AFTER_RUN = """
 import contextlib, io, sys
 from covg.cli import run
+names = sys.argv[1].split(",")
 with contextlib.redirect_stdout(io.StringIO()):
-    code = run(sys.argv[1:])
-sys.stderr.write(f"{code} {'numpy' in sys.modules}")
+    code = run(sys.argv[2:])
+sys.stderr.write(f"{code} {any(name in sys.modules for name in names)}")
 """
 
 
-def _loads_numpy(*argv):
+def _loads_any(names, *argv):
+    """Whether `covg *argv`, run to exit 0 in a fresh interpreter, has loaded
+    any of the named modules."""
     proc = subprocess.run(
-        [sys.executable, "-c", _MODULES_AFTER_RUN, *argv],
+        [sys.executable, "-c", _MODULES_AFTER_RUN, ",".join(names), *argv],
         capture_output=True, text=True, timeout=120,
     )
     code, loaded = proc.stderr.split()
@@ -414,9 +435,42 @@ def test_rational_commands_do_not_import_numpy(tmp_path, fig1_path):
     never loaded at all."""
     arr = tmp_path / "arr.json"
     jsonio.write_json(arr, {"dimension": 1, "forms": {"h": {"coeffs": ["1"], "const": "0"}}, "region": []})
-    assert not _loads_numpy("loci", "--family", "kostant", "--n", "3", "--hilbert")
-    assert not _loads_numpy("enumerate", str(arr))
-    assert _loads_numpy("--field", "fp:1000003", "loci", "--family", "permmatrix", "--n", "3", "--hilbert")
-    assert not _loads_numpy("check", fig1_path)
-    assert not _loads_numpy("circuits", fig1_path)
-    assert not _loads_numpy("hilbert", fig1_path, "--which", "big")
+    assert not _loads_any(["numpy"], "loci", "--family", "kostant", "--n", "3", "--hilbert")
+    assert not _loads_any(["numpy"], "enumerate", str(arr))
+    assert _loads_any(["numpy"], "--field", "fp:1000003", "loci", "--family", "permmatrix", "--n", "3", "--hilbert")
+    assert not _loads_any(["numpy"], "check", fig1_path)
+    assert not _loads_any(["numpy"], "circuits", fig1_path)
+    assert not _loads_any(["numpy"], "hilbert", fig1_path, "--which", "big")
+
+
+@pytest.mark.skipif(
+    jsonio.sha256.__module__ == "_hashlib", reason="this interpreter has no built-in SHA-256"
+)
+def test_no_command_loads_openssl(tmp_path, fig1_path, braid3_path, braid3):
+    """Input digests use CPython's built-in SHA-256, so no command pays for
+    OpenSSL's libcrypto.  The prime-field runs also load numpy, which does
+    not load it either."""
+    from covg import GroupSpec, braid_automorphism_generators
+
+    gpath = tmp_path / "s3.json"
+    jsonio.write_json(gpath, GroupSpec.from_generators(braid3, braid_automorphism_generators(3)).to_json_dict())
+    openssl = ["_hashlib", "_ssl"]
+    assert not _loads_any(openssl, "check", fig1_path)
+    assert not _loads_any(openssl, "hilbert", fig1_path, "--which", "big")
+    assert not _loads_any(openssl, "--field", "fp:1000003", "verify", fig1_path, "--what", "big-theorem")
+    assert not _loads_any(openssl, "character", braid3_path, "--group", str(gpath))
+    assert not _loads_any(openssl, "--field", "fp:1000003", "loci", "--family", "permmatrix", "--n", "3", "--hilbert")
+
+
+def test_sha256_file_matches_hashlib(tmp_path):
+    """The report digest equals the standard library's: on every packaged data
+    file, an empty file, and one that crosses both 64 KiB read boundaries."""
+    import hashlib
+
+    data = sorted((Path(jsonio.__file__).parent / "data").iterdir())
+    assert data
+    empty, blob = tmp_path / "empty", tmp_path / "blob"
+    empty.write_bytes(b"")
+    blob.write_bytes(bytes(i % 251 for i in range(2 * 65536 + 1)))
+    for path in [*data, empty, blob]:
+        assert jsonio.sha256_file(path) == hashlib.sha256(path.read_bytes()).hexdigest(), path
