@@ -117,9 +117,6 @@ class SignedVector:
     def zero_set(self):
         return frozenset(i for i, s in enumerate(self.signs) if not s)
 
-    def is_tope(self):
-        return all(self.signs)
-
     def restrict(self, indices):
         return SignedVector(self.signs[i] for i in indices)
 
@@ -431,9 +428,6 @@ class FlatPoset:
     """The zero sets of covectors, ordered by containment (a meet-semilattice)."""
 
     flats: tuple  # frozensets of ground indices, sorted by (size, content)
-
-    def __contains__(self, f):
-        return frozenset(f) in set(self.flats)
 
     def __iter__(self):
         return iter(self.flats)

@@ -1,14 +1,15 @@
 """Group actions on loci, graded characters, induction, and the check that
 the covector ring decomposes into induced tope rings of contractions.
 
-Groups are supplied by generators and closed by breadth-first multiplication;
+Groups are supplied by generators.  One breadth-first orbit walk, `_orbit`,
+closes them, finds their conjugacy classes and tests subgroup generating sets;
 nothing here searches for the full automorphism group (a brute-force search
 for tiny ground sets lives at the bottom as a test utility).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -29,7 +30,27 @@ def _element_key(w):
 MAX_GROUP_ORDER = 100_000  # elements a generated group may close to
 
 
-@dataclass(frozen=True)
+def _orbit(start, step, inside=None):
+    """The set reached from the elements `start` by repeated `step(w)` images,
+    breadth first; None as soon as an image falls outside `inside`, if given."""
+    seen = set(start)
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for u in step(w):
+                if u in seen:
+                    continue
+                if inside is not None and u not in inside:
+                    return None
+                seen.add(u)
+                nxt.append(u)
+                if len(seen) > MAX_GROUP_ORDER:
+                    raise EquivariantError(f"group closure exceeded {MAX_GROUP_ORDER} elements")
+        frontier = nxt
+    return seen
+
+
 class GroupSpec:
     """A finite group of COM automorphisms, closed and cached from generators.
 
@@ -39,40 +60,27 @@ class GroupSpec:
     orbits and flat stabilizers are computed on first use and kept.
     """
 
-    com: COM
-    generators: tuple
-    elements: tuple
-    inverses: dict = field(init=False, repr=False, compare=False)
-    classes: tuple = field(init=False, repr=False, compare=False)
-    class_index: dict = field(init=False, repr=False, compare=False)
-    _orbits: tuple = field(default=None, init=False, repr=False, compare=False)
-    _stabilizers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        inverses = {w: w.inverse() for w in self.elements}
+    def __init__(self, com, generators, elements):
+        self.com = com
+        self.generators = generators
+        self.elements = elements
+        self.inverses = {w: w.inverse() for w in elements}
         # the generators generate G, so the conjugacy class of g is its orbit
         # under conjugation by the generators
-        classes, index = [], {}
-        for g in self.elements:
-            if g in index:
+        def conjugates(w):
+            return (s.compose(w).compose(self.inverses[s]) for s in generators)
+
+        classes, self.class_index = [], {}
+        for g in elements:
+            if g in self.class_index:
                 continue
-            members, frontier = {g}, [g]
-            while frontier:
-                nxt = []
-                for w in frontier:
-                    for s in self.generators:
-                        c = s.compose(w).compose(inverses[s])
-                        if c not in members:
-                            members.add(c)
-                            nxt.append(c)
-                frontier = nxt
-            for w in members:
-                index[w] = len(classes)
+            members = _orbit([g], conjugates)
+            self.class_index.update(dict.fromkeys(members, len(classes)))
             # every smaller element is already classified, so g is the smallest
             classes.append(tuple(sorted(members, key=_element_key)))
-        object.__setattr__(self, "inverses", inverses)
-        object.__setattr__(self, "classes", tuple(classes))
-        object.__setattr__(self, "class_index", index)
+        self.classes = tuple(classes)
+        self._orbits = None
+        self._stabilizers = {}
 
     @classmethod
     def from_generators(cls, com, generators):
@@ -85,26 +93,9 @@ class GroupSpec:
         # refuses a bad group before any closure work
         for g in gens:
             if not verify_automorphism(com, g):
-                raise EquivariantError(
-                    "a closed group element is not an automorphism of the COM"
-                )
-        seen = {SignedPermutation.identity(n)}
-        frontier = list(seen)
-        while frontier:
-            nxt = []
-            for w in frontier:
-                for g in gens:
-                    u = g.compose(w)
-                    if u not in seen:
-                        seen.add(u)
-                        nxt.append(u)
-                        if len(seen) > MAX_GROUP_ORDER:
-                            raise EquivariantError(
-                                f"group closure exceeded {MAX_GROUP_ORDER} elements"
-                            )
-            frontier = nxt
-        elements = tuple(sorted(seen, key=_element_key))
-        return cls(com, gens, elements)
+                raise EquivariantError("a closed group element is not an automorphism of the COM")
+        seen = _orbit([SignedPermutation.identity(n)], lambda w: (g.compose(w) for g in gens))
+        return cls(com, gens, tuple(sorted(seen, key=_element_key)))
 
     @property
     def order(self):
@@ -130,7 +121,7 @@ class GroupSpec:
                 seen |= orbit
                 rep = min(orbit, key=lambda g: tuple(sorted(g)))
                 orbits.append((rep, frozenset(orbit)))
-            object.__setattr__(self, "_orbits", tuple(orbits))
+            self._orbits = tuple(orbits)
         return list(self._orbits)
 
     def to_json_dict(self):
@@ -247,18 +238,9 @@ def _generating_set(group, sub):
         if h not in sub or h in closure:
             continue
         gens.append(h)
-        frontier = list(closure)
-        while frontier:
-            nxt = []
-            for w in frontier:
-                for g in gens:
-                    u = g.compose(w)
-                    if u not in closure:
-                        if u not in sub:
-                            return None
-                        closure.add(u)
-                        nxt.append(u)
-            frontier = nxt
+        closure = _orbit(closure, lambda w: (g.compose(w) for g in gens), inside=sub)
+        if closure is None:
+            return None
     return gens if closure == sub else None
 
 

@@ -66,7 +66,7 @@ from .matroidal import (
     mixing_subsets,
     nbc_sets,
 )
-from .realize import braid_com, fraction_to_str
+from .realize import braid_com
 from . import permstats
 
 
@@ -113,7 +113,7 @@ class PointLocus:
         return {
             "variables": list(self.variables),
             "points": [
-                {"label": l, "coords": [fraction_to_str(c) for c in p]}
+                {"label": l, "coords": [str(c) for c in p]}
                 for l, p in zip(self.labels, self.points)
             ],
         }
@@ -681,15 +681,19 @@ def _check_locus_n(n):
         raise HarmonicsError(f"permutation loci capped at n = {MAX_LOCUS_N}")
 
 
-def kostant_locus(n):
-    """Permutations embedded by one-line notation in n-space."""
-    _check_locus_n(n)
-    variables = tuple(f"x{i}" for i in range(1, n + 1))
+def _permutation_locus(n, variables, coords, char_zero):
+    """The points coords(w) of the permutations w of 1..n, labeled by one-line notation."""
     labels, points = [], []
     for w in permutations(range(1, n + 1)):
         labels.append("".join(map(str, w)))
-        points.append(w)
-    return PointLocus(variables, tuple(labels), tuple(points), "permutation", True)
+        points.append(tuple(coords(w)))
+    return PointLocus(variables, tuple(labels), tuple(points), "permutation", char_zero)
+
+
+def kostant_locus(n):
+    """Permutations embedded by one-line notation in n-space."""
+    _check_locus_n(n)
+    return _permutation_locus(n, tuple(f"x{i}" for i in range(1, n + 1)), lambda w: w, True)
 
 
 def proper_nonempty_subsets(n):
@@ -709,29 +713,22 @@ def permutohedral_locus(n):
     subsets = proper_nonempty_subsets(n)
     variables = tuple("x" + "".join(map(str, s)) for s in subsets)
     index = {s: k for k, s in enumerate(subsets)}
-    labels, points = [], []
-    for w in permutations(range(1, n + 1)):
-        coords = [0] * len(subsets)
+
+    def coords(w):
+        c = [0] * len(subsets)
         for j in range(1, n):
-            prefix = tuple(sorted(w[:j]))
-            coords[index[prefix]] = w[j - 1] - w[j]
-        labels.append("".join(map(str, w)))
-        points.append(tuple(coords))
-    return PointLocus(variables, tuple(labels), tuple(points), "permutation", True)
+            c[index[tuple(sorted(w[:j]))]] = w[j - 1] - w[j]
+        return c
+
+    return _permutation_locus(n, variables, coords, True)
 
 
 def permmatrix_locus(n):
     """Permutations embedded as flattened permutation matrices."""
     _check_locus_n(n)
-    variables = tuple(f"m{i}{j}" for i in range(1, n + 1) for j in range(1, n + 1))
-    labels, points = [], []
-    for w in permutations(range(1, n + 1)):
-        coords = [0] * (n * n)
-        for i, v in enumerate(w):
-            coords[i * n + (v - 1)] = 1
-        labels.append("".join(map(str, w)))
-        points.append(tuple(coords))
-    return PointLocus(variables, tuple(labels), tuple(points), "permutation")
+    cells = [(i, j) for i in range(n) for j in range(1, n + 1)]
+    variables = tuple(f"m{i + 1}{j}" for i, j in cells)
+    return _permutation_locus(n, variables, lambda w: [int(w[i] == j) for i, j in cells], False)
 
 
 # ---------------------------------------------------------------------------

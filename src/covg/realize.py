@@ -35,11 +35,6 @@ class EmptyRegionError(RealizeError):
     pass
 
 
-def fraction_to_str(x):
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 @dataclass(frozen=True)
 class AffineForm:
     """a . x + c with exact rational coefficients."""
@@ -67,8 +62,8 @@ class AffineForm:
 
     def to_json_dict(self):
         return {
-            "coeffs": [fraction_to_str(a) for a in self.coeffs],
-            "const": fraction_to_str(self.const),
+            "coeffs": [str(a) for a in self.coeffs],
+            "const": str(self.const),
         }
 
     @classmethod

@@ -19,12 +19,14 @@ from covg import (
     tope_locus,
     verify_graded_module_structure,
 )
-from covg.com import contract
+from covg.com import contract, flats_of
 from covg.equivariant import (
     DecompositionReport,
     EquivariantError,
     GradedCharacter,
+    _element_key,
     _generating_set,
+    _orbit,
     restricted_permutation,
 )
 from covg.exactla import ExactLAError, PrimeField, RationalRowSpace
@@ -428,3 +430,52 @@ def test_flat_orbits_and_stabilizers_are_memoized(braid3, monkeypatch):
     assert G.flat_orbits() == first
     stab = G.stabilizer_elements({0})
     assert G.stabilizer_elements(frozenset({0})) is stab
+
+
+# ---------------------------------------------------------------------------
+# the orbit walk against naive product fixpoints
+
+
+def _product_fixpoint(elements):
+    """All products of the given group elements: multiply every pair until nothing is new."""
+    closed = set(elements)
+    while True:
+        grown = closed | {a.compose(b) for a in closed for b in closed}
+        if grown == closed:
+            return closed
+        closed = grown
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_group_closure_matches_product_fixpoint(n):
+    gens = braid_automorphism_generators(n)
+    G = GroupSpec.from_generators(braid_com(n), gens)
+    assert set(G.elements) == _product_fixpoint(gens)
+    assert list(G.elements) == sorted(G.elements, key=_element_key)
+
+
+@pytest.mark.parametrize("name", ["braid4", "braid5", "figure1"])
+def test_generating_set_of_each_flat_stabilizer(name, figure1):
+    """`_generating_set` closes to each flat stabilizer, and refuses the
+    stabilizer less one non-identity element; the walk it runs, confined to
+    that smaller set, stops with None."""
+    if name == "figure1":
+        M, G = figure1, automorphism_group_bruteforce(figure1)
+    else:
+        n = int(name[-1])
+        M = braid_com(n)
+        G = GroupSpec.from_generators(M, braid_automorphism_generators(n))
+    ident = SignedPermutation.identity(M.ground.size)
+    for flat in flats_of(M):
+        stab = set(G.stabilizer_elements(flat))
+        gens = _generating_set(G, stab)
+        assert _product_fixpoint([ident, *gens]) == stab
+
+        def walk(w):
+            return (g.compose(w) for g in gens)
+
+        assert _orbit([ident], walk, inside=stab) == stab
+        for h in sorted(stab - {ident}, key=_element_key):
+            # {e, h} less h is the trivial group, still a subgroup
+            assert _generating_set(G, stab - {h}) == ([] if len(stab) == 2 else None)
+            assert _orbit([ident], walk, inside=stab - {h}) is None
