@@ -14,12 +14,18 @@ vector_of convert).  A COM computes, once, the key and the zero-set mask of
 each covector and the set of those zero-set masks, its flats; topes,
 coloops, flats, contractions and the matroidal searches read these.
 
-check_axioms, the trust boundary for families from outside, works on the
-same keys and imports no numpy.  Face symmetry is tested once per zero set;
-strong elimination is decided on pairs of covectors with the same support,
-which given face symmetry is exact (see check_axioms), with memoised bitset
-queries over covector indices.  braid5 checks in about 0.04 s and braid6 in
-about 1.5 s.
+The constructors here check nothing.  Families from outside come in
+through COM.from_json_dict, the one place a family is checked: it refuses
+malformed JSON fields, repeated ground labels, bad sign characters, an
+empty family and covectors of the wrong length, and runs check_axioms.
+Minors, enumerated and generated families are COMs by theorem or by
+construction and are built unchecked.
+
+check_axioms works on the same keys and imports no numpy.  Face symmetry
+is tested once per zero set; strong elimination is decided on pairs of
+covectors with the same support, which given face symmetry is exact (see
+check_axioms), with memoised bitset queries over covector indices.  braid5
+checks in about 0.04 s and braid6 in about 1.5 s.
 """
 
 from __future__ import annotations
@@ -27,6 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import and_, or_
+
+from . import jsonio
 
 SIGN_CHARS = {1: "+", -1: "-", 0: "0"}
 CHAR_SIGNS = {"+": 1, "-": -1, "0": 0}
@@ -43,12 +51,7 @@ class AxiomError(COMError):
 
 @dataclass(frozen=True)
 class GroundSet:
-    labels: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(str(l) for l in self.labels))
-        if len(set(self.labels)) != len(self.labels):
-            raise COMError("ground-set labels must be distinct")
+    labels: tuple  # distinct strings
 
     @property
     def size(self):
@@ -72,10 +75,7 @@ class SignedVector:
     __slots__ = ("signs",)
 
     def __init__(self, signs):
-        signs = tuple(signs)
-        if any(s not in (1, -1, 0) for s in signs):
-            raise COMError(f"signs must be +1, -1 or 0, got {signs}")
-        object.__setattr__(self, "signs", signs)
+        object.__setattr__(self, "signs", tuple(signs))
 
     def __setattr__(self, *a):
         raise AttributeError("SignedVector is immutable")
@@ -341,10 +341,12 @@ def check_axioms(vectors):
 class COM:
     """A ground set plus a deduplicated, canonically sorted covector family.
 
-    The constructor checks structure only (nonempty, lengths); it does not
-    check the axioms.  Families from outside come in through from_json_dict,
-    which does; minors, enumerated and generated families are COMs by
-    theorem or by construction and are built as they are.
+    The constructor checks nothing: it expects a GroundSet of distinct
+    string labels and a nonempty family of covectors as long as it.
+    Families from outside come in through from_json_dict, which checks
+    that and, unless told not to, the axioms; minors, enumerated and
+    generated families are COMs by theorem or by construction and are built
+    as they are.
 
     keys[k] and zero_masks[k] are the sign key and zero-set mask of
     covectors[k]; flat_masks is the set of zero-set masks.
@@ -353,13 +355,7 @@ class COM:
     __slots__ = ("ground", "covectors", "keys", "zero_masks", "flat_masks", "_set", "_hash")
 
     def __init__(self, ground, covectors):
-        if not isinstance(ground, GroundSet):
-            ground = GroundSet(tuple(ground))
         covectors = sorted(set(covectors), key=SignedVector.sort_key)
-        if not covectors:
-            raise COMError("a COM needs at least one covector")
-        if any(len(v) != ground.size for v in covectors):
-            raise COMError("covector length does not match ground-set size")
         object.__setattr__(self, "ground", ground)
         object.__setattr__(self, "covectors", tuple(covectors))
         full = (1 << ground.size) - 1
@@ -402,10 +398,24 @@ class COM:
 
     @classmethod
     def from_json_dict(cls, data, check=True):
-        """Read a COM from its JSON form; raises AxiomError unless check is False."""
-        ground = GroundSet(tuple(data["ground"]))
-        covectors = [SignedVector.from_string(s) for s in data["covectors"]]
-        M = cls(ground, covectors)
+        """Read a COM from its JSON form, refusing what the constructor trusts.
+
+        Raises TypeError unless `ground` and `covectors` are lists; COMError
+        for repeated ground labels, a covector with a character other than
+        '+', '-', '0', an empty family, or a covector whose length is not the
+        ground set's; and, unless check is False, AxiomError for a family
+        that fails the COM axioms.  Labels are read as strings.
+        """
+        labels = tuple(str(l) for l in jsonio.array(data["ground"], "ground"))
+        if len(set(labels)) != len(labels):
+            raise COMError("ground-set labels must be distinct")
+        strings = jsonio.array(data["covectors"], "covectors")
+        covectors = [SignedVector.from_string(s) for s in strings]
+        if not covectors:
+            raise COMError("a COM needs at least one covector")
+        if any(len(v) != len(labels) for v in covectors):
+            raise COMError("covector length does not match ground-set size")
+        M = cls(GroundSet(labels), covectors)
         if check:
             report = check_axioms(M.covectors)
             if not report.ok:
@@ -435,25 +445,12 @@ class FlatPoset:
     def __len__(self):
         return len(self.flats)
 
-    @property
-    def minimum(self):
-        return self.flats[0]
-
 
 def flat_poset(M):
-    flats = M.flat_masks
-    for f in flats:
-        for g in flats:
-            if f & g not in flats:
-                raise COMError(
-                    "flat family is not intersection-closed; the covector family "
-                    "cannot satisfy the COM axioms"
-                )
-    ordered = tuple(sorted(map(bits, flats), key=lambda f: (len(f), tuple(sorted(f)))))
-    poset = FlatPoset(ordered)
-    if poset.minimum != coloops(M):
-        raise COMError("minimum flat does not equal the coloop set")
-    return poset
+    """The flats of M by size, then content: the coloop set, the
+    intersection of all the flats of a COM, comes first."""
+    flats = sorted(map(bits, M.flat_masks), key=lambda f: (len(f), tuple(sorted(f))))
+    return FlatPoset(tuple(flats))
 
 
 def _require_flat(M, F):
@@ -498,15 +495,6 @@ class SignedPermutation:
 
     perm: tuple
     signs: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "perm", tuple(self.perm))
-        object.__setattr__(self, "signs", tuple(self.signs))
-        n = len(self.perm)
-        if sorted(self.perm) != list(range(n)):
-            raise COMError("perm must be a bijection of 0..n-1")
-        if len(self.signs) != n or any(s not in (1, -1) for s in self.signs):
-            raise COMError("signs must be +1/-1, one per index")
 
     @classmethod
     def identity(cls, n):

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
 
-from .com import COM, SignedPermutation, SignedVector, act, contract, flats_of, verify_automorphism
+from . import jsonio
+from .com import COMError, SignedPermutation, SignedVector, act, contract, flats_of, verify_automorphism
 from .exactla import QQ, rational
 from .harmonics import EvaluationFiltration, covector_locus, tope_locus
 from .matroidal import codim
@@ -84,8 +85,16 @@ class GroupSpec:
 
     @classmethod
     def from_generators(cls, com, generators):
+        """The group the generators close to, refusing (COMError) a generator
+        that is not a signed bijection of 0..k-1 and (EquivariantError) one
+        whose size is not the ground set's or that is not an automorphism."""
         n = com.ground.size
         gens = tuple(generators) or (SignedPermutation.identity(n),)
+        for g in gens:
+            if sorted(g.perm) != list(range(len(g))):
+                raise COMError("perm must be a bijection of 0..n-1")
+            if len(g.signs) != len(g) or any(s not in (1, -1) for s in g.signs):
+                raise COMError("signs must be +1/-1, one per index")
         for g in gens:
             if len(g) != n:
                 raise EquivariantError("generator size does not match the ground set")
@@ -135,10 +144,13 @@ class GroupSpec:
 
     @classmethod
     def from_json_dict(cls, com, data):
+        """Read generators by ground label, refusing (TypeError) a generator
+        list, `perm` or `signs` that is not a list and an inexact sign, and
+        (COMError) an unknown label; from_generators checks the rest."""
         gens = []
-        for g in data["generators"]:
-            perm = tuple(com.ground.index(l) for l in g["perm"])
-            signs = tuple(map(rational, g["signs"]))
+        for g in jsonio.array(data["generators"], "generators"):
+            perm = tuple(com.ground.index(l) for l in jsonio.array(g["perm"], "perm"))
+            signs = tuple(map(rational, jsonio.array(g["signs"], "signs")))
             gens.append(SignedPermutation(perm, signs))
         return cls.from_generators(com, gens)
 

@@ -56,6 +56,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
+from . import jsonio
 from .com import contract, flats_of, topes
 from .exactla import QQ, Polynomial, elementary_symmetric, rational
 from .matroidal import (
@@ -84,24 +85,23 @@ class EmptyLocusError(HarmonicsError):
 
 @dataclass(frozen=True)
 class PointLocus:
-    """Finite labeled point set with exact coordinates and named variables."""
+    """Finite labeled point set with exact coordinates and named variables.
+
+    The constructor trusts its arguments: one label per point, distinct
+    points, each a tuple of exact numbers (ints where integral, else
+    Fractions) with one coordinate per variable.  The locus builders below
+    make them so; points from outside come in through from_json_dict, which
+    refuses (TypeError) a `variables` or `points` entry that is not a list
+    and an inexact coordinate, and (HarmonicsError) coordinates that are not
+    a list, a point whose length is not the variable count and a repeated
+    point.
+    """
 
     variables: tuple
     labels: tuple
-    points: tuple  # tuples of exact numbers: ints where integral, else Fractions
+    points: tuple
     label_kind: str = "raw"  # covector | permutation | ordered-set-partition | raw
     requires_char_zero: bool = False
-
-    def __post_init__(self):
-        points = tuple(tuple(map(rational, p)) for p in self.points)
-        object.__setattr__(self, "points", points)
-        if len(self.labels) != len(self.points):
-            raise HarmonicsError("one label per point")
-        for p in self.points:
-            if len(p) != len(self.variables):
-                raise HarmonicsError("point length does not match variable count")
-        if len(set(self.points)) != len(self.points):
-            raise HarmonicsError("locus points must be distinct")
 
     def __len__(self):
         return len(self.points)
@@ -120,15 +120,16 @@ class PointLocus:
 
     @classmethod
     def from_json_dict(cls, data, label_kind="raw"):
-        pts = data["points"]
+        variables = tuple(jsonio.array(data["variables"], "variables"))
+        pts = jsonio.array(data["points"], "points")
         if not all(isinstance(p["coords"], list) for p in pts):
             raise HarmonicsError("point coordinates must be JSON lists")
-        return cls(
-            tuple(data["variables"]),
-            tuple(p["label"] for p in pts),
-            tuple(p["coords"] for p in pts),
-            label_kind=label_kind,
-        )
+        points = tuple(tuple(map(rational, p["coords"])) for p in pts)
+        if any(len(p) != len(variables) for p in points):
+            raise HarmonicsError("point length does not match variable count")
+        if len(set(points)) != len(points):
+            raise HarmonicsError("locus points must be distinct")
+        return cls(variables, tuple(p["label"] for p in pts), points, label_kind=label_kind)
 
 
 def small_variables(ground):
@@ -175,12 +176,7 @@ def covector_locus(M):
 
 @dataclass(frozen=True)
 class HilbertSeries:
-    coeffs: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
-        if any(c < 0 for c in self.coeffs):
-            raise HarmonicsError("Hilbert coefficients must be nonnegative")
+    coeffs: tuple  # nonnegative ints
 
     def at_one(self):
         return sum(self.coeffs)

@@ -3,6 +3,11 @@
 Rationals travel as decimal strings "p" or "p/q" in lowest terms; files end
 with a newline; key order is insertion order so identical inputs always
 produce byte-identical output.
+
+Reading refuses an object that repeats a key, which json would otherwise
+collapse to its last value, and `array` refuses a non-list where a list
+belongs, which would otherwise be iterated (a string, one character at a
+time).
 """
 
 from __future__ import annotations
@@ -24,13 +29,29 @@ def dumps(obj):
     return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
 
 
+def _object(pairs):
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"JSON object repeats the key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def loads(text):
-    return json.loads(text)
+    return json.loads(text, object_pairs_hook=_object)
 
 
 def read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return json.load(fh, object_pairs_hook=_object)
+
+
+def array(value, key):
+    """value, the entry read at key, if it is a JSON list; raises TypeError otherwise."""
+    if not isinstance(value, list):
+        raise TypeError(f"{key!r} must be a JSON list, got {type(value).__name__}")
+    return value
 
 
 def write_json(path, obj):

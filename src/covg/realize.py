@@ -17,12 +17,12 @@ reported covector's cell holds a witness checked exactly against it.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from itertools import product
 
+from . import jsonio
 from .com import COM, GroundSet, SignedPermutation, SignedVector
 from .exactla import rational
 
@@ -68,7 +68,8 @@ class AffineForm:
 
     @classmethod
     def from_json_dict(cls, data):
-        return cls(tuple(map(rational, data["coeffs"])), rational(data["const"]))
+        coeffs = jsonio.array(data["coeffs"], "coeffs")
+        return cls(tuple(map(rational, coeffs)), rational(data["const"]))
 
 
 @dataclass(frozen=True)
@@ -80,17 +81,6 @@ class Arrangement:
     forms: tuple
     region: tuple
 
-    def __post_init__(self):
-        if type(self.dimension) is not int or self.dimension < 0:
-            raise RealizeError("the dimension must be a nonnegative integer")
-        if len(self.labels) != len(self.forms):
-            raise RealizeError("one label per form")
-        if len(set(self.labels)) != len(self.labels):
-            raise RealizeError("form labels must be distinct")
-        for f in self.forms + self.region:
-            if f.dimension != self.dimension:
-                raise RealizeError("all forms must share the ambient dimension")
-
     def to_json_dict(self):
         return {
             "dimension": self.dimension,
@@ -100,10 +90,23 @@ class Arrangement:
 
     @classmethod
     def from_json_dict(cls, data):
-        labels = tuple(data["forms"].keys())
-        forms = tuple(AffineForm.from_json_dict(d) for d in data["forms"].values())
-        region = tuple(AffineForm.from_json_dict(d) for d in data.get("region", []))
-        return cls(rational(data["dimension"]), labels, forms, region)
+        """Read an arrangement, refusing (TypeError) a `forms` that is not an
+        object, a `coeffs` or `region` that is not a list and an inexact
+        number, and (RealizeError) a dimension that is not a nonnegative
+        integer or a form of another dimension.  Form labels are the keys of
+        `forms`, distinct because the JSON reader refuses a repeated key."""
+        named = data["forms"]
+        if not isinstance(named, dict):
+            raise TypeError(f"'forms' must be a JSON object, got {type(named).__name__}")
+        forms = tuple(AffineForm.from_json_dict(d) for d in named.values())
+        region = jsonio.array(data.get("region", []), "region")
+        region = tuple(AffineForm.from_json_dict(d) for d in region)
+        dimension = rational(data["dimension"])
+        if type(dimension) is not int or dimension < 0:
+            raise RealizeError("the dimension must be a nonnegative integer")
+        if any(f.dimension != dimension for f in forms + region):
+            raise RealizeError("all forms must share the ambient dimension")
+        return cls(dimension, tuple(named), forms, region)
 
 
 # ---------------------------------------------------------------------------
@@ -452,4 +455,4 @@ def fixture(name):
     if name not in files:
         raise RealizeError(f"unknown fixture {name!r}; available: {', '.join(FIXTURE_NAMES)}")
     text = resources.files("covg.data").joinpath(files[name]).read_text()
-    return COM.from_json_dict(json.loads(text))
+    return COM.from_json_dict(jsonio.loads(text))

@@ -211,6 +211,48 @@ def test_character_refuses_inexact_group_signs(capsys, tmp_path, braid3_path, br
     assert "results" not in rep
 
 
+_FORM = {"coeffs": ["1", "0"], "const": "0"}
+
+
+@pytest.mark.parametrize(
+    "command, data",
+    [
+        ("flats", {"ground": "ab", "covectors": ["++", "--", "00"]}),
+        ("flats", {"ground": ["a"], "covectors": "+-0"}),
+        ("enumerate", {"dimension": 2, "forms": {"h": {"coeffs": "12", "const": "0"}}, "region": []}),
+        ("enumerate", {"dimension": 2, "forms": {"h": _FORM}, "region": ""}),
+        ("enumerate", {"dimension": 2, "forms": [_FORM], "region": []}),
+        ("character", {"generators": [{"perm": "1234", "signs": [1, 1, 1, 1]}]}),
+        ("character", {"generators": [{"perm": ["1", "2", "3", "4"], "signs": "1111"}]}),
+        ("character", {"generators": ""}),
+    ],
+)
+def test_a_non_list_where_a_list_belongs_is_refused(capsys, tmp_path, fig1_path, command, data):
+    """A JSON string is iterable, so read where a list belongs it would be
+    taken one character at a time: "ab" as the labels a and b."""
+    path = tmp_path / "input.json"
+    jsonio.write_json(path, data)
+    argv = (command, str(path)) if command != "character" else (command, fig1_path, "--group", str(path))
+    code, rep = report(capsys, *argv)
+    assert code == 2
+    assert rep["error"]["type"] == "TypeError"
+    assert "results" not in rep
+
+
+def test_a_repeated_json_key_is_refused(capsys, tmp_path):
+    """json keeps the last of two values under one key; the form first named
+    h would be dropped and the command would answer for one form."""
+    path = tmp_path / "arr.json"
+    path.write_text(
+        '{"dimension": 2, "forms": {"h": {"coeffs": [1, 0], "const": 0}, '
+        '"h": {"coeffs": [0, 1], "const": 0}}, "region": []}'
+    )
+    code, rep = report(capsys, "enumerate", str(path))
+    assert code == 2
+    assert rep["error"] == {"type": "ValueError", "message": "JSON object repeats the key 'h'"}
+    assert "results" not in rep
+
+
 def test_hilbert_refuses_prime_past_int64_bound(capsys, braid3_path):
     # this prime once answered [1, 7, 5] with exit 0; the rational answer is [1, 6, 6]
     code, rep = report(capsys, "--field", "fp:4294967311", "hilbert", braid3_path, "--which", "big")

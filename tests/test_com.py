@@ -257,7 +257,7 @@ def test_flat_poset_intersection_closed(corpus):
         for f in flats:
             for g in flats:
                 assert f & g in flats
-        assert flat_poset(M).minimum == coloops(M)
+        assert flat_poset(M).flats[0] == coloops(M)
 
 
 def test_restrict_figure1(figure1):
