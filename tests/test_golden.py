@@ -11,7 +11,10 @@ reports before the F_p row space kept its rows as an echelon prefix, and the
 before the caps became module constants (refuse-basic-parallel21 when the
 subset-scan cap came in), and the `check-*` reports (one
 pass, one face-symmetry witness, one strong-elimination witness) before the
-axiom check left numpy; every later change must reproduce
+axiom check left numpy, and the `verify --what two-values` and
+`--what tope-count` reports and refuse-flats-figure1-elimination (whose
+message embeds the axiom report) before the checks returned their report
+dicts in place of report records; every later change must reproduce
 them exactly.  Inputs live next to them and are passed by relative
 path, so each report's `inputs` block is stable.  To rewrite the reports
 after an intended change of output, run from the repository root:
@@ -52,6 +55,8 @@ for _com, _group in (("braid3", "braid3-group"), ("figure1", "figure1-group")):
     for _what in ("big-theorem", "small-generators"):
         CASES[f"{_com}-verify-{_what}"] = (("verify", f"{_com}.json", "--what", _what), 0)
         CASES[f"{_com}-verify-{_what}-fp"] = ((*FP, "verify", f"{_com}.json", "--what", _what), 0)
+    for _what in ("two-values", "tope-count"):
+        CASES[f"{_com}-verify-{_what}"] = (("verify", f"{_com}.json", "--what", _what), 0)
     CASES[f"{_com}-character"] = (
         ("character", f"{_com}.json", "--group", f"{_group}.json", "--verify-decomposition"),
         0,
@@ -68,6 +73,7 @@ CASES["refuse-basic-parallel21"] = (("basic", "parallel21.json", "--flat", "empt
 CASES["check-braid3"] = (("check", "braid3.json"), 0)
 CASES["check-figure1-face-symmetry"] = (("check", "figure1-no-face-symmetry.json"), 1)
 CASES["check-figure1-elimination"] = (("check", "figure1-no-elimination.json"), 1)
+CASES["refuse-flats-figure1-elimination"] = (("flats", "figure1-no-elimination.json"), 2)
 
 
 def _report(argv, capsys):
