@@ -51,9 +51,9 @@ def main():
         started = time.monotonic()
         rep = braid_tope_series_report(n)
         print(
-            f"  n={n}  computed={list(rep.computed.coeffs)}  "
-            f"sum_w q^(n-cyc)={'match' if rep.matches_cycle_defect else 'MISMATCH'}  "
-            f"q(q+1)...(q+n-1)={'match' if rep.matches_rising_factorial else 'no match'} "
+            f"  n={n}  computed={rep['computed']}  "
+            f"sum_w q^(n-cyc)={'match' if rep['matches_cycle_defect'] else 'MISMATCH'}  "
+            f"q(q+1)...(q+n-1)={'match' if rep['matches_rising_factorial'] else 'no match'} "
             f"{_cost(started)}"
         )
 

@@ -46,7 +46,7 @@ def main():
           "| via NBC:", hilbert_from_nbc(M)["covector"])
     bases = nbc_basis(M)
     print("basis check:", verify_basis(covector_locus(M), bases.covector))
-    print("presentation check:", verify_covector_presentation(M).ok)
+    print("presentation check:", verify_covector_presentation(M)["ok"])
     G = automorphism_group_bruteforce(M)
     print(f"automorphism group order: {G.order}")
     ch = graded_character(covector_locus(M), G)

@@ -13,6 +13,7 @@ convert), and a signed vector is its sign key: the plus mask in bits
 vector_of convert).  A COM computes, once, the key and the zero-set mask of
 each covector and the set of those zero-set masks, its flats; topes,
 coloops, flats, contractions and the matroidal searches read these.
+flat_poset and flats_of give the flats as a sorted tuple of frozensets.
 
 The constructors here check nothing.  Families from outside come in
 through COM.from_json_dict, the one place a family is checked: it refuses
@@ -21,11 +22,12 @@ empty family and covectors of the wrong length, and runs check_axioms.
 Minors, enumerated and generated families are COMs by theorem or by
 construction and are built unchecked.
 
-check_axioms works on the same keys and imports no numpy.  Face symmetry
-is tested once per zero set; strong elimination is decided on pairs of
-covectors with the same support, which given face symmetry is exact (see
-check_axioms), with memoised bitset queries over covector indices.  braid5
-checks in about 0.04 s and braid6 in about 1.5 s.
+check_axioms works on the same keys, imports no numpy and returns the
+report dict `covg check` prints.  Face symmetry is tested once per zero
+set; strong elimination is decided on pairs of covectors with the same
+support, which given face symmetry is exact (see check_axioms), with
+memoised bitset queries over covector indices.  braid5 checks in about
+0.04 s and braid6 in about 1.5 s.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ class GroundSet:
 
     def index(self, label):
         try:
-            return self.labels.index(str(label))
+            return self.labels.index(label)
         except ValueError:
             raise COMError(
                 f"unknown ground label {label!r}; the ground set is {list(self.labels)}"
@@ -133,35 +135,6 @@ def separator(x, y):
     if len(x) != len(y):
         raise COMError("separator needs vectors of equal length")
     return frozenset(i for i, (a, b) in enumerate(zip(x.signs, y.signs)) if a and a == -b)
-
-
-@dataclass
-class AxiomReport:
-    face_symmetry_ok: bool
-    face_symmetry_witness: tuple | None
-    strong_elimination_ok: bool
-    strong_elimination_witness: tuple | None
-
-    @property
-    def ok(self):
-        return self.face_symmetry_ok and self.strong_elimination_ok
-
-    def as_dict(self):
-        fs = self.face_symmetry_witness
-        se = self.strong_elimination_witness
-        return {
-            "face_symmetry": {
-                "ok": self.face_symmetry_ok,
-                "witness": None if fs is None else [fs[0].to_string(), fs[1].to_string()],
-            },
-            "strong_elimination": {
-                "ok": self.strong_elimination_ok,
-                "witness": None
-                if se is None
-                else [se[0].to_string(), se[1].to_string(), se[2]],
-            },
-            "ok": self.ok,
-        }
 
 
 def key_of(v):
@@ -292,10 +265,11 @@ def _first_uneliminated(keys, n, cover):
 def check_axioms(vectors):
     """Check face symmetry and strong elimination for a covector family.
 
-    Returns an AxiomReport; a failing axiom carries the first violating
-    witness (X, Y) resp. (X, Y, i) in canonical scan order: the first X, then
-    the first Y, for face symmetry; the first Y, then the first X, then the
-    lowest i, for strong elimination.
+    Returns the report dict: "ok" for each axiom and for both, and for a
+    failing axiom the first violating witness [X, Y] resp. [X, Y, i], covectors
+    as strings, in canonical scan order: the first X, then the first Y, for
+    face symmetry; the first Y, then the first X, then the lowest i, for
+    strong elimination.
 
     Each covector is a plus mask P and a minus mask N in one Python int (see
     key_of), with zero set Z = ~(P|N).  X o -Y is (P_X | N_Y&Z_X, N_X | P_Y&Z_X),
@@ -317,25 +291,30 @@ def check_axioms(vectors):
     and braid6 (4683 covectors on 15 elements) in about 1.5 s on a 2-vCPU
     x86-64 machine; no numpy, float or BLAS call is made.
     """
-    vectors = set(vectors)
-    if not vectors:
-        return AxiomReport(True, None, True, None)
-    n = len(next(iter(vectors)))
-    if any(len(v) != n for v in vectors):
-        raise COMError("covectors must all have the same length")
-    vectors = sorted(vectors, key=SignedVector.sort_key)
-    keys = [key_of(v) for v in vectors]
-    fs = _first_face_symmetry_miss(keys, n)
-    cover = _Cover(keys, n)
-    se = None
-    if fs is not None or not _support_classes_eliminate(keys, n, cover):
-        se = _first_uneliminated(keys, n, cover)
-    return AxiomReport(
-        fs is None,
-        None if fs is None else tuple(vectors[k] for k in fs),
-        se is None,
-        None if se is None else (vectors[se[0]], vectors[se[1]], se[2]),
-    )
+    vectors = sorted(set(vectors), key=SignedVector.sort_key)
+    fs = se = None
+    if vectors:
+        n = len(vectors[0])
+        if any(len(v) != n for v in vectors):
+            raise COMError("covectors must all have the same length")
+        keys = [key_of(v) for v in vectors]
+        fs = _first_face_symmetry_miss(keys, n)
+        cover = _Cover(keys, n)
+        if fs is not None or not _support_classes_eliminate(keys, n, cover):
+            se = _first_uneliminated(keys, n, cover)
+    return {
+        "face_symmetry": {
+            "ok": fs is None,
+            "witness": None if fs is None else [vectors[k].to_string() for k in fs],
+        },
+        "strong_elimination": {
+            "ok": se is None,
+            "witness": None
+            if se is None
+            else [vectors[se[0]].to_string(), vectors[se[1]].to_string(), se[2]],
+        },
+        "ok": fs is None and se is None,
+    }
 
 
 class COM:
@@ -400,16 +379,16 @@ class COM:
     def from_json_dict(cls, data, check=True):
         """Read a COM from its JSON form, refusing what the constructor trusts.
 
-        Raises TypeError unless `ground` and `covectors` are lists; COMError
-        for repeated ground labels, a covector with a character other than
-        '+', '-', '0', an empty family, or a covector whose length is not the
-        ground set's; and, unless check is False, AxiomError for a family
-        that fails the COM axioms.  Labels are read as strings.
+        Raises TypeError unless `ground` and `covectors` are lists of
+        strings; COMError for repeated ground labels, a covector with a
+        character other than '+', '-', '0', an empty family, or a covector
+        whose length is not the ground set's; and, unless check is False,
+        AxiomError for a family that fails the COM axioms.
         """
-        labels = tuple(str(l) for l in jsonio.array(data["ground"], "ground"))
+        labels = tuple(jsonio.strings(data["ground"], "ground"))
         if len(set(labels)) != len(labels):
             raise COMError("ground-set labels must be distinct")
-        strings = jsonio.array(data["covectors"], "covectors")
+        strings = jsonio.strings(data["covectors"], "covectors")
         covectors = [SignedVector.from_string(s) for s in strings]
         if not covectors:
             raise COMError("a COM needs at least one covector")
@@ -418,8 +397,8 @@ class COM:
         M = cls(GroundSet(labels), covectors)
         if check:
             report = check_axioms(M.covectors)
-            if not report.ok:
-                raise AxiomError(f"covector family fails the COM axioms: {report.as_dict()}")
+            if not report["ok"]:
+                raise AxiomError(f"covector family fails the COM axioms: {report}")
         return M
 
 
@@ -433,24 +412,11 @@ def coloops(M):
     return bits(reduce(and_, M.flat_masks))
 
 
-@dataclass(frozen=True)
-class FlatPoset:
-    """The zero sets of covectors, ordered by containment (a meet-semilattice)."""
-
-    flats: tuple  # frozensets of ground indices, sorted by (size, content)
-
-    def __iter__(self):
-        return iter(self.flats)
-
-    def __len__(self):
-        return len(self.flats)
-
-
 def flat_poset(M):
-    """The flats of M by size, then content: the coloop set, the
-    intersection of all the flats of a COM, comes first."""
-    flats = sorted(map(bits, M.flat_masks), key=lambda f: (len(f), tuple(sorted(f))))
-    return FlatPoset(tuple(flats))
+    """The flats of M, the zero sets of its covectors, as a tuple sorted by size,
+    then content: the coloop set, the intersection of all the flats of a COM,
+    comes first."""
+    return tuple(sorted(map(bits, M.flat_masks), key=lambda f: (len(f), tuple(sorted(f)))))
 
 
 def _require_flat(M, F):
@@ -540,5 +506,5 @@ def _flats_cached(M):
 
 
 def flats_of(M):
-    """Cached flat poset of M."""
+    """The flats of M as flat_poset sorts them, cached per COM."""
     return _flats_cached(M)

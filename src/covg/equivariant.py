@@ -145,11 +145,12 @@ class GroupSpec:
     @classmethod
     def from_json_dict(cls, com, data):
         """Read generators by ground label, refusing (TypeError) a generator
-        list, `perm` or `signs` that is not a list and an inexact sign, and
-        (COMError) an unknown label; from_generators checks the rest."""
+        list, `perm` or `signs` that is not a list, a `perm` entry that is not
+        a string and an inexact sign, and (COMError) an unknown label;
+        from_generators checks the rest."""
         gens = []
         for g in jsonio.array(data["generators"], "generators"):
-            perm = tuple(com.ground.index(l) for l in jsonio.array(g["perm"], "perm"))
+            perm = tuple(com.ground.index(l) for l in jsonio.strings(g["perm"], "perm"))
             signs = tuple(map(rational, jsonio.array(g["signs"], "signs")))
             gens.append(SignedPermutation(perm, signs))
         return cls.from_generators(com, gens)

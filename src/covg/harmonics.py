@@ -49,6 +49,9 @@ lexicographically smallest basic set B for z_B(F), and each symmetric
 circuit's mixing subset J is its smallest support element.  Another order
 enters only through `matroidal.nbc_sets` (`covg nbc --order`).  The NBC
 Hilbert series is the degree count of the NBC basis.
+
+verify_covector_presentation and braid_tope_series_report return their
+report dicts; `covg verify --what big-theorem` prints the first as it is.
 """
 
 from __future__ import annotations
@@ -587,49 +590,6 @@ def hilbert_from_nbc(M):
 # the structure verification report
 
 
-@dataclass
-class PresentationReport:
-    membership_checked: int
-    membership_failures: list
-    basis_ok: bool
-    hilbert_rank: HilbertSeries
-    hilbert_nbc: HilbertSeries
-    j_sweep_checked: int
-    j_sweep_failures: list
-
-    @property
-    def hilbert_ok(self):
-        return self.hilbert_rank == self.hilbert_nbc
-
-    @property
-    def ok(self):
-        return (
-            not self.membership_failures
-            and self.basis_ok
-            and self.hilbert_ok
-            and not self.j_sweep_failures
-        )
-
-    def as_dict(self):
-        return {
-            "membership": {
-                "checked": self.membership_checked,
-                "failures": self.membership_failures,
-            },
-            "basis_ok": self.basis_ok,
-            "hilbert": {
-                "rank_method": list(self.hilbert_rank.coeffs),
-                "nbc_method": list(self.hilbert_nbc.coeffs),
-                "ok": self.hilbert_ok,
-            },
-            "j_sweep": {
-                "checked": self.j_sweep_checked,
-                "failures": self.j_sweep_failures,
-            },
-            "ok": self.ok,
-        }
-
-
 _J_SWEEP_MAX_SUPPORT = 5  # the J-sweep covers symmetric circuits with at most this many elements
 
 
@@ -642,6 +602,10 @@ def verify_covector_presentation(M, field=QQ):
     (d) for symmetric circuits with support size <= _J_SWEEP_MAX_SUPPORT,
         membership holds for every admissible mixing subset J, not just the
         default.
+
+    Returns the report dict: the generators checked and those that are not
+    members, basis_ok, both Hilbert series, the J-sweep count and its
+    failures, and "ok" when all four checks pass.
     """
     locus = covector_locus(M)
     filt = EvaluationFiltration(locus, field)
@@ -649,8 +613,8 @@ def verify_covector_presentation(M, field=QQ):
     failures = [str(g) for g in gens if not gr_membership(locus, g, field, filt)]
     bases = nbc_basis(M)
     basis_ok = verify_basis(locus, bases.covector, field, filt)
-    h_rank = filt.hilbert()
-    h_nbc = _degree_series(bases.covector)
+    h_rank = list(filt.hilbert().coeffs)
+    h_nbc = list(_degree_series(bases.covector).coeffs)
     j_checked = 0
     j_failures = []
     for F, X, J in mixing_subsets(M, _J_SWEEP_MAX_SUPPORT):
@@ -658,9 +622,13 @@ def verify_covector_presentation(M, field=QQ):
         j_checked += 1
         if not gr_membership(locus, g, field, filt):
             j_failures.append({"flat": sorted(F), "circuit": X.to_string(), "J": sorted(J)})
-    return PresentationReport(
-        len(gens), failures, basis_ok, h_rank, h_nbc, j_checked, j_failures
-    )
+    return {
+        "membership": {"checked": len(gens), "failures": failures},
+        "basis_ok": basis_ok,
+        "hilbert": {"rank_method": h_rank, "nbc_method": h_nbc, "ok": h_rank == h_nbc},
+        "j_sweep": {"checked": j_checked, "failures": j_failures},
+        "ok": not failures and basis_ok and h_rank == h_nbc and not j_failures,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -731,26 +699,6 @@ def permmatrix_locus(n):
 # braid tope-series closed forms
 
 
-@dataclass
-class BraidSeriesReport:
-    n: int
-    computed: HilbertSeries
-    cycle_defect_coeffs: tuple  # sum_w q^(n - cyc w) = prod (1 + i q)
-    rising_factorial_coeffs: tuple  # q(q+1)...(q+n-1) = sum_w q^(cyc w)
-    matches_cycle_defect: bool
-    matches_rising_factorial: bool
-
-    def as_dict(self):
-        return {
-            "n": self.n,
-            "computed": list(self.computed.coeffs),
-            "cycle_defect_gf": list(self.cycle_defect_coeffs),
-            "rising_factorial_gf": list(self.rising_factorial_coeffs),
-            "matches_cycle_defect": self.matches_cycle_defect,
-            "matches_rising_factorial": self.matches_rising_factorial,
-        }
-
-
 def braid_tope_series_report(n, field=QQ):
     """Compare the computed tope-locus Hilbert series of the braid COM with the
     two cycle-statistic generating functions.
@@ -758,17 +706,17 @@ def braid_tope_series_report(n, field=QQ):
     The computed series matches sum_w q^(n - cyc w); the rising factorial
     q(q+1)...(q+n-1) (which counts cycles directly, with zero constant term)
     does not, so sources quoting the latter for this grading are using the
-    reversed convention.
+    reversed convention.  Returns the report dict: the three coefficient lists
+    and whether the computed one matches each closed form.
     """
-    M = braid_com(n)
-    computed = hilbert_series(tope_locus(M), field)
-    defect = tuple(permstats.cycle_defect(n))
-    rising = tuple(permstats.rising_factorial_coefficients(n))
-    return BraidSeriesReport(
-        n,
-        computed,
-        defect,
-        rising,
-        computed.coeffs == defect,
-        computed.coeffs == rising,
-    )
+    computed = list(hilbert_series(tope_locus(braid_com(n)), field).coeffs)
+    defect = permstats.cycle_defect(n)  # sum_w q^(n - cyc w) = prod (1 + i q)
+    rising = permstats.rising_factorial_coefficients(n)  # q(q+1)...(q+n-1) = sum_w q^(cyc w)
+    return {
+        "n": n,
+        "computed": computed,
+        "cycle_defect_gf": defect,
+        "rising_factorial_gf": rising,
+        "matches_cycle_defect": computed == defect,
+        "matches_rising_factorial": computed == rising,
+    }

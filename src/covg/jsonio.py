@@ -7,7 +7,8 @@ produce byte-identical output.
 Reading refuses an object that repeats a key, which json would otherwise
 collapse to its last value, and `array` refuses a non-list where a list
 belongs, which would otherwise be iterated (a string, one character at a
-time).
+time); `strings` also refuses a list entry that is not a string where
+strings belong.
 """
 
 from __future__ import annotations
@@ -51,6 +52,14 @@ def array(value, key):
     """value, the entry read at key, if it is a JSON list; raises TypeError otherwise."""
     if not isinstance(value, list):
         raise TypeError(f"{key!r} must be a JSON list, got {type(value).__name__}")
+    return value
+
+
+def strings(value, key):
+    """value, the entry read at key, if it is a JSON list of strings; raises TypeError otherwise."""
+    for entry in array(value, key):
+        if not isinstance(entry, str):
+            raise TypeError(f"{key!r} must hold JSON strings, got {type(entry).__name__}")
     return value
 
 

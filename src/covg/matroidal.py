@@ -12,6 +12,9 @@ every superpattern extending it on new elements, hence failing condition
 (1) is monotone under shrinking supports and the corank-1 check suffices.
 That monotonicity is itself exercised by the tests.
 
+The counting checks, check_tope_contraction_count and check_two_values,
+return report dicts with an "ok" key, which `covg verify` reads and prints.
+
 Closure and basic sets meet flat masks.  The subset scans of basic_sets and
 minimal_nonbasic_sets visit 2^n subsets and refuse more than
 MAX_SUBSET_GROUND elements up front.
@@ -233,64 +236,31 @@ def minimal_nonbasic_sets(M):
     return tuple(out)
 
 
-@dataclass
-class TopeContractionReport:
-    total: int
-    per_flat: dict
-    injective: bool
-    labels: tuple
-
-    @property
-    def ok(self):
-        return self.injective and self.total == sum(self.per_flat.values())
-
-    def as_dict(self):
-        return {
-            "covectors": self.total,
-            "topes_per_flat": {
-                ",".join(self.labels[i] for i in sorted(f)): c
-                for f, c in self.per_flat.items()
-            },
-            "sum": sum(self.per_flat.values()),
-            "restriction_injective": self.injective,
-            "ok": self.ok,
-        }
-
-
 def check_tope_contraction_count(M):
-    """Covectors are counted by topes of contractions, one flat at a time."""
-    per_flat = {}
-    injective = True
+    """Covectors are counted by topes of contractions, one flat at a time.
+
+    Returns the report dict: the covector count, the tope count of the
+    contraction at each flat (keyed by its comma-joined labels), their sum,
+    whether restriction off each flat is injective on the covectors with that
+    zero set, and "ok" when it is and the sum is the covector count.
+    """
+    per_flat, total, injective = {}, 0, True
     for F in flats_of(M):
-        MF = contract(M, F)
-        per_flat[F] = len(topes(MF))
+        count = len(topes(contract(M, F)))
+        per_flat[",".join(M.ground.labels[i] for i in sorted(F))] = count
+        total += count
         keep = [i for i in range(M.ground.size) if i not in F]
         f = mask_of(F)
         images = [v.restrict(keep) for v, z in zip(M.covectors, M.zero_masks) if z == f]
         if len(set(images)) != len(images):
             injective = False
-    return TopeContractionReport(len(M), per_flat, injective, M.ground.labels)
-
-
-@dataclass
-class TwoValuesReport:
-    flat: frozenset
-    circuit: SignedVector
-    subset: frozenset
-    failures: tuple  # covectors of the contraction missing a 0 or a 1 value
-
-    @property
-    def ok(self):
-        return not self.failures
-
-    def as_dict(self):
-        return {
-            "flat": sorted(self.flat),
-            "circuit": self.circuit.to_string(),
-            "subset": sorted(self.subset),
-            "failures": [v.to_string() for v in self.failures],
-            "ok": self.ok,
-        }
+    return {
+        "covectors": len(M),
+        "topes_per_flat": per_flat,
+        "sum": total,
+        "restriction_injective": injective,
+        "ok": injective and len(M) == total,
+    }
 
 
 def mixing_subsets(M, max_support=None):
@@ -313,6 +283,8 @@ def check_two_values(M, F, circuit_vector, J):
     J inside its support, the indicator at i is 1 when the covector matches
     X(i), plus (for i in J) 1 when the covector vanishes at i.  Every
     covector of the contraction must give some indicator 0 and some 1.
+    Returns the report dict: F, X and J, the covectors that miss a value
+    ("failures", as strings) and "ok" when there are none.
     """
     F = frozenset(F)
     MF = contract(M, F)
@@ -331,5 +303,11 @@ def check_two_values(M, F, circuit_vector, J):
             val = int(Y[i] == X[i]) + int(i in J and Y[i] == 0)
             values.add(val)
         if not {0, 1} <= values:
-            failures.append(Y)
-    return TwoValuesReport(F, X, J, tuple(failures))
+            failures.append(Y.to_string())
+    return {
+        "flat": sorted(F),
+        "circuit": X.to_string(),
+        "subset": sorted(J),
+        "failures": failures,
+        "ok": not failures,
+    }

@@ -75,7 +75,7 @@ def _cli(*argv):
 
 def test_criterion_1_figure1_worked_example(figure1):
     started = time.monotonic()
-    assert check_axioms(figure1.covectors).ok
+    assert check_axioms(figure1.covectors)["ok"]
     assert len(figure1) == 13
     assert len(topes(figure1)) == 6
     flats = {frozenset(figure1.ground.labels[i] for i in f) for f in flat_poset(figure1)}
@@ -138,10 +138,10 @@ def test_criterion_3_small_braid_series_and_flag():
                 nxt[d] += c
                 nxt[d + 1] += i * c
             expected = nxt
-        assert list(report.computed.coeffs) == expected, n
-        assert report.computed.at_one() == math.factorial(n)
-        assert report.matches_cycle_defect
-        assert not report.matches_rising_factorial  # the documented discrepancy
+        assert report["computed"] == expected, n
+        assert sum(report["computed"]) == math.factorial(n)
+        assert report["matches_cycle_defect"]
+        assert not report["matches_rising_factorial"]  # the documented discrepancy
     print("\nACCEPTANCE 3 PASS: small braid series equals prod(1+iq), rising-factorial form flagged")
 
 
@@ -155,8 +155,8 @@ def test_criterion_4_generator_membership_suite(corpus):
         for g in gens["graded"]:
             assert gr_membership(locus, g, QQ, filt), (name, str(g))
         rep = verify_covector_presentation(M)
-        assert not rep.membership_failures, name
-        assert not rep.j_sweep_failures, name
+        assert not rep["membership"]["failures"], name
+        assert not rep["j_sweep"]["failures"], name
     print("\nACCEPTANCE 4 PASS: all ideal generators pass graded membership, every J choice")
 
 
@@ -185,7 +185,7 @@ def test_criterion_6_counting_lemmas(corpus):
             order = list(range(n))
             rng.shuffle(order)
             assert len(nbc_sets(M, tuple(order))) == len(topes(M)), name
-        assert check_tope_contraction_count(M).ok, name
+        assert check_tope_contraction_count(M)["ok"], name
         flats = list(flat_poset(M))
         for F in flats:
             sizes = {len(b) for b in basic_sets(M, F)}
@@ -215,7 +215,7 @@ def test_criterion_7_two_values_exhaustive(corpus):
                     J = {supp[i] for i in range(len(supp)) if sub >> i & 1}
                     rep = check_two_values(M, F, c.vector, J)
                     checked += 1
-                    assert rep.ok, (name, F, c.vector.to_string(), J)
+                    assert rep["ok"], (name, F, c.vector.to_string(), J)
     elapsed = time.monotonic() - started
     assert elapsed < 30.0
     assert checked > 100

@@ -225,11 +225,18 @@ _FORM = {"coeffs": ["1", "0"], "const": "0"}
         ("character", {"generators": [{"perm": "1234", "signs": [1, 1, 1, 1]}]}),
         ("character", {"generators": [{"perm": ["1", "2", "3", "4"], "signs": "1111"}]}),
         ("character", {"generators": ""}),
+        ("flats", {"ground": ["a", "b"], "covectors": [["+", "+"], "--", "00"]}),
+        ("flats", {"ground": ["a"], "covectors": [{"+": 0}, "-", "0"]}),
+        ("flats", {"ground": [None, 1.5], "covectors": ["++", "--", "00"]}),
+        ("character", {"generators": [{"perm": [1, 2, 3, 4], "signs": [1, 1, 1, 1]}]}),
     ],
 )
 def test_a_non_list_where_a_list_belongs_is_refused(capsys, tmp_path, fig1_path, command, data):
     """A JSON string is iterable, so read where a list belongs it would be
-    taken one character at a time: "ab" as the labels a and b."""
+    taken one character at a time: "ab" as the labels a and b.  Where a string
+    belongs, a list or object would be iterated too (["+", "+"] read as "++",
+    {"+": 0} as "+"), and str() would read the labels null and 1.5 as "None"
+    and "1.5" and the perm entry 1 as the label "1"."""
     path = tmp_path / "input.json"
     jsonio.write_json(path, data)
     argv = (command, str(path)) if command != "character" else (command, fig1_path, "--group", str(path))

@@ -666,9 +666,9 @@ def test_hilbert_from_nbc_matches_rank(corpus):
 def test_presentation_report(figure1, figure1_rect, braid3):
     for M in (figure1, figure1_rect, braid3):
         rep = verify_covector_presentation(M)
-        assert rep.ok
-        assert rep.membership_checked > 0
-        assert rep.j_sweep_checked > 0
+        assert rep["ok"]
+        assert rep["membership"]["checked"] > 0
+        assert rep["j_sweep"]["checked"] > 0
 
 
 def test_hilbert_from_nbc_independent_of_order(corpus):
@@ -758,6 +758,6 @@ def test_permstats_identities():
 
 def test_braid_tope_series_report():
     r = braid_tope_series_report(3)
-    assert r.matches_cycle_defect
-    assert not r.matches_rising_factorial
-    assert r.computed.coeffs == (1, 3, 2)
+    assert r["matches_cycle_defect"]
+    assert not r["matches_rising_factorial"]
+    assert r["computed"] == [1, 3, 2]
