@@ -32,7 +32,6 @@ memoised bitset queries over covector indices.  braid5 checks in about
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import and_, or_
 
@@ -51,9 +50,25 @@ class AxiomError(COMError):
     """Raised when a covector family fails the COM axioms."""
 
 
-@dataclass(frozen=True)
 class GroundSet:
-    labels: tuple  # distinct strings
+    """The ground labels, distinct strings, in element order."""
+
+    __slots__ = ("labels",)
+
+    def __init__(self, labels):
+        object.__setattr__(self, "labels", labels)
+
+    def __setattr__(self, *a):
+        raise AttributeError("GroundSet is immutable")
+
+    def __eq__(self, other):
+        return isinstance(other, GroundSet) and self.labels == other.labels
+
+    def __hash__(self):
+        return hash(self.labels)
+
+    def __repr__(self):
+        return f"GroundSet({self.labels!r})"
 
     @property
     def size(self):
@@ -455,12 +470,30 @@ def _contract_cached(M, F):
     return COM(ground, {v.restrict(keep) for v, z in zip(M.covectors, M.zero_masks) if z & f == f})
 
 
-@dataclass(frozen=True)
 class SignedPermutation:
     """A permutation of ground indices with a sign attached to each source index."""
 
-    perm: tuple
-    signs: tuple
+    __slots__ = ("perm", "signs")
+
+    def __init__(self, perm, signs):
+        object.__setattr__(self, "perm", perm)
+        object.__setattr__(self, "signs", signs)
+
+    def __setattr__(self, *a):
+        raise AttributeError("SignedPermutation is immutable")
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, SignedPermutation)
+            and self.perm == other.perm
+            and self.signs == other.signs
+        )
+
+    def __hash__(self):
+        return hash((self.perm, self.signs))
+
+    def __repr__(self):
+        return f"SignedPermutation({self.perm!r}, {self.signs!r})"
 
     @classmethod
     def identity(cls, n):

@@ -9,7 +9,6 @@ for tiny ground sets lives at the bottom as a test utility).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -176,12 +175,16 @@ def locus_action(locus, w):
     return tuple(perm)
 
 
-@dataclass
 class GradedCharacter:
-    """Per-element traces on the graded pieces of the evaluation filtration."""
+    """Per-element traces on the graded pieces of the evaluation filtration:
+    values maps each SignedPermutation to a tuple of field values, one per
+    degree below degrees."""
 
-    degrees: int
-    values: dict  # SignedPermutation -> tuple of field values, one per degree
+    __slots__ = ("degrees", "values")
+
+    def __init__(self, degrees, values):
+        self.degrees = degrees
+        self.values = values
 
     def value(self, w, d):
         v = self.values[w]
@@ -285,12 +288,17 @@ def induced_character(group, sub_elements, chi_values):
     return GradedCharacter(degrees, values)
 
 
-@dataclass
 class DecompositionReport:
-    orbit_reps: list
-    lhs: GradedCharacter
-    rhs: GradedCharacter
-    mismatches: list
+    """The covector character (lhs), the induced sum (rhs) over the flat
+    orbit representatives, and the degrees where they differ."""
+
+    __slots__ = ("orbit_reps", "lhs", "rhs", "mismatches")
+
+    def __init__(self, orbit_reps, lhs, rhs, mismatches):
+        self.orbit_reps = orbit_reps
+        self.lhs = lhs
+        self.rhs = rhs
+        self.mismatches = mismatches
 
     @property
     def ok(self):

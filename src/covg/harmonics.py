@@ -56,7 +56,6 @@ report dicts; `covg verify --what big-theorem` prints the first as it is.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, permutations
 
 from . import jsonio
@@ -86,7 +85,6 @@ class EmptyLocusError(HarmonicsError):
 # loci
 
 
-@dataclass(frozen=True)
 class PointLocus:
     """Finite labeled point set with exact coordinates and named variables.
 
@@ -100,11 +98,30 @@ class PointLocus:
     point.
     """
 
-    variables: tuple
-    labels: tuple
-    points: tuple
-    label_kind: str = "raw"  # covector | permutation | ordered-set-partition | raw
-    requires_char_zero: bool = False
+    __slots__ = ("variables", "labels", "points", "label_kind", "requires_char_zero")
+
+    def __init__(self, variables, labels, points, label_kind="raw", requires_char_zero=False):
+        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "points", points)
+        # covector | permutation | ordered-set-partition | raw
+        object.__setattr__(self, "label_kind", label_kind)
+        object.__setattr__(self, "requires_char_zero", requires_char_zero)
+
+    def __setattr__(self, *a):
+        raise AttributeError("PointLocus is immutable")
+
+    def _fields(self):
+        return (self.variables, self.labels, self.points, self.label_kind, self.requires_char_zero)
+
+    def __eq__(self, other):
+        return isinstance(other, PointLocus) and self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return f"PointLocus({len(self)} points in {list(self.variables)})"
 
     def __len__(self):
         return len(self.points)
@@ -177,9 +194,25 @@ def covector_locus(M):
 # Hilbert series and evaluation filtration
 
 
-@dataclass(frozen=True)
 class HilbertSeries:
-    coeffs: tuple  # nonnegative ints
+    """Coefficients of a Hilbert series, nonnegative ints by degree."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs):
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __setattr__(self, *a):
+        raise AttributeError("HilbertSeries is immutable")
+
+    def __eq__(self, other):
+        return isinstance(other, HilbertSeries) and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def __repr__(self):
+        return f"HilbertSeries({self.coeffs!r})"
 
     def at_one(self):
         return sum(self.coeffs)
@@ -531,11 +564,16 @@ def covector_ideal_generators(M):
 # NBC bases
 
 
-@dataclass
 class NbcBases:
-    tope: list  # monomials spanning the tope-locus quotient
-    covector: list  # monomials spanning the covector-locus quotient
-    covector_strata: dict  # flat -> list of monomials contributed by that flat
+    """Monomials spanning the tope-locus and the covector-locus quotients, and
+    covector_strata: flat -> the covector monomials that flat contributes."""
+
+    __slots__ = ("tope", "covector", "covector_strata")
+
+    def __init__(self, tope, covector, covector_strata):
+        self.tope = tope
+        self.covector = covector
+        self.covector_strata = covector_strata
 
 
 def nbc_basis(M):

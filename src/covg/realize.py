@@ -4,8 +4,10 @@ family and shipped fixtures.
 
 The LP maximizes a slack t with every strict inequality relaxed to >= t and
 t capped at 1; the open system is feasible exactly when the optimum is
-positive.  The simplex runs over Fractions with Bland's rule, so there is no
-cycling and no tolerance anywhere.
+positive.  The simplex runs on an integer tableau over one common
+denominator, pivoting the Edmonds-Bareiss way (every division exact), with
+Bland's rule, so there is no cycling and no tolerance anywhere; its
+solutions are returned as Fractions.
 
 Enumeration carries an exact witness point down the tree of sign prefixes
 and needs at most one LP per feasible prefix, by two facts about a cell P
@@ -17,10 +19,10 @@ reported covector's cell holds a witness checked exactly against it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from itertools import product
+from math import lcm
 
 from . import jsonio
 from .com import COM, GroundSet, SignedPermutation, SignedVector
@@ -35,16 +37,30 @@ class EmptyRegionError(RealizeError):
     pass
 
 
-@dataclass(frozen=True)
 class AffineForm:
-    """a . x + c with exact rational coefficients."""
+    """a . x + c with exact rational coefficients, held as Fractions."""
 
-    coeffs: tuple
-    const: Fraction
+    __slots__ = ("coeffs", "const")
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(Fraction(v) for v in self.coeffs))
-        object.__setattr__(self, "const", Fraction(self.const))
+    def __init__(self, coeffs, const):
+        object.__setattr__(self, "coeffs", tuple(Fraction(v) for v in coeffs))
+        object.__setattr__(self, "const", Fraction(const))
+
+    def __setattr__(self, *a):
+        raise AttributeError("AffineForm is immutable")
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, AffineForm)
+            and self.coeffs == other.coeffs
+            and self.const == other.const
+        )
+
+    def __hash__(self):
+        return hash((self.coeffs, self.const))
+
+    def __repr__(self):
+        return f"AffineForm({self.coeffs!r}, {self.const!r})"
 
     @property
     def dimension(self):
@@ -72,14 +88,31 @@ class AffineForm:
         return cls(tuple(map(rational, coeffs)), rational(data["const"]))
 
 
-@dataclass(frozen=True)
 class Arrangement:
     """Labeled affine forms plus an open polyhedral region (strict inequalities)."""
 
-    dimension: int
-    labels: tuple
-    forms: tuple
-    region: tuple
+    __slots__ = ("dimension", "labels", "forms", "region")
+
+    def __init__(self, dimension, labels, forms, region):
+        object.__setattr__(self, "dimension", dimension)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "forms", forms)
+        object.__setattr__(self, "region", region)
+
+    def __setattr__(self, *a):
+        raise AttributeError("Arrangement is immutable")
+
+    def _fields(self):
+        return (self.dimension, self.labels, self.forms, self.region)
+
+    def __eq__(self, other):
+        return isinstance(other, Arrangement) and self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return f"Arrangement({self.dimension}, {self.labels!r}, {len(self.region)} region forms)"
 
     def to_json_dict(self):
         return {
@@ -113,107 +146,149 @@ class Arrangement:
 # exact simplex
 
 
-def _pivot(T, basis, r, c):
-    """Pivot on T[r][c]; only the columns where the pivot row is nonzero change."""
-    piv = T[r][c]
-    row_r = T[r] = [x / piv if x else x for x in T[r]]
-    support = [j for j, y in enumerate(row_r) if y]
+def _scale(values):
+    """The least positive d with d * v integral for every v, and those integers."""
+    d = lcm(*(v.denominator for v in values))
+    return d, [v.numerator * (d // v.denominator) for v in values]
+
+
+def _pivot(T, basis, r, c, det):
+    """Edmonds-Bareiss pivot on T[r][c]; returns the new common denominator.
+
+    T / det is the tableau, every entry of T an integer (up to sign, a minor
+    of the starting matrix), so each division is exact.  The pivot row is
+    unchanged.  A negative pivot negates T, which keeps det positive.
+    """
+    row_r = T[r]
+    p = row_r[c]
     for i, row in enumerate(T):
+        if i == r:
+            continue
         f = row[c]
-        if i != r and f:
-            for j in support:
-                row[j] -= f * row_r[j]
+        if f:
+            T[i] = [(x * p - f * y) // det for x, y in zip(row, row_r)]
+        elif p != det:
+            T[i] = [x * p // det for x in row]
     basis[r] = c
+    if p < 0:
+        T[:] = [[-x for x in row] for row in T]
+        p = -p
+    return p
 
 
-def _optimize(T, basis, cost, ncols):
-    """Bland-rule maximization of cost over the current tableau (in place)."""
-    m = len(T)
+def _optimize(T, basis, det):
+    """Bland-rule maximization over T, whose last row holds det times the
+    reduced costs (in place); returns the status and the final det."""
+    cost = T[-1]
+    m = len(T) - 1
     while True:
-        # the nonzero dual values; a zero one would only add zero terms
-        y = [(i, cost[v]) for i, v in enumerate(basis) if cost[v]]
-        basic = set(basis)
-        entering = None
-        for j in range(ncols):
-            if j in basic:
-                continue
-            rc = cost[j] - sum(yi * T[i][j] for i, yi in y)
-            if rc > 0:
-                entering = j
-                break
+        # basic columns have reduced cost 0, so the first positive one is nonbasic
+        entering = next((j for j, z in enumerate(cost[:-1]) if z > 0), None)
         if entering is None:
-            return "optimal"
+            return "optimal", det
+        # Bland's ratio test, min rhs/a over a > 0 by cross-multiplication, ties to
+        # the smaller basic index
         leaving = None
-        best = None
         for i in range(m):
             a = T[i][entering]
             if a > 0:
-                ratio = T[i][-1] / a
-                key = (ratio, basis[i])
-                if best is None or key < best:
-                    best = key
-                    leaving = i
+                if leaving is None:
+                    leaving, num, den = i, T[i][-1], a
+                    continue
+                lhs, rhs = T[i][-1] * den, num * a
+                if lhs < rhs or lhs == rhs and basis[i] < basis[leaving]:
+                    leaving, num, den = i, T[i][-1], a
         if leaving is None:
-            return "unbounded"
-        _pivot(T, basis, leaving, entering)
+            return "unbounded", det
+        det = _pivot(T, basis, leaving, entering, det)
+        cost = T[-1]
 
 
-def _fractions(values):
-    """A new list of the values as Fractions; entries that already are stay as they are."""
-    return [v if type(v) is Fraction else Fraction(v) for v in values]
+def _simplex(rows, scales, c):
+    """Maximize c.x subject to the rows, x >= 0, on an integer tableau.
 
-
-def simplex_max(A, b, c):
-    """Maximize c.x subject to A x = b, x >= 0, over exact rationals.
-
-    Returns (status, value, x) with status 'optimal'|'infeasible'|'unbounded'.
+    Each row is integers with its right-hand side last, and stands for that
+    row divided by its scale; c is integers.  Phase 1 gives the artificial
+    variable of row i the cost -1/scale_i (times the lcm of the scales):
+    then every reduced cost keeps its sign and every ratio test its
+    winner, so the pivots are those of the unscaled rows with unit
+    artificial costs.  Returns (status, value, x) as simplex_max does.
     """
-    m, n = len(A), len(c)
-    A = [_fractions(row) for row in A]
-    b = _fractions(b)
-    c = _fractions(c)
-    for i in range(m):
-        if b[i] < 0:
-            A[i] = [-v for v in A[i]]
-            b[i] = -b[i]
+    m, n = len(rows), len(c)
+    rows = [row if row[-1] >= 0 else [-v for v in row] for row in rows]
+    common = lcm(*scales)
+    weights = [common // d for d in scales]
 
-    # phase 1: artificial basis, maximize minus their sum
-    T = [A[i] + [Fraction(int(i == j)) for j in range(m)] + [b[i]] for i in range(m)]
+    # phase 1: artificial basis, maximize minus their (scaled) sum
+    T = [row[:n] + [int(i == j) for j in range(m)] + row[n:] for i, row in enumerate(rows)]
+    T.append(
+        [sum(w * row[j] for w, row in zip(weights, rows)) for j in range(n)]
+        + [0] * m
+        + [sum(w * row[-1] for w, row in zip(weights, rows))]
+    )
     basis = [n + i for i in range(m)]
-    cost1 = [Fraction(0)] * n + [Fraction(-1)] * m
-    _optimize(T, basis, cost1, n + m)
-    if sum(T[i][-1] for i in range(m) if basis[i] >= n) != 0:
+    _, det = _optimize(T, basis, 1)
+    if T[-1][-1]:
         return "infeasible", None, None
 
     # pivot artificials out of the basis; rows that cannot pivot are redundant
     drop = []
     for i in range(m):
         if basis[i] >= n:
-            for j in range(n):
-                if T[i][j] != 0:
-                    _pivot(T, basis, i, j)
-                    break
-            else:
+            j = next((j for j in range(n) if T[i][j]), None)
+            if j is None:
                 drop.append(i)
-    if drop:
-        T = [row for i, row in enumerate(T) if i not in drop]
-        basis = [v for i, v in enumerate(basis) if i not in drop]
-    T = [row[:n] + [row[-1]] for row in T]
+            else:
+                det = _pivot(T, basis, i, j, det)
+    T = [row[:n] + [row[-1]] for i, row in enumerate(T[:m]) if i not in drop]
+    basis = [v for i, v in enumerate(basis) if i not in drop]
 
-    status = _optimize(T, basis, c, n)
+    # phase 2: the reduced costs of c at this basis, times det
+    cost = [det * cj for cj in c] + [0]
+    for row, v in zip(T, basis):
+        if c[v]:
+            cost = [z - c[v] * y for z, y in zip(cost, row)]
+    T.append(cost)
+    status, det = _optimize(T, basis, det)
     if status == "unbounded":
         return "unbounded", None, None
     x = [Fraction(0)] * n
-    for i, v in enumerate(basis):
-        x[v] = T[i][-1]
-    value = sum(ci * xi for ci, xi in zip(c, x))
-    return "optimal", value, x
+    for row, v in zip(T, basis):
+        x[v] = Fraction(row[-1], det)
+    return "optimal", Fraction(-T[-1][-1], det), x
 
 
-@dataclass
+def simplex_max(A, b, c):
+    """Maximize c.x subject to A x = b, x >= 0, over exact rationals.
+
+    Entries are ints or Fractions.  Returns (status, value, x) with status
+    'optimal'|'infeasible'|'unbounded' and x a list of Fractions.
+    """
+    rows, scales = [], []
+    for row, bi in zip(A, b):
+        d, ints = _scale(list(row) + [bi])
+        rows.append(ints)
+        scales.append(d)
+    dc, cost = _scale(c)
+    status, value, x = _simplex(rows, scales, cost)
+    return status, value if value is None else value / dc, x
+
+
 class LPResult:
-    feasible: bool
-    witness: tuple | None
+    """The outcome of lp_strict_feasible: a bool and, when feasible, a point."""
+
+    __slots__ = ("feasible", "witness")
+
+    def __init__(self, feasible, witness):
+        self.feasible = feasible
+        self.witness = witness
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, LPResult)
+            and self.feasible == other.feasible
+            and self.witness == other.witness
+        )
 
 
 def lp_strict_feasible(strict, equalities, dimension):
@@ -221,44 +296,36 @@ def lp_strict_feasible(strict, equalities, dimension):
 
     Maximizes t subject to form(x) >= t for each strict form, form(x) = 0 for
     each equality, and t <= 1; strictly feasible iff the optimum is positive.
-    The witness is an exact rational point.
+    Each form's row is scaled to integers.  The witness is an exact rational
+    point.
     """
     strict = list(strict)
-    equalities = list(equalities)
     d = dimension
-    # columns: u (d) | v (d) | t+ | t- | surplus per strict | cap slack
+    # columns: u (d) | v (d) | t+ | t- | surplus per strict | cap slack | rhs
     nvars = 2 * d + 2 + len(strict) + 1
     tp, tm = 2 * d, 2 * d + 1
-    A, b = [], []
-    for k, f in enumerate(strict):
-        row = [Fraction(0)] * nvars
-        for i, a in enumerate(f.coeffs):
-            row[i] = a
-            row[d + i] = -a
-        row[tp] = Fraction(-1)
-        row[tm] = Fraction(1)
-        row[2 * d + 2 + k] = Fraction(-1)
-        A.append(row)
-        b.append(-f.const)
-    for f in equalities:
-        row = [Fraction(0)] * nvars
-        for i, a in enumerate(f.coeffs):
-            row[i] = a
-            row[d + i] = -a
-        A.append(row)
-        b.append(-f.const)
-    row = [Fraction(0)] * nvars
-    row[tp], row[tm], row[-1] = Fraction(1), Fraction(-1), Fraction(1)
-    A.append(row)
-    b.append(Fraction(1))
-    c = [Fraction(0)] * nvars
-    c[tp], c[tm] = Fraction(1), Fraction(-1)
+    rows, scales = [], []
+    for k, f in enumerate(strict + list(equalities)):
+        s, ints = _scale(f.coeffs + (f.const,))
+        row = [0] * (nvars + 1)
+        row[:d] = ints[:d]
+        row[d : 2 * d] = [-a for a in ints[:d]]
+        if k < len(strict):
+            row[tp], row[tm], row[2 * d + 2 + k] = -s, s, -s
+        row[-1] = -ints[d]
+        rows.append(row)
+        scales.append(s)
+    row = [0] * (nvars + 1)
+    row[tp], row[tm], row[-2], row[-1] = 1, -1, 1, 1
+    rows.append(row)
+    scales.append(1)
+    c = [0] * nvars
+    c[tp], c[tm] = 1, -1
 
-    status, value, x = simplex_max(A, b, c)
+    status, value, x = _simplex(rows, scales, c)
     if status != "optimal" or value <= 0:
         return LPResult(False, None)
-    witness = tuple(x[i] - x[d + i] for i in range(d))
-    return LPResult(True, witness)
+    return LPResult(True, tuple(x[i] - x[d + i] for i in range(d)))
 
 
 def _certified(witness, strict, eqs):

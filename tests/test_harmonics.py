@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -281,7 +280,7 @@ def test_border_candidates_match_all_children_reference(corpus, field):
     their F_p runs use an unflagged copy of the same points."""
     for name, locus in _reference_loci(corpus).items():
         if field.characteristic:
-            locus = dataclasses.replace(locus, requires_char_zero=False)
+            locus = PointLocus(locus.variables, locus.labels, locus.points, locus.label_kind)
         filt = EvaluationFiltration(locus, field).build()
         standard, coeffs = _all_children_filtration(locus, field)
         assert filt._standard == standard, name

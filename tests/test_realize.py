@@ -2,7 +2,7 @@ from fractions import Fraction as F
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from covg import (
@@ -132,6 +132,186 @@ def test_lp_agrees_with_float_solver_on_decisive_instances(rows):
     )
     if res.status == 0 and abs(res.x[2]) > 1e-6:
         assert exact == (res.x[2] > 0)
+
+
+# ---------------------------------------------------------------------------
+# reference LP: the simplex on a Fraction tableau that the integer-pivot one
+# replaced, kept as the oracle for its results
+
+
+def _ref_pivot(T, basis, r, c):
+    piv = T[r][c]
+    row_r = T[r] = [x / piv if x else x for x in T[r]]
+    support = [j for j, y in enumerate(row_r) if y]
+    for i, row in enumerate(T):
+        f = row[c]
+        if i != r and f:
+            for j in support:
+                row[j] -= f * row_r[j]
+    basis[r] = c
+
+
+def _ref_optimize(T, basis, cost, ncols):
+    m = len(T)
+    while True:
+        y = [(i, cost[v]) for i, v in enumerate(basis) if cost[v]]
+        basic = set(basis)
+        entering = None
+        for j in range(ncols):
+            if j in basic:
+                continue
+            if cost[j] - sum(yi * T[i][j] for i, yi in y) > 0:
+                entering = j
+                break
+        if entering is None:
+            return "optimal"
+        leaving, best = None, None
+        for i in range(m):
+            a = T[i][entering]
+            if a > 0:
+                key = (T[i][-1] / a, basis[i])
+                if best is None or key < best:
+                    best, leaving = key, i
+        if leaving is None:
+            return "unbounded"
+        _ref_pivot(T, basis, leaving, entering)
+
+
+def _reference_simplex_max(A, b, c):
+    """Two-phase Bland simplex over Fractions, artificial basis in phase 1."""
+    m, n = len(A), len(c)
+    A = [[F(v) for v in row] for row in A]
+    b = [F(v) for v in b]
+    c = [F(v) for v in c]
+    for i in range(m):
+        if b[i] < 0:
+            A[i] = [-v for v in A[i]]
+            b[i] = -b[i]
+    T = [A[i] + [F(int(i == j)) for j in range(m)] + [b[i]] for i in range(m)]
+    basis = [n + i for i in range(m)]
+    _ref_optimize(T, basis, [F(0)] * n + [F(-1)] * m, n + m)
+    if sum(T[i][-1] for i in range(m) if basis[i] >= n) != 0:
+        return "infeasible", None, None
+    drop = []
+    for i in range(m):
+        if basis[i] >= n:
+            for j in range(n):
+                if T[i][j] != 0:
+                    _ref_pivot(T, basis, i, j)
+                    break
+            else:
+                drop.append(i)
+    T = [row[:n] + [row[-1]] for i, row in enumerate(T) if i not in drop]
+    basis = [v for i, v in enumerate(basis) if i not in drop]
+    if _ref_optimize(T, basis, c, n) == "unbounded":
+        return "unbounded", None, None
+    x = [F(0)] * n
+    for i, v in enumerate(basis):
+        x[v] = T[i][-1]
+    return "optimal", sum(ci * xi for ci, xi in zip(c, x)), x
+
+
+def _reference_lp_strict_feasible(strict, equalities, d):
+    """lp_strict_feasible's slack LP, rows in Fractions, on the reference simplex."""
+    nvars = 2 * d + 2 + len(strict) + 1
+    tp, tm = 2 * d, 2 * d + 1
+    A, b = [], []
+    for k, f in enumerate(list(strict) + list(equalities)):
+        row = [F(0)] * nvars
+        for i, a in enumerate(f.coeffs):
+            row[i], row[d + i] = a, -a
+        if k < len(strict):
+            row[tp], row[tm], row[2 * d + 2 + k] = F(-1), F(1), F(-1)
+        A.append(row)
+        b.append(-f.const)
+    row = [F(0)] * nvars
+    row[tp], row[tm], row[-1] = F(1), F(-1), F(1)
+    A.append(row)
+    b.append(F(1))
+    c = [F(0)] * nvars
+    c[tp], c[tm] = F(1), F(-1)
+    status, value, x = _reference_simplex_max(A, b, c)
+    if status != "optimal" or value <= 0:
+        return LPResult(False, None)
+    return LPResult(True, tuple(x[i] - x[d + i] for i in range(d)))
+
+
+_ENTRY = st.one_of(
+    st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=4)
+)
+
+
+@st.composite
+def small_lps(draw):
+    """A x = b, x >= 0 with 1-4 rows and 1-5 columns of int and Fraction
+    entries.  b is drawn freely (negative entries and infeasible systems
+    included) or as A x0 for a nonnegative x0 with zeros, which makes
+    degenerate vertices; a row may repeat a multiple of an earlier one."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    A = [draw(st.lists(_ENTRY, min_size=n, max_size=n)) for _ in range(m)]
+    if m > 1 and draw(st.booleans()):
+        k = draw(st.sampled_from((1, 2, F(-1, 2))))
+        A[-1] = [k * v for v in A[0]]
+    if draw(st.booleans()):
+        b = draw(st.lists(_ENTRY, min_size=m, max_size=m))
+    else:
+        x0 = draw(st.lists(st.sampled_from((0, 0, 1, 2, F(1, 3))), min_size=n, max_size=n))
+        b = [sum(a * v for a, v in zip(row, x0)) for row in A]
+    c = draw(st.lists(_ENTRY, min_size=n, max_size=n))
+    return A, b, c
+
+
+@given(small_lps())
+@example(([[1, 1]], [-1], [0, 0]))  # infeasible after the sign flip
+@example(([[1, -1]], [1], [0, 1]))  # unbounded
+@example(([[1, 1, 0], [2, 2, 0], [1, 0, 1]], [0, 0, 0], [1, 1, 1]))  # degenerate, redundant row
+# c = 0, so x is where phase 1 ends: unit artificial costs on the rows scaled
+# to integers would end elsewhere
+@example(([[-1, F(-1, 3), F(3, 4)], [3, 2, 2]], [F(7, 18), F(23, 3)], [0, 0, 0]))
+# a ratio-test tie that Bland's rule breaks by basic index, not by row
+@example((
+    [[0, 0, F(-3, 5), 4, 2, -1, 3], [0, 3, F(-2, 3), 3, 0, -2, -1], [3, 0, 2, 3, 0, 0, F(-5, 2)]],
+    [F(1, 3), 0, 0],
+    [-2, F(-5, 6), 0, 0, -2, 0, 0],
+))
+@settings(max_examples=300, deadline=None)
+def test_simplex_matches_fraction_reference(lp):
+    """The integer-pivot simplex gives the Fraction simplex's status, value
+    and x on every LP, fractional rows included: scaling a row to integers
+    and weighting its artificial by the inverse scale leaves Bland's pivots
+    as they were.  An optimal x is a feasible point of value c.x."""
+    A, b, c = lp
+    got = simplex_max(A, b, c)
+    assert got == _reference_simplex_max(A, b, c)
+    status, value, x = got
+    if status == "optimal":
+        assert all(type(v) is F and v >= 0 for v in x)
+        assert all(sum(a * v for a, v in zip(row, x)) == bi for row, bi in zip(A, b))
+        assert sum(ci * xi for ci, xi in zip(c, x)) == value
+
+
+def _halfspace_arrangement(n):
+    """The braid arrangement restricted to x_1 - x_n > 1."""
+    braid = braid_arrangement(n)
+    coeffs = (1,) + (0,) * (n - 2) + (-1,)
+    return Arrangement(n, braid.labels, braid.forms, (form(coeffs, -1),))
+
+
+@pytest.mark.parametrize("name, calls", [("braid3", 14), ("braid4", 139), ("halfspace4", 59)])
+def test_enumeration_lps_match_fraction_reference(monkeypatch, name, calls):
+    """Every LP the enumeration issues gives the reference's verdict and witness."""
+    arr = _halfspace_arrangement(4) if name == "halfspace4" else braid_arrangement(int(name[-1]))
+    lp, seen = realize.lp_strict_feasible, []
+
+    def recorded(strict, eqs, d):
+        seen.append((list(strict), list(eqs), d))
+        return lp(strict, eqs, d)
+
+    monkeypatch.setattr(realize, "lp_strict_feasible", recorded)
+    enumerate_covectors(arr)
+    assert len(seen) == calls
+    for strict, eqs, d in seen:
+        assert lp(strict, eqs, d) == _reference_lp_strict_feasible(strict, eqs, d)
 
 
 def test_simplex_bounded_optimum():
