@@ -3,17 +3,26 @@
 
 For each n the covector-locus series is computed twice (evaluation-span rank
 and NBC counting) and the tope-locus series is compared against the two
-cycle-statistic closed forms.  Everything is exact; 'fp' switches the rank
-engine to a large prime field for speed at n=5.  Where the NBC count refuses
-(its circuit search is capped), the rank series is printed unchecked.  Each
-line ends with its time and the process's peak resident memory so far.
+cycle-statistic closed forms.  For n up to 5 the covector presentation is
+checked end to end, as `covg verify --what big-theorem` does.  Everything is
+exact; 'fp' switches the rank engine to a large prime field for speed at
+n=5.  Where the NBC count refuses (its circuit search is capped), the rank
+series is printed unchecked, and the presentation check is printed as
+refused.  Each line ends with its time and the process's peak resident
+memory so far.
 """
 
 import argparse
 import resource
 import time
 
-from covg import braid_com, covector_locus, hilbert_from_nbc, hilbert_series
+from covg import (
+    braid_com,
+    covector_locus,
+    hilbert_from_nbc,
+    hilbert_series,
+    verify_covector_presentation,
+)
 from covg.exactla import QQ, PrimeField
 from covg.harmonics import braid_tope_series_report
 from covg.matroidal import MatroidalError
@@ -45,6 +54,17 @@ def main():
             mark = "ok" if rank == nbc else "MISMATCH"
             nbc = list(nbc)
         print(f"  n={n}  rank={list(rank)}  nbc={nbc}  [{mark}] {_cost(started)}")
+
+    print("covector presentation (verify --what big-theorem)")
+    for n in range(1, min(args.max_n, 5) + 1):
+        started = time.monotonic()
+        try:
+            ok = verify_covector_presentation(braid_com(n), field)["ok"]
+        except MatroidalError as refusal:
+            verdict = f"refused ({refusal})"
+        else:
+            verdict = "ok" if ok else "MISMATCH"
+        print(f"  n={n}  [{verdict}] {_cost(started)}")
 
     print("tope-locus Hilbert series vs cycle statistics")
     for n in range(2, args.max_n + 1):

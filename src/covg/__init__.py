@@ -39,6 +39,7 @@ from .harmonics import (
     tope_locus,
     verify_basis,
     verify_covector_presentation,
+    verify_tope_presentation,
     z_ideal_generators,
 )
 from .matroidal import (

@@ -19,17 +19,15 @@ from .com import COM, check_axioms, coloops, flats_of, topes
 from .equivariant import GroupSpec, graded_character, locus_action, verify_graded_module_structure
 from .exactla import field_from_name
 from .harmonics import (
-    EvaluationFiltration,
     covector_locus,
-    gr_membership,
     hilbert_from_nbc,
     hilbert_series,
     kostant_locus,
     permmatrix_locus,
     permutohedral_locus,
-    tope_ideal_generators,
     tope_locus,
     verify_covector_presentation,
+    verify_tope_presentation,
 )
 from .matroidal import (
     basic_sets,
@@ -174,26 +172,11 @@ def cmd_verify(args):
             "j_sweep": not report["j_sweep"]["failures"],
         }
     if args.what == "small-generators":
-        locus = tope_locus(M)
-        gens = tope_ideal_generators(M)
-        filt = EvaluationFiltration(locus, field)
-        affine_bad = [
-            str(g)
-            for g in gens["affine"]
-            if any(v != 0 for v in filt.evaluate(g))
-        ]
-        graded_bad = [
-            str(g) for g in gens["graded"] if not gr_membership(locus, g, field, filt)
-        ]
-        return (
-            {
-                "affine_checked": len(gens["affine"]),
-                "affine_nonvanishing": affine_bad,
-                "graded_checked": len(gens["graded"]),
-                "graded_nonmembers": graded_bad,
-            },
-            {"affine_vanish": not affine_bad, "graded_membership": not graded_bad},
-        )
+        report = verify_tope_presentation(M, field=field)
+        return report, {
+            "affine_vanish": not report["affine_nonvanishing"],
+            "graded_membership": not report["graded_nonmembers"],
+        }
     if args.what == "two-values":
         reports = [check_two_values(M, F, X, J) for F, X, J in mixing_subsets(M)]
         failures = [rep for rep in reports if not rep["ok"]]

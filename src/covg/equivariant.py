@@ -191,6 +191,8 @@ class GradedCharacter:
         return v[d] if 0 <= d < len(v) else 0
 
     def __eq__(self, other):
+        if not isinstance(other, GradedCharacter):
+            return NotImplemented
         if set(self.values) != set(other.values):
             return False
         n = max(self.degrees, other.degrees)
@@ -274,6 +276,11 @@ def induced_character(group, sub_elements, chi_values):
         raise EquivariantError("subgroup elements must lie in the group")
     if _generating_set(group, sub) is None:
         raise EquivariantError("subgroup is not closed under composition")
+    return _induce(group, sub, chi_values)
+
+
+def _induce(group, sub, chi_values):
+    """induced_character on a set `sub` of group elements known to be a subgroup."""
     degrees = max((len(v) for v in chi_values.values()), default=0)
     sums = [[0] * degrees for _ in group.classes]
     for h in sub:
@@ -337,7 +344,8 @@ def verify_graded_module_structure(M, group, field=QQ):
 
     Each contraction's filtration is checked to be invariant under a
     generating set of the flat's stabilizer; every stabilizer element's trace
-    is then read at the pivots."""
+    is then read at the pivots.  A stabilizer is a subgroup by construction,
+    so its character is induced without `induced_character`'s closure test."""
     if field.characteristic:
         raise EquivariantError("the decomposition check compares characters over the rationals")
     big = graded_character(covector_locus(M), group, field)
@@ -352,9 +360,10 @@ def verify_graded_module_structure(M, group, field=QQ):
         filt = EvaluationFiltration(locus, field).build()
         shift = codim(M, rep)
         perms = {w: locus_action(locus, restricted_permutation(w, rep, n)) for w in stab}
-        _check_invariant(filt, [perms[g] for g in _generating_set(group, set(stab))])
+        stab = set(stab)
+        _check_invariant(filt, [perms[g] for g in _generating_set(group, stab)])
         chi = {w: tuple([0] * shift + _graded_traces(filt, perm)) for w, perm in perms.items()}
-        induced_parts.append(induced_character(group, stab, chi))
+        induced_parts.append(_induce(group, stab, chi))
     width = max([big.degrees] + [ind.degrees for ind in induced_parts])
     total = {w: [Fraction(0)] * width for w in group.elements}
     for ind in induced_parts:

@@ -31,7 +31,7 @@ import math
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import combinations
-from operator import mul
+from operator import add, mul
 
 
 class ExactLAError(Exception):
@@ -57,10 +57,12 @@ def rational(x):
 # coefficient fields
 #
 # A field reads exact numbers into its elements and owns the vector format of
-# evaluation vectors: `vector` builds one from exact numbers, `product` is the
-# pointwise product, `is_zero` tests for the zero vector, `combination` forms
-# sum c * v over (c, v) pairs, and `rowspace` a fresh, empty row space that
-# accepts these vectors.
+# evaluation vectors: `vector` builds one from exact numbers, `product` and
+# `add` are the pointwise product and sum, `is_zero` tests for the zero
+# vector, `combination` forms sum c * v over (c, v) pairs, `support` lists the
+# points where a vector is nonzero, `take` reads a vector at a list of points
+# and `spread` places values at such points of an otherwise zero vector, and
+# `rowspace` makes a fresh, empty row space that accepts these vectors.
 
 
 class RationalField:
@@ -78,8 +80,23 @@ class RationalField:
     def product(self, u, v):
         return tuple(map(mul, u, v))
 
+    def add(self, u, v):
+        return tuple(map(add, u, v))
+
     def is_zero(self, v):
         return not any(v)
+
+    def support(self, v):
+        return [i for i, x in enumerate(v) if x]
+
+    def take(self, v, points):
+        return tuple(map(v.__getitem__, points))
+
+    def spread(self, w, points, ambient):
+        out = [0] * ambient
+        for i, x in zip(points, w):
+            out[i] = x
+        return tuple(out)
 
     def combination(self, terms, ambient):
         total = (0,) * ambient
@@ -171,8 +188,29 @@ class PrimeField:
         out = np.multiply(u, v, dtype=np.int64)
         return np.remainder(out, self.p, out=out).astype(_RESIDUE, copy=False)
 
+    def add(self, u, v):
+        import numpy as np
+
+        out = np.add(u, v, dtype=np.int64)
+        return np.remainder(out, self.p, out=out).astype(_RESIDUE, copy=False)
+
     def is_zero(self, v):
         return not v.any()
+
+    def support(self, v):
+        import numpy as np
+
+        return np.flatnonzero(v)
+
+    def take(self, v, points):
+        return v[points]
+
+    def spread(self, w, points, ambient):
+        import numpy as np
+
+        out = np.zeros(ambient, dtype=_RESIDUE)
+        out[points] = w
+        return out
 
     def combination(self, terms, ambient):
         import numpy as np
@@ -485,15 +523,16 @@ class RationalRowSpace(_EchelonPrefix):
     Each stored entry is one row, primitive with a positive entry at its
     pivot.  `rows` is the fully reduced basis: the primitive rows of the
     span, in insertion order, each zero at every pivot but its own.
-    `contains`, the traces and `expansion_coefficients` read it.  A larger
-    rank's basis is built from the largest smaller one already in the shared
-    table, so a filtration's snapshots build theirs degree by degree.
+    `contains_block`, the traces and `expansion_coefficients` read it.  A
+    larger rank's basis is built from the largest smaller one already in the
+    shared table, so a filtration's snapshots build theirs degree by degree.
     """
 
     copy = _EchelonPrefix.copy
 
     def __init__(self, ambient):
         super().__init__(ambient, [])
+        self._free = None  # (rank, ...) as `_free_rows` returns it, for that rank
 
     @property
     def rows(self):
@@ -576,19 +615,50 @@ class RationalRowSpace(_EchelonPrefix):
         no fraction-free factor piles up from row to row.
         """
         hits = [(a, f, f[j]) for f, j in zip(rows, pivots) if (a := row[j])]
-        if not hits:
-            return row
+        return self._primitive(self._subtract(row, hits)) if hits else row
+
+    @staticmethod
+    def _subtract(row, hits):
+        """L * row - sum (L * a / p) * f over the hits (a, f, p), L the lcm of the p."""
         lcm = math.lcm(*(p for _, _, p in hits))
         v = [lcm * x for x in row] if lcm > 1 else row
         for a, f, p in hits:
             m = lcm // p * a
             v = [x - m * y for x, y in zip(v, f)]
-        return self._primitive(v)
+        return v
 
     def contains(self, vec):
-        # against the fully reduced basis a query needs one row per nonzero
-        # pivot entry and no fraction-free growth
-        return not any(self._clear(self._intvec(vec), self._reduced_basis(), self.pivots))
+        return self.contains_block([vec])[0]
+
+    def contains_block(self, vecs):
+        """For each vector, whether it lies in the span.
+
+        Against the fully reduced basis a vector v is cleared by one multiple
+        of each row f it meets at that row's pivot j, with no fraction-free
+        growth: the residue is L * v - sum (L * v[j] / f[j]) * f, L the lcm
+        of the f[j] met.  It is zero at every pivot, so only the other
+        columns are formed, and v lies in the span iff they vanish.
+        """
+        pivots = self.pivots
+        free, rows, heads = self._free_rows()
+        out = []
+        for vec in vecs:
+            v = self._intvec(vec)
+            rest = list(map(v.__getitem__, free))
+            hits = [(a, f, p) for a, f, p in zip(map(v.__getitem__, pivots), rows, heads) if a]
+            out.append(not any(self._subtract(rest, hits) if hits else rest))
+        return out
+
+    def _free_rows(self):
+        """What `contains_block` reads, built once per rank: the non-pivot
+        columns, each basis row on them and its pivot entry."""
+        if self._free is None or self._free[0] != self._rank:
+            basis, pivots = self._reduced_basis(), self.pivots
+            free = sorted(set(range(self.ambient)).difference(pivots))
+            rows = [list(map(row.__getitem__, free)) for row in basis]
+            heads = [row[j] for row, j in zip(basis, pivots)]
+            self._free = (self._rank, free, rows, heads)
+        return self._free[1:]
 
     def expansion_coefficients(self, vec):
         """Coefficients of vec on the `rows` basis, or None if outside the span."""
@@ -602,10 +672,8 @@ class RationalRowSpace(_EchelonPrefix):
 
         Raises if the span is not invariant under the permutation.
         """
-        basis, pivots = self._reduced_basis(), self.pivots
-        for row in basis:
-            if any(self._clear(apply_point_permutation(row, perm), basis, pivots)):
-                raise ExactLAError("subspace is not invariant under the permutation")
+        if not all(self.contains_block([apply_point_permutation(row, perm) for row in self.rows])):
+            raise ExactLAError("subspace is not invariant under the permutation")
         return self.pivot_trace(perm)
 
     def pivot_trace(self, perm):
@@ -632,11 +700,11 @@ class FpRowSpace(_EchelonPrefix):
     `insert_block` call added: pivot-normalized, fully reduced among
     themselves and zero at the pivots of the blocks before it.  A vector is
     reduced with one product per block.  `_basis` is the fully reduced
-    basis, which `contains`, the traces and `expansion_coefficients` read; it
-    is built per rank as over Q, each later block clearing the basis before
-    it at its pivots.  Stored blocks and reduced bases are kept as uint32;
-    products and row operations run in int64, and a block is cast back to
-    uint32 when it is stored.
+    basis, which `contains_block`, the traces and `expansion_coefficients`
+    read; it is built per rank as over Q, each later block clearing the
+    basis before it at its pivots.  Stored blocks and reduced bases are kept
+    as uint32; products and row operations run in int64, and a block is cast
+    back to uint32 when it is stored.
     """
 
     copy = _EchelonPrefix.copy
@@ -670,12 +738,16 @@ class FpRowSpace(_EchelonPrefix):
         return [_residue(x, self.p) for x in vec]
 
     def _vec(self, vec):
+        return self._block([vec])[0]
+
+    def _block(self, vecs):
+        """The vectors, read as residues, stacked into one int64 array."""
         import numpy as np
 
-        v = np.remainder(self._read(vec), self.p, dtype=np.int64)
-        if v.shape != (self.ambient,):
+        block = np.remainder([self._read(v) for v in vecs], self.p, dtype=np.int64)
+        if block.shape[1:] != (self.ambient,):
             raise ExactLAError("vector length does not match ambient dimension")
-        return v
+        return block
 
     # Every product below is a `_combine` whose inner dimension counts rows of
     # one echelon basis, hence is at most `ambient`, and whose factors are
@@ -727,13 +799,9 @@ class FpRowSpace(_EchelonPrefix):
         against the stored blocks, its residual is put in echelon form by
         `_echelon`, and the new rows are stored as one block.
         """
-        import numpy as np
-
         if not len(vecs):
             return []
-        block = np.remainder([self._read(v) for v in vecs], self.p, dtype=np.int64)
-        if block.shape[1:] != (self.ambient,):
-            raise ExactLAError("vector length does not match ambient dimension")
+        block = self._block(vecs)
         if self._rank == self.ambient:
             return []
         taken, rows, pivots = self._echelon(self._reduce(block), self.ambient - self._rank)
@@ -804,7 +872,27 @@ class FpRowSpace(_EchelonPrefix):
         return out
 
     def contains(self, vec):
-        return not self._clear(self._vec(vec), self._basis, self.pivots).any()
+        return self.contains_block([vec])[0]
+
+    def contains_block(self, vecs):
+        """For each vector, whether it lies in the span.
+
+        A vector cleared at the pivots by the basis rows is zero there, so
+        the whole block is tested with one product: its entries at the
+        pivots times the basis at the other columns (a `_combine` with inner
+        dimension rank <= ambient).
+        """
+        import numpy as np
+
+        if not len(vecs):
+            return []
+        block, pivots = self._block(vecs), self.pivots
+        free = np.ones(self.ambient, dtype=bool)
+        free[pivots] = False
+        rest, coeffs = block[:, free], block[:, pivots]
+        if coeffs.any():
+            rest = np.remainder(rest - self._combine(coeffs, self._basis[:, free]), self.p)
+        return (~rest.any(axis=1)).tolist()
 
     def expansion_coefficients(self, vec):
         """Coefficients of vec on the `_basis` rows, or None if outside the span."""

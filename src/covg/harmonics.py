@@ -50,13 +50,19 @@ circuit's mixing subset J is its smallest support element.  Another order
 enters only through `matroidal.nbc_sets` (`covg nbc --order`).  The NBC
 Hilbert series is the degree count of the NBC basis.
 
-verify_covector_presentation and braid_tope_series_report return their
-report dicts; `covg verify --what big-theorem` prints the first as it is.
+The verification reports test their generators in factored form: each is a
+monomial times e_k of linear forms, evaluated from the cached monomial
+columns with the e_k recurrence on vectors, and each degree's vectors are
+tested against E_{d-1} in blocks (`_nonmembers`); a Polynomial is built only
+to name a generator that fails.  verify_covector_presentation,
+verify_tope_presentation and braid_tope_series_report return their report
+dicts; `covg verify --what big-theorem` and `--what small-generators` print
+the first two as they are.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 
 from . import jsonio
 from .com import contract, flats_of, topes
@@ -245,7 +251,7 @@ class HilbertSeries:
         return cls(tuple(coeffs))
 
 
-_CHUNK_ROWS = 256  # candidates per row-space block insertion; bounds the block's memory
+_CHUNK_ROWS = 256  # vectors per row-space block insertion or membership test; bounds the block
 
 
 def _border(standard, n_vars):
@@ -449,48 +455,188 @@ def gr_membership(locus, poly, field=QQ, filtration=None):
 # Element e owns the variables y_e+ and y_e- at indices stride*e and
 # stride*e + 1: stride 2 in the tope locus's variables, 3 in the covector
 # locus's, where z_e follows at 3e + 2.
+#
+# Generators are built in factored form, a tuple (mono, k, forms): the
+# monomial at the variable indices `mono` (a repeated index is a power) times
+# e_k of the linear forms `forms`, each a tuple of (coefficient, variable
+# indices) terms; k = 0 with no forms is the monomial alone.  `_polynomial`
+# expands one into a Polynomial, and `_evaluator` evaluates it on a locus
+# from cached monomial columns without expanding it.
 
 
-def _monomial(vars, indices):
+def _monomial(vars, indices, coeff=1):
     """The monomial in the variables at these indices; a repeated index is a power."""
     exps = [0] * len(vars)
     for k in indices:
         exps[k] += 1
-    return Polynomial.monomial(vars, exps)
+    return Polynomial.monomial(vars, exps, coeff)
 
 
-def _contraction_frame(M, F, vars):
-    """z_B(F) in the covector variables, and the ground element at each position
-    of the contraction M/F."""
-    zB = _monomial(vars, [3 * e + 2 for e in default_basic_set(M, F)])
+def _mono(indices):
+    return (tuple(indices), 0, ())
+
+
+def _sum(*terms):
+    """The sum of c * (the monomial at indices) over the (c, indices) terms:
+    e_1 of one single-term form per term, so that only the terms' vectors
+    are kept, not each sum's."""
+    return ((), 1, tuple((term,) for term in terms))
+
+
+def _polynomial(vars, gen):
+    """The Polynomial of a factored generator."""
+    mono, k, forms = gen
+    poly = _monomial(vars, mono)
+    if not forms:
+        return poly
+    linear = []
+    for form in forms:
+        terms = [_monomial(vars, indices, c) for c, indices in form]
+        linear.append(sum(terms[1:], terms[0]))
+    return poly * elementary_symmetric(k, linear)
+
+
+def _degree(gen):
+    """The degree of a homogeneous factored generator: |mono| plus k times
+    the degree of its forms."""
+    mono, k, forms = gen
+    return len(mono) + k * len(forms[0][0][1]) if k else len(mono)
+
+
+def _evaluator(filt):
+    """The function that maps a factored generator to its evaluation vector.
+
+    Monomial columns come from the filtration's cache, and each form's
+    vector is formed once per evaluator.  e_k of the s forms is built by the
+    recurrence e_j <- e_j + v * e_(j-1) over their vectors v, for the j that
+    can still reach k with the forms left, and multiplied pointwise by the
+    monomial's column.  The product vanishes wherever that column does, so
+    e_k is formed only at the points where it does not (z_B(F) is nonzero
+    only on the covectors that vanish on F), and spread back to the locus.
+    """
+    field, product, add = filt.field, filt.field.product, filt.field.add
+    columns, forms_at, supports, restricted = {}, {}, {}, {}
+
+    def column(indices):
+        vec = columns.get(indices)
+        if vec is None:
+            exps = [0] * filt.n_vars
+            for i in indices:
+                exps[i] += 1
+            vec = columns[indices] = filt._column(tuple(exps))
+        return vec
+
+    def form_vector(form):
+        vec = forms_at.get(form)
+        if vec is None:
+            terms = [(c, column(indices)) for c, indices in form]
+            vec = forms_at[form] = field.combination(terms, filt.n_points)
+        return vec
+
+    def support(mono):
+        """The points where the monomial's column is nonzero, and its values there."""
+        found = supports.get(mono)
+        if found is None:
+            vec = column(mono)
+            points = field.support(vec)
+            found = supports[mono] = (points, field.take(vec, points))
+        return found
+
+    def vector(gen):
+        mono, k, forms = gen
+        if not k:
+            return column(mono)
+        points, values = support(mono)
+        e = {}  # e_j of the forms read so far, j >= 1; e_0 = 1
+        for i, form in enumerate(forms, 1):
+            v = restricted.get((mono, form))
+            if v is None:
+                v = restricted[mono, form] = field.take(form_vector(form), points)
+            for j in range(min(i, k), max(1, k - len(forms) + i) - 1, -1):
+                term = product(v, e[j - 1]) if j > 1 else v
+                e[j] = add(e[j], term) if j in e else term
+        return field.spread(product(values, e[k]), points, filt.n_points)
+
+    return vector
+
+
+def _nonmembers(filt, gens):
+    """Positions, in order, of the factored homogeneous generators (any
+    iterable) that are not graded members.
+
+    A form of degree d is a member when its evaluation vector lies in
+    E_{d-1}.  The generators go in chunks of `_CHUNK_ROWS`, and a chunk's
+    generators of one degree are evaluated and tested together, with one
+    `contains_block` against that snapshot; against a snapshot of full rank
+    every generator is a member, and none is evaluated.
+    """
+    vector, gens = _evaluator(filt), iter(gens)
+    out, start = [], 0
+    while chunk := list(islice(gens, _CHUNK_ROWS)):
+        by_degree = {}
+        for i, gen in enumerate(chunk, start):
+            by_degree.setdefault(_degree(gen), []).append(i)
+        for d, indices in by_degree.items():
+            space = filt.space_upto(d - 1)
+            if space.rank < filt.n_points:
+                verdicts = space.contains_block([vector(chunk[i - start]) for i in indices])
+                out += [i for i, ok in zip(indices, verdicts) if not ok]
+        start += len(chunk)
+    return sorted(out)
+
+
+def _contraction_frame(M, F):
+    """The indices of z_B(F) in the covector variables, and the ground element
+    at each position of the contraction M/F."""
+    zB = tuple(3 * e + 2 for e in default_basic_set(M, F))
     return zB, [e for e in range(M.ground.size) if e not in F]
 
 
-def _symmetric_term(vars, stride, keep, X, J):
-    """e_{s-1} of the signed y-variables of the s support positions of X (read
-    on the ground through keep), the one at each position in J plus its z."""
-    terms = []
+def _frames(M):
+    """The contraction frame of each flat, in flat order."""
+    return {F: _contraction_frame(M, F) for F in flats_of(M)}
+
+
+def _symmetric(frame, stride, X, J):
+    """z_B times e_{s-1} of the signed y-variables of the s support positions
+    of X (read on the ground through keep), the one at each position in J
+    plus its z; frame is (z_B, keep)."""
+    zB, keep = frame
+    forms = []
     for i in sorted(X.support()):
-        term = _monomial(vars, [stride * keep[i] + (X[i] < 0)])
-        terms.append(term + _monomial(vars, [3 * keep[i] + 2]) if i in J else term)
-    return elementary_symmetric(len(terms) - 1, terms)
+        y = (1, (stride * keep[i] + (X[i] < 0),))
+        forms.append((y, (1, (3 * keep[i] + 2,))) if i in J else (y,))
+    return zB, len(forms) - 1, tuple(forms)
 
 
-def _circuit_generators(vars, stride, keep, circs, mixed):
+def _circuit_generators(frame, stride, circs, mixed):
     """The circuit relations of circs, circuits of a COM whose position i is
-    ground element keep[i]: the signed y-monomial of each circuit, and the
-    symmetric term of each symmetric circuit, mixed at J = {its smallest
-    support position} when `mixed` and at J = {} otherwise."""
+    ground element keep[i], each times z_B: the signed y-monomial of each
+    circuit, and the symmetric term of each symmetric circuit, mixed at
+    J = {its smallest support position} when `mixed` and at J = {} otherwise."""
+    zB, keep = frame
     monomials = [
-        _monomial(vars, [stride * keep[i] + (c.vector[i] < 0) for i in c.vector.support()])
+        _mono(zB + tuple(stride * keep[i] + (c.vector[i] < 0) for i in c.vector.support()))
         for c in circs
     ]
     symmetric = [
-        _symmetric_term(vars, stride, keep, c.vector, {min(c.vector.support())} if mixed else ())
+        _symmetric(frame, stride, c.vector, {min(c.vector.support())} if mixed else ())
         for c in circs
         if c.symmetric
     ]
     return monomials, symmetric
+
+
+def _tope_generators(M):
+    n = M.ground.size
+    affine, graded = [], []
+    for e in range(n):
+        yp, ym = 2 * e, 2 * e + 1
+        linear = (1, (yp,)), (1, (ym,))
+        affine += [_mono((yp, ym)), _sum(*linear, (-1, ()))]
+        graded += [_mono(m) for m in ((yp, yp), (yp, ym), (ym, ym))] + [_sum(*linear)]
+    monomials, symmetric = _circuit_generators(((), range(n)), 2, circuits(M), mixed=False)
+    return {"affine": affine + monomials, "graded": graded + monomials + symmetric}
 
 
 def tope_ideal_generators(M):
@@ -504,37 +650,49 @@ def tope_ideal_generators(M):
     each contraction, here on M itself and in the y-variables alone.
     """
     vars = small_variables(M.ground)
-    n = M.ground.size
-    one = Polynomial.one(vars)
-    affine, graded = [], []
-    for e in range(n):
-        yp, ym = _monomial(vars, [2 * e]), _monomial(vars, [2 * e + 1])
-        affine += [yp * ym, yp + ym - one]
-        graded += [yp * yp, yp * ym, ym * ym, yp + ym]
-    monomials, symmetric = _circuit_generators(vars, 2, range(n), circuits(M), mixed=False)
-    return {"affine": affine + monomials, "graded": graded + monomials + symmetric}
+    return {
+        which: [_polynomial(vars, g) for g in gens]
+        for which, gens in _tope_generators(M).items()
+    }
+
+
+def _z_generators(M):
+    gens = [_mono(3 * e + 2 for e in C) for C in minimal_nonbasic_sets(M)]
+    for F in flats_of(M):
+        zs = [tuple(3 * e + 2 for e in B) for B in basic_sets(M, F)]
+        gens += [_sum((1, a), (-1, b)) for k, a in enumerate(zs) for b in zs[k + 1 :]]
+    return gens
 
 
 def z_ideal_generators(M):
     """z-variable relations carried by the flat structure: a product over each
     minimal nonbasic set, and a difference for each pair of basic sets of a flat."""
     vars = big_variables(M.ground)
-    gens = [_monomial(vars, [3 * e + 2 for e in C]) for C in minimal_nonbasic_sets(M)]
-    for F in flats_of(M):
-        zs = [_monomial(vars, [3 * e + 2 for e in B]) for B in basic_sets(M, F)]
-        gens += [a - b for k, a in enumerate(zs) for b in zs[k + 1 :]]
-    return gens
+    return [_polynomial(vars, g) for g in _z_generators(M)]
 
 
 def symmetric_circuit_generator(M, F, circuit_vector, J):
     """The degree codim(F)+s-1 generator attached to a symmetric circuit of the
     contraction at F, built from the mixing subset J of its support."""
-    vars = big_variables(M.ground)
-    zB, keep = _contraction_frame(M, F, vars)
+    frame = _contraction_frame(M, F)
     J = frozenset(J)
     if not (J and J < circuit_vector.support()):
         raise HarmonicsError("J must be a nonempty proper subset of the circuit support")
-    return zB * _symmetric_term(vars, 3, keep, circuit_vector, J)
+    return _polynomial(big_variables(M.ground), _symmetric(frame, 3, circuit_vector, J))
+
+
+def _covector_generators(M, frames):
+    gens = _z_generators(M)
+    for e in range(M.ground.size):
+        yp, ym, z = 3 * e, 3 * e + 1, 3 * e + 2
+        gens += [_mono(m) for m in ((yp, yp), (yp, ym), (yp, z), (ym, ym), (ym, z), (z, z))]
+        gens.append(_sum((1, (yp,)), (1, (ym,)), (1, (z,))))
+    for F, frame in frames.items():
+        zB = frame[0]
+        gens += [_mono(zB + (3 * e + k,)) for e in sorted(F) for k in (0, 1)]
+        monomials, symmetric = _circuit_generators(frame, 3, circuits(contract(M, F)), mixed=True)
+        gens += monomials + symmetric
+    return gens
 
 
 def covector_ideal_generators(M):
@@ -547,17 +705,7 @@ def covector_ideal_generators(M):
     J = {smallest support element}.
     """
     vars = big_variables(M.ground)
-    gens = z_ideal_generators(M)
-    for e in range(M.ground.size):
-        yp, ym, z = (_monomial(vars, [3 * e + k]) for k in range(3))
-        gens += [yp * yp, yp * ym, yp * z, ym * ym, ym * z, z * z, yp + ym + z]
-    for F in flats_of(M):
-        zB, keep = _contraction_frame(M, F, vars)
-        gens += [zB * _monomial(vars, [3 * e + k]) for e in sorted(F) for k in (0, 1)]
-        circs = circuits(contract(M, F))
-        monomials, symmetric = _circuit_generators(vars, 3, keep, circs, mixed=True)
-        gens += [zB * g for g in monomials + symmetric]
-    return gens
+    return [_polynomial(vars, g) for g in _covector_generators(M, _frames(M))]
 
 
 # ---------------------------------------------------------------------------
@@ -586,10 +734,9 @@ def nbc_basis(M):
     vars = big_variables(M.ground)
     tope = [_monomial(small_variables(M.ground), [2 * e for e in N]) for N in nbc_sets(M)]
     strata = {}
-    for F in flats_of(M):
-        zB, keep = _contraction_frame(M, F, vars)
+    for F, (zB, keep) in _frames(M).items():
         strata[F] = [
-            zB * _monomial(vars, [3 * keep[i] for i in N]) for N in nbc_sets(contract(M, F))
+            _monomial(vars, zB + tuple(3 * keep[i] for i in N)) for N in nbc_sets(contract(M, F))
         ]
     covector = [m for monos in strata.values() for m in monos]
     if len(covector) != len(M):
@@ -641,31 +788,55 @@ def verify_covector_presentation(M, field=QQ):
         membership holds for every admissible mixing subset J, not just the
         default.
 
-    Returns the report dict: the generators checked and those that are not
-    members, basis_ok, both Hilbert series, the J-sweep count and its
-    failures, and "ok" when all four checks pass.
+    The generators of (a) and (d) are evaluated in factored form and tested
+    one degree at a time (`_nonmembers`); a Polynomial is built only for a
+    generator that fails.  Returns the report dict: the generators checked
+    and those that are not members, basis_ok, both Hilbert series, the
+    J-sweep count and its failures, and "ok" when all four checks pass.
     """
     locus = covector_locus(M)
     filt = EvaluationFiltration(locus, field)
-    gens = covector_ideal_generators(M)
-    failures = [str(g) for g in gens if not gr_membership(locus, g, field, filt)]
+    frames = _frames(M)
+    gens = _covector_generators(M, frames)
+    failures = [str(_polynomial(locus.variables, gens[i])) for i in _nonmembers(filt, gens)]
     bases = nbc_basis(M)
     basis_ok = verify_basis(locus, bases.covector, field, filt)
     h_rank = list(filt.hilbert().coeffs)
     h_nbc = list(_degree_series(bases.covector).coeffs)
-    j_checked = 0
-    j_failures = []
-    for F, X, J in mixing_subsets(M, _J_SWEEP_MAX_SUPPORT):
-        g = symmetric_circuit_generator(M, F, X, J)
-        j_checked += 1
-        if not gr_membership(locus, g, field, filt):
-            j_failures.append({"flat": sorted(F), "circuit": X.to_string(), "J": sorted(J)})
+    sweep = list(mixing_subsets(M, _J_SWEEP_MAX_SUPPORT))
+    j_gens = (_symmetric(frames[F], 3, X, J) for F, X, J in sweep)
+    j_failures = [
+        {"flat": sorted(F), "circuit": X.to_string(), "J": sorted(J)}
+        for F, X, J in (sweep[i] for i in _nonmembers(filt, j_gens))
+    ]
     return {
         "membership": {"checked": len(gens), "failures": failures},
         "basis_ok": basis_ok,
         "hilbert": {"rank_method": h_rank, "nbc_method": h_nbc, "ok": h_rank == h_nbc},
-        "j_sweep": {"checked": j_checked, "failures": j_failures},
+        "j_sweep": {"checked": len(sweep), "failures": j_failures},
         "ok": not failures and basis_ok and h_rank == h_nbc and not j_failures,
+    }
+
+
+def verify_tope_presentation(M, field=QQ):
+    """Check the tope-locus presentation: every affine generator vanishes on
+    the tope locus, and every graded generator is a graded member.
+
+    Returns the report dict that `covg verify --what small-generators`
+    prints: the counts of both lists, the affine generators that do not
+    vanish and the graded ones that are not members.
+    """
+    locus = tope_locus(M)
+    filt = EvaluationFiltration(locus, field)
+    gens = _tope_generators(M)
+    vector = _evaluator(filt)
+    affine_bad = [g for g in gens["affine"] if not field.is_zero(vector(g))]
+    graded_bad = [gens["graded"][i] for i in _nonmembers(filt, gens["graded"])]
+    return {
+        "affine_checked": len(gens["affine"]),
+        "affine_nonvanishing": [str(_polynomial(locus.variables, g)) for g in affine_bad],
+        "graded_checked": len(gens["graded"]),
+        "graded_nonmembers": [str(_polynomial(locus.variables, g)) for g in graded_bad],
     }
 
 

@@ -20,7 +20,6 @@ reported covector's cell holds a witness checked exactly against it.
 from __future__ import annotations
 
 from fractions import Fraction
-from importlib import resources
 from itertools import product
 from math import lcm
 
@@ -518,6 +517,8 @@ FIXTURE_NAMES = ("figure1", "figure1-rectangle")
 
 def fixture(name):
     """A COM shipped as data (see data/*.json), read and axiom-checked like any input."""
+    from importlib import resources  # its one user; 14-20 ms of a plain `import covg.cli`
+
     files = {"figure1": "figure1.json", "figure1-rectangle": "figure1_rectangle.json"}
     if name not in files:
         raise RealizeError(f"unknown fixture {name!r}; available: {', '.join(FIXTURE_NAMES)}")

@@ -19,6 +19,7 @@ from covg import (
     tope_locus,
     verify_graded_module_structure,
 )
+from covg import equivariant
 from covg.com import contract, flats_of
 from covg.equivariant import (
     DecompositionReport,
@@ -197,6 +198,14 @@ def test_induced_character_of_stabilizer_is_orbit_permutation_character(braid3, 
     for w in s3.elements:
         fixed = sum(1 for f in orbit if frozenset(w.perm[i] for i in f) == f)
         assert ind.values[w] == (Fraction(fixed),)
+
+
+def test_graded_character_equals_only_characters(braid3, s3):
+    """Comparing a character with another type is False, not an AttributeError."""
+    ch = graded_character(covector_locus(braid3), s3)
+    assert GradedCharacter(1, {}) != None  # noqa: E711
+    assert not ch == "character" and ch != ch.values
+    assert ch == induced_character(s3, s3.elements, ch.values)
 
 
 def test_induced_character_rejects_non_subgroup(braid3, s3):
@@ -408,6 +417,22 @@ def test_graded_character_refuses_a_noninvariant_span(braid3, s3, monkeypatch):
     monkeypatch.setattr(RationalRowSpace, "trace_under_permutation", refuse)
     with pytest.raises(ExactLAError):
         graded_character(covector_locus(braid3), s3)
+
+
+def test_decomposition_closes_each_stabilizer_once(braid4, s4, monkeypatch):
+    """verify_graded_module_structure builds one generating set per flat
+    orbit, for its invariance check, and induces without repeating
+    induced_character's closure test: a stabilizer is a subgroup."""
+    calls = []
+    closing = equivariant._generating_set
+
+    def counting(group, sub):
+        calls.append(frozenset(sub))
+        return closing(group, sub)
+
+    monkeypatch.setattr(equivariant, "_generating_set", counting)
+    assert verify_graded_module_structure(braid4, s4).ok
+    assert calls == [frozenset(s4.stabilizer_elements(rep)) for rep, _ in s4.flat_orbits()]
 
 
 def test_induced_character_rejects_subset_generating_more(s3):

@@ -605,6 +605,62 @@ def test_row_space_matches_fully_reduced_reference(case, probes):
 
 
 @given(
+    _block_cases(),
+    st.lists(st.lists(st.integers(-3, 3), min_size=48, max_size=48), max_size=6),
+    st.lists(st.integers(-2, 2), min_size=3, max_size=3),
+)
+@example((None, 40, _SPREAD, 60), [[1] * 48], [1, -2, 1])
+@example((1000003, 40, _SPREAD, 60), [[1] * 48], [1, -2, 1])
+@example((INT64_PRIME, 13, _UNIT_MIX13, 30), [[1] * 48], [2, 0, -1])
+@settings(max_examples=150, deadline=None)
+def test_contains_block_matches_reference(case, probes, coeffs):
+    """`contains_block` gives, vector by vector, the verdict of the fully
+    reduced reference's `contains`, and so does `contains`, over Q and over
+    F_p (float64 and int64 products): on members (the stored rows and a
+    combination of three), on non-members and on an empty block."""
+    p, ambient, rows, cut = case
+    space, reference = _new_space(p, ambient), _reference_space(p, ambient)
+    for row in rows[:cut]:
+        space.insert(row)
+        reference.insert(row)
+    members = rows[:cut] + [
+        [sum(c * x for c, x in zip(coeffs, column)) for column in zip(*rows[k : k + 3])]
+        for k in range(max(0, cut - 2))
+    ]
+    block = members + [v[:ambient] for v in probes] + rows[cut:]
+    expected = [reference.contains(v) for v in block]
+    assert all(expected[: len(members)])
+    assert space.contains_block(block) == expected
+    assert [space.contains(v) for v in block] == expected
+    assert space.contains_block([]) == []
+
+
+@pytest.mark.parametrize("scale", [1, 2**31, 2**61, 2**62, 2**63 - 1, 2**63, 2**70])
+def test_rational_contains_block_exact_past_int64(scale):
+    """Rows and vectors with entries at and past the int64 range get the
+    reference's verdicts."""
+    rows = [[1, 0, 2, -1], [0, 1, -1, 3], [0, 0, scale, 1]]
+    space, reference = RationalRowSpace(4), _ReducedRowSpace(4)
+    for row in rows[:2]:
+        space.insert(row)
+        reference.insert(row)
+    block = [
+        [scale, 0, 2 * scale, -scale],  # a member
+        [scale, -scale, 3 * scale, -4 * scale],  # a member
+        [scale, -scale, 3 * scale, -4 * scale + 1],  # one off a member
+        [-scale, scale, 0, 0],  # not a member
+        [0, 0, 1, 0],
+    ]
+    assert space.contains_block(block) == [reference.contains(v) for v in block] == [
+        True, True, False, False, False
+    ]
+    space.insert(rows[2])
+    reference.insert(rows[2])
+    block.append([0, 0, scale, 1])
+    assert space.contains_block(block) == [reference.contains(v) for v in block]
+
+
+@given(
     st.permutations(list(range(6))),
     st.lists(st.lists(st.integers(-3, 3), min_size=6, max_size=6), min_size=1, max_size=3),
     st.lists(st.lists(st.integers(-3, 3), min_size=6, max_size=6), max_size=2),

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -34,9 +35,17 @@ from covg import (
     z_ideal_generators,
 )
 from covg import harmonics, permstats
-from covg.exactla import ExactLAError, FpRowSpace, RationalRowSpace
+from covg.exactla import ExactLAError, FpRowSpace, RationalRowSpace, elementary_symmetric
 from covg.com import flats_of
-from covg.matroidal import MatroidalError, basic_sets, codim, nbc_sets
+from covg.matroidal import (
+    MatroidalError,
+    basic_sets,
+    circuits,
+    codim,
+    minimal_nonbasic_sets,
+    mixing_subsets,
+    nbc_sets,
+)
 from covg.harmonics import (
     EmptyLocusError,
     EvaluationFiltration,
@@ -760,3 +769,181 @@ def test_braid_tope_series_report():
     assert r["matches_cycle_defect"]
     assert not r["matches_rising_factorial"]
     assert r["computed"] == [1, 3, 2]
+
+
+# ---------------------------------------------------------------------------
+# factored generators against the Polynomial path
+#
+# The reference below is the Polynomial construction of the presentations that
+# the factored generators replaced: each generator built as a product of
+# Polynomials.  The factored generators must expand to exactly these
+# polynomials (so every report string is the same) and evaluate to the
+# vectors `EvaluationFiltration.evaluate` gives them.
+
+
+def _ref_monomial(vars, indices):
+    exps = [0] * len(vars)
+    for k in indices:
+        exps[k] += 1
+    return Polynomial.monomial(vars, exps)
+
+
+def _ref_frame(M, F, vars):
+    zB = _ref_monomial(vars, [3 * e + 2 for e in harmonics.default_basic_set(M, F)])
+    return zB, [e for e in range(M.ground.size) if e not in F]
+
+
+def _ref_symmetric_term(vars, stride, keep, X, J):
+    terms = []
+    for i in sorted(X.support()):
+        term = _ref_monomial(vars, [stride * keep[i] + (X[i] < 0)])
+        terms.append(term + _ref_monomial(vars, [3 * keep[i] + 2]) if i in J else term)
+    return elementary_symmetric(len(terms) - 1, terms)
+
+
+def _ref_circuit_generators(vars, stride, keep, circs, mixed):
+    monomials = [
+        _ref_monomial(vars, [stride * keep[i] + (c.vector[i] < 0) for i in c.vector.support()])
+        for c in circs
+    ]
+    symmetric = [
+        _ref_symmetric_term(vars, stride, keep, c.vector, {min(c.vector.support())} if mixed else ())
+        for c in circs
+        if c.symmetric
+    ]
+    return monomials, symmetric
+
+
+def _ref_tope_generators(M):
+    vars = harmonics.small_variables(M.ground)
+    n = M.ground.size
+    one = Polynomial.one(vars)
+    affine, graded = [], []
+    for e in range(n):
+        yp, ym = _ref_monomial(vars, [2 * e]), _ref_monomial(vars, [2 * e + 1])
+        affine += [yp * ym, yp + ym - one]
+        graded += [yp * yp, yp * ym, ym * ym, yp + ym]
+    monomials, symmetric = _ref_circuit_generators(vars, 2, range(n), circuits(M), mixed=False)
+    return {"affine": affine + monomials, "graded": graded + monomials + symmetric}
+
+
+def _ref_z_generators(M):
+    vars = harmonics.big_variables(M.ground)
+    gens = [_ref_monomial(vars, [3 * e + 2 for e in C]) for C in minimal_nonbasic_sets(M)]
+    for F in flats_of(M):
+        zs = [_ref_monomial(vars, [3 * e + 2 for e in B]) for B in basic_sets(M, F)]
+        gens += [a - b for k, a in enumerate(zs) for b in zs[k + 1 :]]
+    return gens
+
+
+def _ref_covector_generators(M):
+    vars = harmonics.big_variables(M.ground)
+    gens = _ref_z_generators(M)
+    for e in range(M.ground.size):
+        yp, ym, z = (_ref_monomial(vars, [3 * e + k]) for k in range(3))
+        gens += [yp * yp, yp * ym, yp * z, ym * ym, ym * z, z * z, yp + ym + z]
+    for F in flats_of(M):
+        zB, keep = _ref_frame(M, F, vars)
+        gens += [zB * _ref_monomial(vars, [3 * e + k]) for e in sorted(F) for k in (0, 1)]
+        monomials, symmetric = _ref_circuit_generators(vars, 3, keep, circuits(contract(M, F)), True)
+        gens += [zB * g for g in monomials + symmetric]
+    return gens
+
+
+@pytest.mark.parametrize("name", ["braid3", "braid4", "figure1"])
+def test_factored_generators_expand_to_reference_polynomials(name, request):
+    """Every generator list, and every J-sweep generator, is the Polynomial
+    the reference builds, in the same order: report strings do not change."""
+    M = request.getfixturevalue(name)
+    vars = harmonics.big_variables(M.ground)
+    assert covector_ideal_generators(M) == _ref_covector_generators(M)
+    assert z_ideal_generators(M) == _ref_z_generators(M)
+    assert tope_ideal_generators(M) == _ref_tope_generators(M)
+    for F, X, J in mixing_subsets(M, harmonics._J_SWEEP_MAX_SUPPORT):
+        zB, keep = _ref_frame(M, F, vars)
+        expected = zB * _ref_symmetric_term(vars, 3, keep, X, J)
+        assert symmetric_circuit_generator(M, F, X, J) == expected
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(1000003)], ids=["Q", "Fp"])
+@pytest.mark.parametrize("name", ["braid3", "braid4", "figure1"])
+def test_factored_vectors_match_polynomial_evaluation(name, field, request):
+    """The factored evaluation vector of every covector-ideal, J-sweep and
+    tope generator equals `EvaluationFiltration.evaluate` of its Polynomial,
+    and the factored degree of every homogeneous one equals its degree."""
+    M = request.getfixturevalue(name)
+    frames = harmonics._frames(M)
+    sweep = [
+        harmonics._symmetric(frames[F], 3, X, J)
+        for F, X, J in mixing_subsets(M, harmonics._J_SWEEP_MAX_SUPPORT)
+    ]
+    tope = harmonics._tope_generators(M)
+    for locus, graded, affine in (
+        (covector_locus(M), harmonics._covector_generators(M, frames) + sweep, []),
+        (tope_locus(M), tope["graded"], tope["affine"]),
+    ):
+        filt = EvaluationFiltration(locus, field)
+        vector = harmonics._evaluator(filt)
+        for g in graded + affine:
+            poly = harmonics._polynomial(locus.variables, g)
+            assert [int(x) for x in vector(g)] == [int(x) for x in filt.evaluate(poly)], str(poly)
+            if g in graded:
+                assert poly.is_homogeneous() and harmonics._degree(g) == poly.degree(), str(poly)
+
+
+@pytest.mark.parametrize("chunk", [2, 256])
+@pytest.mark.parametrize("field", [QQ, PrimeField(1000003)], ids=["Q", "Fp"])
+def test_nonmembers_match_gr_membership_at_every_rank(field, chunk, monkeypatch):
+    """On three points of a line, `_nonmembers` gives gr_membership's
+    verdicts, in order, in chunks of any size: x is tested against the
+    snapshot of rank 1, x^2 and x^2 + x^2 against that of rank 2 = n - 1,
+    and none is a member; x^3 and x^4 meet the full-rank snapshot."""
+    monkeypatch.setattr(harmonics, "_CHUNK_ROWS", chunk)
+    locus = PointLocus(("x",), ("a", "b", "c"), ((0,), (1,), (2,)))
+    filt = EvaluationFiltration(locus, field)
+    gens = [harmonics._mono((0,) * d) for d in (1, 2, 3, 4)]
+    gens.append(harmonics._sum((1, (0, 0)), (1, (0, 0))))
+    polys = [harmonics._polynomial(locus.variables, g) for g in gens]
+    expected = [i for i, g in enumerate(polys) if not gr_membership(locus, g, field, filt)]
+    assert harmonics._nonmembers(filt, gens) == expected == [0, 1, 4]
+
+
+def _lower_symmetric_degree(gen):
+    mono, k, forms = gen
+    return mono, k - 1, forms  # e_{s-2} in place of e_{s-1}
+
+
+def _drop_zB(gen):
+    _, k, forms = gen
+    return (), k, forms
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(1000003)], ids=["Q", "Fp"])
+@pytest.mark.parametrize("mutate", [_lower_symmetric_degree, _drop_zB])
+@pytest.mark.parametrize("name", ["braid3", "figure1"])
+def test_mutated_symmetric_terms_fail_as_polynomials_do(name, mutate, field, request, monkeypatch, tmp_path):
+    """With the symmetric terms mutated, the report's membership failures and
+    J-sweep failures are those that testing each mutated Polynomial with
+    gr_membership finds, in order, and `covg verify` exits nonzero."""
+    from covg import cli
+
+    M = request.getfixturevalue(name)
+    symmetric = harmonics._symmetric
+    monkeypatch.setattr(harmonics, "_symmetric", lambda *args: mutate(symmetric(*args)))
+    report = verify_covector_presentation(M, field)
+    locus = covector_locus(M)
+    filt = EvaluationFiltration(locus, field)
+    members = [str(g) for g in covector_ideal_generators(M) if not gr_membership(locus, g, field, filt)]
+    sweep = [
+        {"flat": sorted(F), "circuit": X.to_string(), "J": sorted(J)}
+        for F, X, J in mixing_subsets(M, harmonics._J_SWEEP_MAX_SUPPORT)
+        if not gr_membership(locus, symmetric_circuit_generator(M, F, X, J), field, filt)
+    ]
+    assert sweep, "the mutant must break some J-sweep generator"
+    assert report["membership"]["failures"] == members
+    assert report["j_sweep"]["failures"] == sweep
+    assert not report["ok"]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(M.to_json_dict()))
+    argv = ["--field", field.name, "verify", str(path), "--what", "big-theorem"]
+    assert cli.run(argv) == 1

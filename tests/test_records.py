@@ -1,8 +1,10 @@
 """The record classes: value equality and hashing, immutability, and an import
-of the command line that loads neither dataclasses nor numpy."""
+of the command line that loads neither dataclasses nor numpy, nor, without
+`site`, importlib.resources."""
 
 import subprocess
 import sys
+from pathlib import Path
 from fractions import Fraction as F
 
 import pytest
@@ -79,19 +81,31 @@ def test_affine_form_holds_fractions():
 
 _NEW_MODULES = """
 import sys
+sys.path.insert(0, {src!r})
 before = set(sys.modules)
 import covg.cli
 print(" ".join(sorted(set(sys.modules) - before)))
 """
 
 
-def test_cli_import_loads_no_heavy_modules():
-    """`import covg.cli` in a fresh interpreter, with no bytecode written,
-    loads neither dataclasses (nor the inspect it pulls in) nor numpy."""
+def _cli_import_loads(*flags):
+    """The modules that `import covg.cli` adds in a fresh interpreter run with flags."""
+    code = _NEW_MODULES.format(src=str(Path(__file__).resolve().parents[1] / "src"))
     proc = subprocess.run(
-        [sys.executable, "-B", "-c", _NEW_MODULES], capture_output=True, text=True, timeout=120
+        [sys.executable, *flags, "-c", code], capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stdout.split())
     assert "covg.cli" in loaded
-    assert not loaded & {"dataclasses", "inspect", "numpy"}
+    return loaded
+
+
+def test_cli_import_loads_no_heavy_modules():
+    """`import covg.cli` in a fresh interpreter, with no bytecode written,
+    loads neither dataclasses (nor the inspect it pulls in) nor numpy.
+    Without `site` (-S), whose path hooks may import it first, it loads no
+    importlib.resources either: only `realize.fixture` reads packaged data."""
+    assert not _cli_import_loads("-B") & {"dataclasses", "inspect", "numpy"}
+    assert not _cli_import_loads("-B", "-S") & {
+        "dataclasses", "inspect", "numpy", "importlib.resources"
+    }
