@@ -131,9 +131,6 @@ class SignedVector:
     def support(self):
         return frozenset(i for i, s in enumerate(self.signs) if s)
 
-    def zero_set(self):
-        return frozenset(i for i, s in enumerate(self.signs) if not s)
-
     def restrict(self, indices):
         return SignedVector(self.signs[i] for i in indices)
 

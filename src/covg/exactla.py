@@ -14,21 +14,21 @@ its rows in the same integer type.  numpy is
 imported only where the prime field and its row space run, so work over Q
 never loads it.
 
-Both row spaces keep one layout, an echelon prefix: rows in insertion order,
-each reduced against the pivots of the rows before it and never rewritten,
-so the span of the first r rows stays readable while later rows are added
-and a copy is a prefix view.  Deciding rank needs nothing more.  The fully
-reduced basis, which membership queries, traces and expansion coefficients
-read at the pivots, is built per rank only when one of them asks.  Only the
-arithmetic is per field: `RationalRowSpace` stores one primitive integer
-row at a time, `FpRowSpace` one block of residue rows per `insert_block`
-call that raises the rank.
+Membership queries, traces and expansion coefficients read both row spaces'
+fully reduced basis at its pivots; the layouts differ with the arithmetic.
+`RationalRowSpace` keeps an echelon prefix: primitive integer rows in
+insertion order, each reduced against the pivots of the rows before it and
+never rewritten, so a copy is a prefix view, and the fully reduced basis is
+built per rank only when a query asks.  `FpRowSpace` keeps the fully
+reduced, pivot-normalized basis itself, on its free (non-pivot) columns
+only: a vector reduced against it is zero at every pivot, so a block of
+vectors is reduced, or tested, with one product on the free columns.  Each
+insert binds new arrays, so a copy shares them and keeps its own rank.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from fractions import Fraction
 from itertools import combinations
 from operator import add, mul
@@ -361,13 +361,6 @@ class Polynomial:
         degs = {sum(e) for e in self.terms}
         return len(degs) <= 1
 
-    def homogeneous_component(self, d):
-        return Polynomial(self.vars, {e: c for e, c in self.terms.items() if sum(e) == d})
-
-    def top_degree_form(self):
-        """Highest-degree homogeneous component (zero poly maps to itself)."""
-        return self.homogeneous_component(self.degree())
-
     def evaluate(self, point):
         """Exact value at a point given as a sequence of exact numbers."""
         if len(point) != len(self.vars):
@@ -430,18 +423,11 @@ def elementary_symmetric(d, polys):
 # ---------------------------------------------------------------------------
 # row spaces
 #
-# Both row spaces keep one layout, an echelon prefix.  Rows are stored in
-# insertion order, each owning a pivot column and zero at the pivots of the
-# rows stored before it, and a stored row is never rewritten: the first r rows
-# span what the space spanned at rank r, so a copy is a prefix view.  One pass
-# over the stored rows in their order reduces any vector, eliminating at each
-# pivot in turn: a row changes no entry at the pivots already passed.  The
-# fully reduced basis, in which every row is zero at every pivot but its own,
-# is unique up to row scale, so expansion coefficients and traces can be read
-# off at its pivots; it is built per rank, and only when one of them asks.
-# Only the arithmetic is per field: over Q a stored entry is one primitive
-# integer row, over F_p a block of pivot-normalized residue rows.
-
+# Both row spaces answer from the fully reduced basis, in which every row is
+# zero at every pivot but its own: it is unique up to row scale, so
+# expansion coefficients and traces can be read off at its pivots, and a
+# vector cleared by it at the pivots is zero there.  The module docstring
+# says what each one stores.
 
 def apply_point_permutation(vec, perm):
     """Push a coordinate vector forward along j -> perm[j]."""
@@ -454,27 +440,35 @@ def apply_point_permutation(vec, perm):
 _NORMALIZE_BITS = 512  # renormalize integer rows once entries exceed this,
 _NORMALIZE_EVERY = 16  # looked at after this many row operations
 _ECHELON_LEAF = 32  # FpRowSpace._echelon eliminates blocks this small row by row
+# rows per block: harmonics inserts and tests vectors in chunks this size, and
+# FpRowSpace promotes and updates its rows in slices this size; bounds the temporaries
+_CHUNK_ROWS = 256
 
 
-class _EchelonPrefix:
-    """The echelon-prefix layout that both row spaces share.
+class RationalRowSpace:
+    """Row space over Q, stored as primitive integer rows (fraction-free).
 
-    `_stored` holds the entries in insertion order, entry k raising the rank
-    to `_ends[k]`, and `_pivots` the pivot column of every stored row.  A
-    copy shares these lists and the `_reduced` table (rank -> fully reduced
-    basis of the first rank rows) and reads only its first `rank` rows; a
-    space that grows while holding fewer rows than the lists stops sharing.
-    Each class binds `copy` as its own attribute, so that wrapping one
-    class's method leaves the other's alone.
+    `_stored` holds the rows in insertion order, each primitive with a
+    positive entry at its pivot and zero at the pivots of the rows before
+    it, and `_pivots` their pivot columns.  A copy shares these lists and
+    the `_reduced` table (rank -> fully reduced basis of the first rank
+    rows) and reads only its first `rank` rows; a space that grows while
+    holding fewer rows than the lists stops sharing.
+
+    `rows` is the fully reduced basis: the primitive rows of the span, in
+    insertion order, each zero at every pivot but its own.
+    `contains_block`, the traces and `expansion_coefficients` read it.  A
+    larger rank's basis is built from the largest smaller one already in the
+    shared table, so a filtration's snapshots build theirs degree by degree.
     """
 
-    def __init__(self, ambient, empty_basis):
+    def __init__(self, ambient):
         self.ambient = ambient
         self._rank = 0
-        self._stored = []  # entries in insertion order; a longer space may share the list
-        self._ends = []  # rank after each entry; shared along with the entries
-        self._pivots = []  # pivot column of each stored row; shared along with the entries
-        self._reduced = {0: empty_basis}
+        self._stored = []  # rows in insertion order; a longer space may share the list
+        self._pivots = []  # pivot column of each stored row; shared along with the rows
+        self._reduced = {0: []}
+        self._free = None  # (rank, ...) as `_free_rows` returns it, for that rank
 
     @property
     def rank(self):
@@ -489,24 +483,19 @@ class _EchelonPrefix:
         dup.__dict__.update(self.__dict__)
         return dup
 
-    def _append(self, entry, pivots):
-        """Store an entry whose rows have these pivots, raising the rank by their count."""
+    def _append(self, row, j):
+        """Store a row with pivot j, raising the rank by one."""
         r = self._rank
         if r < len(self._pivots):  # rows past r belong to a longer space: stop sharing
-            k = bisect_right(self._ends, r)
-            self._stored, self._ends, self._pivots = self._stored[:k], self._ends[:k], self._pivots[:r]
+            self._stored, self._pivots = self._stored[:r], self._pivots[:r]
             self._reduced = {rank: basis for rank, basis in self._reduced.items() if rank <= r}
-        self._stored.append(entry)
-        self._pivots.extend(pivots)
-        self._rank = r + len(pivots)
-        self._ends.append(self._rank)
+        self._stored.append(row)
+        self._pivots.append(j)
+        self._rank = r + 1
 
     def _entries(self, lo, hi):
-        """(entry, start, end) for the stored entries that raise the rank from lo to hi."""
-        k = bisect_right(self._ends, lo)
-        while lo < hi:
-            yield self._stored[k], lo, self._ends[k]
-            lo, k = self._ends[k], k + 1
+        """(row, start, end) for the stored rows that raise the rank from lo to hi."""
+        return ((self._stored[k], k, k + 1) for k in range(lo, hi))
 
     def _reduced_basis(self):
         r = self._rank
@@ -515,24 +504,6 @@ class _EchelonPrefix:
             base = max(k for k in self._reduced if k < r)
             basis = self._reduced[r] = self._extend_basis(self._reduced[base], base, r)
         return basis
-
-
-class RationalRowSpace(_EchelonPrefix):
-    """Row space over Q, stored as primitive integer rows (fraction-free).
-
-    Each stored entry is one row, primitive with a positive entry at its
-    pivot.  `rows` is the fully reduced basis: the primitive rows of the
-    span, in insertion order, each zero at every pivot but its own.
-    `contains_block`, the traces and `expansion_coefficients` read it.  A
-    larger rank's basis is built from the largest smaller one already in the
-    shared table, so a filtration's snapshots build theirs degree by degree.
-    """
-
-    copy = _EchelonPrefix.copy
-
-    def __init__(self, ambient):
-        super().__init__(ambient, [])
-        self._free = None  # (rank, ...) as `_free_rows` returns it, for that rank
 
     @property
     def rows(self):
@@ -582,7 +553,7 @@ class RationalRowSpace(_EchelonPrefix):
             return False
         if v[j] < 0:
             v = [-x for x in v]
-        self._append(self._primitive(v), [j])
+        self._append(self._primitive(v), j)
         return True
 
     def insert_block(self, vecs):
@@ -693,21 +664,24 @@ class RationalRowSpace(_EchelonPrefix):
         return total
 
 
-class FpRowSpace(_EchelonPrefix):
+class FpRowSpace:
     """Row space over F_p backed by numpy arrays of uint32 residues.
 
-    Each stored entry is the block of rows that one rank-raising
-    `insert_block` call added: pivot-normalized, fully reduced among
-    themselves and zero at the pivots of the blocks before it.  A vector is
-    reduced with one product per block.  `_basis` is the fully reduced
-    basis, which `contains_block`, the traces and `expansion_coefficients`
-    read; it is built per rank as over Q, each later block clearing the
-    basis before it at its pivots.  Stored blocks and reduced bases are kept
-    as uint32; products and row operations run in int64, and a block is cast
-    back to uint32 when it is stored.
-    """
+    The span is kept as its fully reduced, pivot-normalized basis, on the
+    free columns only: `_pivots` holds the pivot columns in acceptance
+    order, `_free` the other columns in increasing order, and `_R` (rank x
+    free) the basis rows there.  Row i of `_basis` is 1 at `_pivots[i]`, 0
+    at the other pivots and `_R[i]` on the free columns; `contains_block`
+    and the traces read `_R` without building it.
 
-    copy = _EchelonPrefix.copy
+    A vector cleared by the basis at the pivots is zero there, so
+    `insert_block` reduces a block with one product on the free columns,
+    puts the residual in echelon form there, and clears the old rows at the
+    new pivots.  Every insert binds new arrays and writes into none it had,
+    so `copy` shares them and a copy keeps its own rank.  `_R` is uint32;
+    products and row operations run in int64 or float64 and are cast back
+    when stored.
+    """
 
     def __init__(self, ambient, p):
         import numpy as np
@@ -719,14 +693,40 @@ class FpRowSpace(_EchelonPrefix):
                 f"the prime {p} is too large for exact int64 elimination on {ambient} points: "
                 "need points * (p - 1)^2 < 2^63"
             )
-        super().__init__(ambient, np.zeros((0, ambient), dtype=_RESIDUE))
+        self.ambient = ambient
         self.p = p
         # float64 matmul is exact as long as every dot product stays < 2^53
         self._float_ok = ambient * (p - 1) * (p - 1) < 2**53
+        self._pivots = np.zeros(0, dtype=np.intp)
+        self._free = np.arange(ambient)
+        self._R = np.zeros((0, ambient), dtype=_RESIDUE)
+
+    @property
+    def rank(self):
+        return len(self._pivots)
+
+    @property
+    def pivots(self):
+        return self._pivots.tolist()
+
+    def copy(self):
+        dup = object.__new__(type(self))
+        dup.__dict__.update(self.__dict__)
+        return dup
+
+    def _rows(self, lo, hi):
+        """Rows lo to hi of the fully reduced basis, on all columns."""
+        import numpy as np
+
+        R = self._R[lo:hi]
+        out = np.zeros((len(R), self.ambient), dtype=_RESIDUE)
+        out[:, self._free] = R
+        out[np.arange(len(R)), self._pivots[lo:hi]] = 1
+        return out
 
     @property
     def _basis(self):
-        return self._reduced_basis()
+        return self._rows(0, self.rank)
 
     def _read(self, vec):
         """An integer array as it is; any other vector's entries read exactly
@@ -749,42 +749,36 @@ class FpRowSpace(_EchelonPrefix):
             raise ExactLAError("vector length does not match ambient dimension")
         return block
 
-    # Every product below is a `_combine` whose inner dimension counts rows of
-    # one echelon basis, hence is at most `ambient`, and whose factors are
+    # Every product below is an `_eliminate` whose inner dimension counts rows
+    # of one echelon basis, hence is at most `ambient`, and whose factors are
     # residues in [0, p), stored as uint32 and promoted to float64 or int64
     # before they are multiplied: each dot product is at most
     # ambient * (p - 1)^2, which `_float_ok` bounds below 2^53 for the float64
     # branch and `__init__` bounds below 2^63 for the int64 branch.  The
     # leaf's outer products are single int64 products (p - 1)^2 < 2^63.
 
-    def _combine(self, coeffs, matrix):
-        """coeffs @ matrix mod p, as a fresh int64 array."""
+    def _eliminate(self, rest, coeffs, matrix):
+        """rest - coeffs @ matrix mod p, as a fresh int64 array, or rest
+        itself when coeffs is zero.  The product is summed over slices of
+        `_CHUNK_ROWS` rows of matrix, so only one slice is promoted at a
+        time; every partial sum stays below the bound on the whole."""
         import numpy as np
 
-        if self._float_ok:
-            prod = (coeffs.astype(np.float64) @ matrix.astype(np.float64)).astype(np.int64)
-        else:
-            prod = coeffs.astype(np.int64, copy=False) @ matrix.astype(np.int64, copy=False)
-        return np.remainder(prod, self.p, out=prod)
-
-    def _clear(self, v, rows, pivots):
-        """v (a vector or a block) less the multiples of pivot-normalized rows
-        with exclusive pivots that make it zero at those pivots; int64 unless
-        nothing is taken away, when v itself is returned."""
-        import numpy as np
-
-        coeffs = v[..., pivots]
         if not coeffs.any():
-            return v
-        out = self._combine(coeffs, rows)
-        np.subtract(v, out, out=out)
+            return rest
+        kind = np.float64 if self._float_ok else np.int64
+        prod = coeffs[..., :_CHUNK_ROWS].astype(kind) @ matrix[:_CHUNK_ROWS].astype(kind)
+        for lo in range(_CHUNK_ROWS, len(matrix), _CHUNK_ROWS):
+            hi = lo + _CHUNK_ROWS
+            prod += coeffs[..., lo:hi].astype(kind) @ matrix[lo:hi].astype(kind)
+        out = prod.astype(np.int64, copy=False)
+        np.subtract(rest, out, out=out)
         return np.remainder(out, self.p, out=out)
 
-    def _reduce(self, v):
-        # one product per block in insertion order: each block is zero at the pivots before its own
-        for block, start, end in self._entries(0, self._rank):
-            v = self._clear(v, block, self._pivots[start:end])
-        return v
+    def _clear(self, v, rows, pivots):
+        """A block less the multiples of pivot-normalized rows with exclusive
+        pivots that make it zero at those pivots."""
+        return self._eliminate(v, v[..., pivots], rows)
 
     def insert(self, vec):
         """Add a vector to the span; returns True iff the rank increased."""
@@ -795,22 +789,42 @@ class FpRowSpace(_EchelonPrefix):
 
         The accepted indices equal those of inserting each vector in turn:
         the greedy independent set in row order is unique, and so is the
-        fully reduced basis at a fixed pivot set.  The block is reduced
-        against the stored blocks, its residual is put in echelon form by
-        `_echelon`, and the new rows are stored as one block.
+        fully reduced basis at a fixed pivot set.  The block is cleared at
+        the pivots, on the free columns, its residual is put in echelon form
+        there by `_echelon`, and `_extend` adds the new rows.
         """
         if not len(vecs):
             return []
         block = self._block(vecs)
-        if self._rank == self.ambient:
+        if self.rank == self.ambient:
             return []
-        taken, rows, pivots = self._echelon(self._reduce(block), self.ambient - self._rank)
+        rest = self._eliminate(block[:, self._free], block[:, self._pivots], self._R)
+        taken, rows, pivots = self._echelon(rest, self.ambient - self.rank)
         if taken:
-            self._append(rows.astype(_RESIDUE, copy=False), pivots)
+            self._extend(rows, pivots)
         return taken
 
+    def _extend(self, rows, pivots):
+        """Add fully reduced, pivot-normalized rows on the free columns, with
+        pivots at these positions of `_free`: the old rows are cleared at
+        the new pivots, in slices of `_CHUNK_ROWS`, into fresh arrays."""
+        import numpy as np
+
+        r = self.rank
+        keep = np.ones(len(self._free), dtype=bool)
+        keep[pivots] = False
+        R = np.empty((r + len(rows), int(keep.sum())), dtype=_RESIDUE)
+        fresh = rows[:, keep]
+        for lo in range(0, r, _CHUNK_ROWS):
+            old = self._R[lo : lo + _CHUNK_ROWS]
+            R[lo : lo + len(old)] = self._eliminate(old[:, keep], old[:, pivots], fresh)
+        R[r:] = fresh
+        self._pivots = np.concatenate([self._pivots, self._free[pivots]])
+        self._free = self._free[keep]
+        self._R = R
+
     def _echelon(self, block, room):
-        """Greedy independent rows of a block that is zero at the stored pivots.
+        """Greedy independent rows of a block.
 
         Returns (indices, rows, pivots): the first `room` at most of the rows
         that are independent of all earlier ones, and the fully reduced
@@ -838,6 +852,9 @@ class FpRowSpace(_EchelonPrefix):
         return [int(live[i]) for i in taken], rows, pivots
 
     def _echelon_leaf(self, block, room):
+        """Row by row: each accepted row is normalized at its first nonzero
+        column j and clears column j of the rows that meet it there; it is
+        zero before j, so only columns from j on change."""
         import numpy as np
 
         block = block.copy()
@@ -847,29 +864,16 @@ class FpRowSpace(_EchelonPrefix):
             if nz.size == 0:
                 continue
             j = int(nz[0])
-            v = block[i] * pow(int(block[i, j]), -1, self.p) % self.p
-            col = block[:, j].copy()
-            col[i] = 0
-            block = (block - np.outer(col, v)) % self.p
-            block[i] = v
+            v = block[i, j:] * pow(int(block[i, j]), -1, self.p) % self.p
+            block[i, j:] = v
+            hit = np.flatnonzero(block[:, j])
+            hit = hit[hit != i]
+            block[hit, j:] = (block[hit, j:] - np.outer(block[hit, j], v)) % self.p
             taken.append(i)
             pivots.append(j)
             if len(taken) == room:
                 break
         return taken, block[taken], pivots
-
-    def _extend_basis(self, basis, base, r):
-        """The fully reduced basis at rank r from the one at rank base."""
-        import numpy as np
-
-        out = np.empty((r, self.ambient), dtype=_RESIDUE)
-        out[:base] = basis
-        # each block is zero at the pivots before its own: it clears the rows
-        # above it at its pivots and joins them
-        for block, start, end in self._entries(base, r):
-            out[:start] = self._clear(out[:start], block, self._pivots[start:end])
-            out[start:end] = block
-        return out
 
     def contains(self, vec):
         return self.contains_block([vec])[0]
@@ -878,20 +882,13 @@ class FpRowSpace(_EchelonPrefix):
         """For each vector, whether it lies in the span.
 
         A vector cleared at the pivots by the basis rows is zero there, so
-        the whole block is tested with one product: its entries at the
-        pivots times the basis at the other columns (a `_combine` with inner
-        dimension rank <= ambient).
+        the whole block is tested with one product on the free columns: its
+        entries at the pivots times `_R` (inner dimension rank <= ambient).
         """
-        import numpy as np
-
         if not len(vecs):
             return []
-        block, pivots = self._block(vecs), self.pivots
-        free = np.ones(self.ambient, dtype=bool)
-        free[pivots] = False
-        rest, coeffs = block[:, free], block[:, pivots]
-        if coeffs.any():
-            rest = np.remainder(rest - self._combine(coeffs, self._basis[:, free]), self.p)
+        block = self._block(vecs)
+        rest = self._eliminate(block[:, self._free], block[:, self._pivots], self._R)
         return (~rest.any(axis=1)).tolist()
 
     def expansion_coefficients(self, vec):
@@ -899,21 +896,25 @@ class FpRowSpace(_EchelonPrefix):
         if not self.contains(vec):
             return None
         # rows have pivot entry 1 and exclusive pivot columns: each coefficient is vec at its pivot
-        return [int(x) for x in self._vec(vec)[self.pivots]]
+        return [int(x) for x in self._vec(vec)[self._pivots]]
 
     def trace_under_permutation(self, perm):
         """Trace of the coordinate permutation j -> perm[j] restricted to the span.
 
-        Raises if the span is not invariant under the permutation.  All moved
-        rows are reduced with one product against the basis (a `_combine`
-        with inner dimension rank <= ambient).
+        Raises if the span is not invariant under the permutation.  The
+        moved basis rows are tested as `contains_block` tests a block, in
+        slices of `_CHUNK_ROWS`; a span of full rank has no free columns and
+        is invariant under every permutation.
         """
         import numpy as np
 
-        basis = self._basis
-        moved = basis[:, np.argsort(perm)]  # moved[i, perm[k]] = row_i[k]
-        if self._clear(moved, basis, self.pivots).any():
-            raise ExactLAError("subspace is not invariant under the permutation")
+        inverse = np.argsort(perm)  # a moved row at column c is the row at inverse[c]
+        at_free, at_pivots = inverse[self._free], inverse[self._pivots]
+        if at_free.size:
+            for lo in range(0, self.rank, _CHUNK_ROWS):
+                rows = self._rows(lo, lo + _CHUNK_ROWS)
+                if self._eliminate(rows[:, at_free], rows[:, at_pivots], self._R).any():
+                    raise ExactLAError("subspace is not invariant under the permutation")
         return self.pivot_trace(perm)
 
     def pivot_trace(self, perm):
@@ -922,9 +923,15 @@ class FpRowSpace(_EchelonPrefix):
         Unchecked: the value is the trace only when the span is invariant
         under the permutation (see `trace_under_permutation`).  Rows have
         pivot entry 1, so the image of a row with pivot j has coefficient
-        row[perm^-1(j)] on it.
+        row[perm^-1(j)] on it: 1 where perm fixes j, 0 at another pivot, and
+        the row's `_R` entry at a free column.
         """
         import numpy as np
 
-        inverse = np.argsort(perm)
-        return int(self._basis[np.arange(self._rank), inverse[self.pivots]].sum()) % self.p
+        source = np.argsort(perm)[self._pivots]
+        column = np.full(self.ambient, -1)
+        column[self._free] = np.arange(len(self._free))
+        at = column[source]
+        rows = np.flatnonzero(at >= 0)
+        fixed = int(np.count_nonzero(source == self._pivots))
+        return (fixed + int(self._R[rows, at[rows]].sum())) % self.p

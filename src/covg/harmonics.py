@@ -66,7 +66,7 @@ from itertools import combinations, islice, permutations
 
 from . import jsonio
 from .com import contract, flats_of, topes
-from .exactla import QQ, Polynomial, elementary_symmetric, rational
+from .exactla import _CHUNK_ROWS, QQ, Polynomial, elementary_symmetric, rational
 from .matroidal import (
     basic_sets,
     circuits,
@@ -131,9 +131,6 @@ class PointLocus:
 
     def __len__(self):
         return len(self.points)
-
-    def index_of_label(self, label):
-        return self.labels.index(label)
 
     def to_json_dict(self):
         return {
@@ -251,9 +248,6 @@ class HilbertSeries:
         return cls(tuple(coeffs))
 
 
-_CHUNK_ROWS = 256  # vectors per row-space block insertion or membership test; bounds the block
-
-
 def _border(standard, n_vars):
     """The border of one degree of an order ideal, glex-descending.
 
@@ -304,8 +298,9 @@ class EvaluationFiltration:
     at most `_CHUNK_ROWS` through `insert_block`, which accepts exactly the
     vectors that one-at-a-time insertion would, so the standard monomials and
     every rank are those of sequential insertion.  Over F_p a chunk costs one
-    product against each stored block and a recursive echelon form of the
-    residual, which is stored as one new block; every product has inner
+    product against the reduced basis on its free columns, a recursive
+    echelon form of the residual there, and one product that clears the
+    basis at the new pivots; every product has inner
     dimension at most the point count, and the row space's prime bound
     (points * (p - 1)^2 below 2^53 for float64, below 2^63 for int64) keeps
     each dot product exact once residues are promoted from their stored type.
@@ -316,10 +311,12 @@ class EvaluationFiltration:
     the span and is rejected by `insert_block`.
 
     `snapshots[d]` is the row space of E_d, taken when degree d is done: a
-    prefix view of the one growing row space, which never rewrites its
-    rows.  The fully reduced basis that membership queries and traces read
-    is built for each degree from the previous degree's when first asked
-    for, over Q and over F_p alike.
+    copy that shares what the one growing row space stores and is never
+    written by its later inserts.  Over Q it is a prefix view of rows that
+    are never rewritten, and the fully reduced basis that membership queries
+    and traces read is built for each degree from the previous degree's when
+    first asked for.  Over F_p it holds that basis, on its free columns, as
+    it was at the end of degree d.
     """
 
     def __init__(self, locus, field=QQ):

@@ -79,11 +79,6 @@ def cycle_defect(n):
     return distribution(n, lambda w: n - cycle_count(w))
 
 
-def cycle_distribution(n):
-    """Coefficients of sum_w q^cyc(w) = q(q+1)...(q+n-1); constant term 0."""
-    return distribution(n, cycle_count)
-
-
 def rising_factorial_coefficients(n):
     """Coefficients of q(q+1)(q+2)...(q+n-1), by direct expansion."""
     coeffs = [0, 1]  # q

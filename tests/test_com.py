@@ -67,7 +67,11 @@ def test_compose_associative_idempotent(a, b, c):
 def test_flat_of_composition_is_intersection(a, b):
     n = min(len(a), len(b))
     x, y = SignedVector(a[:n]), SignedVector(b[:n])
-    assert compose(x, y).zero_set() == x.zero_set() & y.zero_set()
+    assert _zero_set(compose(x, y)) == _zero_set(x) & _zero_set(y)
+
+
+def _zero_set(v):
+    return frozenset(i for i, s in enumerate(v.signs) if not s)
 
 
 def test_axioms_pass_figure1(figure1):

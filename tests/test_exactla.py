@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
+from covg import exactla
 from covg.exactla import (
     QQ,
     ExactLAError,
@@ -134,11 +135,18 @@ def test_elementary_symmetric():
         elementary_symmetric(3, [a, b])
 
 
+def top_degree_form(f):
+    """The highest-degree homogeneous component of f (the zero polynomial maps to itself)."""
+    d = f.degree()
+    return Polynomial(f.vars, {e: c for e, c in f.terms.items() if sum(e) == d})
+
+
 def test_top_degree_form():
     vars = ("x",)
     x = Polynomial.variable(vars, "x")
     f = x * x + x - Polynomial.one(vars)
-    assert f.top_degree_form() == x * x
+    assert top_degree_form(f) == x * x
+    assert top_degree_form(Polynomial.zero(vars)).is_zero
 
 
 def _spaces(ambient):
@@ -334,10 +342,11 @@ def _space_state(space):
 
 
 @st.composite
-def _block_cases(draw):
+def _block_cases(draw, primes=(None, 1000003, INT64_PRIME)):
     """(p, ambient, rows, cut): sparse fresh rows mixed with zero rows, copies
-    and sums of earlier rows; rows[:cut] and rows[cut:] are two blocks."""
-    p = draw(st.sampled_from([None, 1000003, INT64_PRIME]))
+    and sums of earlier rows; rows[:cut] and rows[cut:] are two blocks.  p is
+    one of the primes, None standing for Q."""
+    p = draw(st.sampled_from(primes))
     ambient = draw(st.integers(1, 13 if p == INT64_PRIME else 48))
     entry = st.integers(-3, 3) if p is None else st.integers(-2, 2) | st.integers(0, p - 1)
     rows = []
@@ -727,22 +736,94 @@ def test_filtration_snapshots_match_fully_reduced_reference(corpus, monkeypatch)
 
 
 @pytest.mark.parametrize("field", [QQ, GF], ids=["rational", "fp"])
-def test_filtration_snapshots_share_rows_and_build_no_reduced_basis(braid4, field):
-    """A Hilbert series reads ranks only: no reduced basis is built past rank
-    0, and each degree's snapshot reads the growing space's stored rows, not
-    a copy of them."""
+def test_filtration_snapshots_share_rows_and_build_no_reduced_basis(braid4, field, monkeypatch):
+    """A Hilbert series reads ranks only.  Over Q no reduced basis is built
+    past rank 0, and each degree's snapshot reads the growing space's stored
+    rows, not a copy of them.  Over F_p no `_basis` is scattered from the
+    free columns, the last snapshot shares the space's arrays, and later
+    inserts write into no array an earlier snapshot holds."""
     filt = EvaluationFiltration(covector_locus(braid4), field)
+    if field is GF:
+        monkeypatch.setattr(FpRowSpace, "_rows", None)  # building `_basis` would raise
+        held = []
+        while not filt.complete:
+            held.append([a.copy() for a in _fp_state(filt.snapshots[-1])])
+            filt.advance_degree()
     assert filt.hilbert().coeffs == (1, 12, 36, 26)
     space = filt.space
+    if field is GF:
+        assert len(held) == len(filt.snapshots) - 1
+        assert all(a is b for a, b in zip(_fp_state(filt.snapshots[-1]), _fp_state(space)))
+        for d, snapshot in enumerate(filt.snapshots):
+            assert snapshot.rank == sum(filt.coeffs[: d + 1])
+            if d < len(held):
+                assert all(np.array_equal(a, b) for a, b in zip(_fp_state(snapshot), held[d]))
+        return
     assert list(space._reduced) == [0]
     for d, snapshot in enumerate(filt.snapshots):
         assert snapshot.rank == sum(filt.coeffs[: d + 1])
         assert snapshot._reduced is space._reduced
         for k, (entry, _, _) in enumerate(snapshot._entries(0, snapshot.rank)):
-            if field is QQ:
-                assert entry is space._stored[k]
-            else:
-                assert np.shares_memory(entry, space._stored[k])
+            assert entry is space._stored[k]
+
+
+def _fp_state(space):
+    """The arrays an F_p row space holds."""
+    return space._pivots, space._free, space._R
+
+
+def _checked_trace(space, perm):
+    try:
+        return space.trace_under_permutation(perm)
+    except ExactLAError:
+        return None
+
+
+@given(_block_cases(primes=(1000003, INT64_PRIME)), st.data())
+@example((1000003, 40, _SPREAD, 0), None)
+@example((INT64_PRIME, 13, _UNIT_MIX13, 0), None)
+@settings(max_examples=100, deadline=None)
+def test_fp_copies_keep_their_own_span(case, data):
+    """Copies taken between `insert_block` calls over F_p (float64 and int64
+    products) keep their span while the original grows, while a copy of one
+    of them grows, and after the original grows further: each one's pivots,
+    `_basis`, `contains_block` verdicts, pivot trace and checked trace equal
+    those of a fresh space given the same rows, with the basis updated and
+    the invariance checked in slices of any size."""
+    p, ambient, rows, _ = case
+    if data is None:  # an explicit example: copies after every 10 rows, slices of 2 rows
+        cuts, chunk, perm = list(range(0, len(rows), 10)), 2, list(range(1, ambient)) + [0]
+        extra = [[1] * ambient]
+    else:
+        cuts = data.draw(st.lists(st.integers(0, len(rows)), max_size=5))
+        chunk = data.draw(st.sampled_from([2, 256]))
+        perm = data.draw(st.permutations(range(ambient)))
+        entry = st.integers(-2, 2) | st.integers(0, p - 1)
+        extra = data.draw(st.lists(st.lists(entry, min_size=ambient, max_size=ambient), max_size=4))
+    cuts = sorted(set(cuts) | {0, len(rows)})
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exactla, "_CHUNK_ROWS", chunk)
+        space, spans = FpRowSpace(ambient, p), []
+        for lo, hi in zip(cuts, cuts[1:]):
+            spans.append((space.copy(), rows[:lo]))
+            space.insert_block(rows[lo:hi])
+        spans.append((space.copy(), rows))
+        middle, prefix = spans[len(spans) // 2]
+        diverged = middle.copy()
+        diverged.insert_block(extra)
+        space.insert_block(extra)
+        spans += [(diverged, prefix + extra), (space, rows + extra)]
+        probes = rows + extra + [apply_point_permutation(v, perm) for v in rows[:5]]
+        for copy, prefix in spans:
+            fresh = FpRowSpace(ambient, p)
+            for row in prefix:
+                fresh.insert(row)
+            assert copy.rank == fresh.rank
+            assert copy.pivots == fresh.pivots
+            assert copy._basis.tolist() == fresh._basis.tolist()
+            assert copy.contains_block(probes) == fresh.contains_block(probes)
+            assert copy.pivot_trace(perm) == fresh.pivot_trace(perm)
+            assert _checked_trace(copy, perm) == _checked_trace(fresh, perm)
 
 
 # ---------------------------------------------------------------------------
@@ -817,7 +898,7 @@ def test_residues_at_the_type_edge_match_python_ints(p, ambient):
             assert taken == _python_echelon(rows, p)[0]
             assert space._basis.dtype == np.uint32
             assert space._basis.tolist() == _python_echelon(rows, p)[1]
-            assert all(block.dtype == np.uint32 for block in space._stored)
+            assert space._R.dtype == np.uint32
         # a span of one vector: contains and the traces, checked or refused
         line = FpRowSpace(ambient, p)
         line.insert(rows[0])
@@ -834,10 +915,10 @@ def test_residues_at_the_type_edge_match_python_ints(p, ambient):
 
 
 def test_residues_are_stored_in_32_bits(braid3):
-    """Vectors, cached columns, stored blocks and reduced bases are uint32:
+    """Vectors, cached columns, stored bases and reduced bases are uint32:
     the arrays a filtration keeps take half the bytes of int64."""
     filt = EvaluationFiltration(covector_locus(braid3), GF).build()
     assert GF.vector([1, -1, 2]).dtype == np.uint32
     assert all(column.dtype == np.uint32 for column in filt._columns.values())
-    assert all(block.dtype == np.uint32 for block in filt.space._stored)
+    assert all(snapshot._R.dtype == np.uint32 for snapshot in filt.snapshots)
     assert all(snapshot._basis.dtype == np.uint32 for snapshot in filt.snapshots)

@@ -74,7 +74,7 @@ def test_tope_locus_figure1_rows(figure1):
 
 def test_covector_locus_marked_face(figure1):
     locus = covector_locus(figure1)
-    k = locus.index_of_label("0+-+")
+    k = locus.labels.index("0+-+")
     assert tuple(int(c) for c in locus.points[k]) == (0, 0, 1, 1, 0, 0, 0, 1, 0, 1, 0, 0)
 
 
@@ -87,7 +87,7 @@ def test_tope_locus_braid3_rows(braid3):
 
 def test_covector_locus_braid3_single_block(braid3):
     locus = covector_locus(braid3)
-    k = locus.index_of_label("000")
+    k = locus.labels.index("000")
     assert tuple(int(c) for c in locus.points[k]) == (0, 0, 1, 0, 0, 1, 0, 0, 1)
 
 
@@ -502,6 +502,12 @@ def test_membership_requires_homogeneous(figure1):
         gr_membership(locus, Polynomial.one(locus.variables))
 
 
+def top_degree_form(f):
+    """The highest-degree homogeneous component of f."""
+    d = f.degree()
+    return Polynomial(f.vars, {e: c for e, c in f.terms.items() if sum(e) == d})
+
+
 def test_membership_iff_top_form_of_vanishing_poly(figure1):
     """Both directions of the evaluation-span criterion on explicit witnesses."""
     locus = covector_locus(figure1)
@@ -524,10 +530,10 @@ def test_membership_iff_top_form_of_vanishing_poly(figure1):
     z = Polynomial.variable(locus.variables, "z2")
     f = y * y - y  # vanishes on 0/1 coordinates
     assert all(f.evaluate(p) == 0 for p in locus.points)
-    assert gr_membership(locus, f.top_degree_form(), QQ, filt)
+    assert gr_membership(locus, top_degree_form(f), QQ, filt)
     f2 = (y + z) * (y + z) - (y + z)
     assert all(f2.evaluate(p) == 0 for p in locus.points)
-    assert gr_membership(locus, f2.top_degree_form(), QQ, filt)
+    assert gr_membership(locus, top_degree_form(f2), QQ, filt)
 
 
 # ---------------------------------------------------------------------------
@@ -723,14 +729,14 @@ def test_kostant_locus_points():
     locus = kostant_locus(3)
     assert len(locus) == 6
     assert set(locus.labels) == {"123", "132", "213", "231", "312", "321"}
-    k = locus.index_of_label("213")
+    k = locus.labels.index("213")
     assert locus.points[k] == (Fraction(2), Fraction(1), Fraction(3))
 
 
 def test_permutohedral_point_for_213():
     locus = permutohedral_locus(3)
     assert locus.variables == ("x1", "x2", "x3", "x12", "x13", "x23")
-    k = locus.index_of_label("213")
+    k = locus.labels.index("213")
     assert tuple(int(c) for c in locus.points[k]) == (0, 1, 0, -2, 0, 0)
 
 
@@ -760,7 +766,7 @@ def test_locus_cap():
 
 def test_permstats_identities():
     for n in range(1, 6):
-        assert permstats.cycle_distribution(n) == permstats.rising_factorial_coefficients(n)
+        assert permstats.distribution(n, permstats.cycle_count) == permstats.rising_factorial_coefficients(n)
         assert sum(permstats.mahonian(n)) == sum(permstats.eulerian(n))
 
 
