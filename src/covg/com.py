@@ -33,7 +33,7 @@ memoised bitset queries over covector indices.  braid5 checks in about
 from __future__ import annotations
 
 from functools import lru_cache, reduce
-from operator import and_, or_
+from operator import and_, attrgetter, or_
 
 from . import jsonio
 
@@ -50,25 +50,45 @@ class AxiomError(COMError):
     """Raised when a covector family fails the COM axioms."""
 
 
-class GroundSet:
+class Record:
+    """An immutable value whose fields are its subclass's __slots__.
+
+    Record(*values) sets the fields in order; records are equal when their
+    types are the same and their fields equal, and hash as their one field
+    or as the tuple of their fields.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._key = attrgetter(*cls.__slots__)
+
+    def __init__(self, *values):
+        if len(values) != len(self.__slots__):
+            raise TypeError(
+                f"{type(self).__name__} takes {len(self.__slots__)} values, not {len(values)}"
+            )
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, *a):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._key(self) == other._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(repr(getattr(self, name)) for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class GroundSet(Record):
     """The ground labels, distinct strings, in element order."""
 
     __slots__ = ("labels",)
-
-    def __init__(self, labels):
-        object.__setattr__(self, "labels", labels)
-
-    def __setattr__(self, *a):
-        raise AttributeError("GroundSet is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, GroundSet) and self.labels == other.labels
-
-    def __hash__(self):
-        return hash(self.labels)
-
-    def __repr__(self):
-        return f"GroundSet({self.labels!r})"
 
     @property
     def size(self):
@@ -86,16 +106,13 @@ class GroundSet:
         return iter(range(self.size))
 
 
-class SignedVector:
+class SignedVector(Record):
     """Immutable sign assignment over a ground set, entries in {+1,-1,0}."""
 
     __slots__ = ("signs",)
 
     def __init__(self, signs):
         object.__setattr__(self, "signs", tuple(signs))
-
-    def __setattr__(self, *a):
-        raise AttributeError("SignedVector is immutable")
 
     @classmethod
     def from_string(cls, s):
@@ -112,12 +129,6 @@ class SignedVector:
 
     def __getitem__(self, i):
         return self.signs[i]
-
-    def __eq__(self, other):
-        return isinstance(other, SignedVector) and self.signs == other.signs
-
-    def __hash__(self):
-        return hash(self.signs)
 
     def __repr__(self):
         return f"SignedVector({self.to_string()!r})"
@@ -467,30 +478,10 @@ def _contract_cached(M, F):
     return COM(ground, {v.restrict(keep) for v, z in zip(M.covectors, M.zero_masks) if z & f == f})
 
 
-class SignedPermutation:
+class SignedPermutation(Record):
     """A permutation of ground indices with a sign attached to each source index."""
 
     __slots__ = ("perm", "signs")
-
-    def __init__(self, perm, signs):
-        object.__setattr__(self, "perm", perm)
-        object.__setattr__(self, "signs", signs)
-
-    def __setattr__(self, *a):
-        raise AttributeError("SignedPermutation is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SignedPermutation)
-            and self.perm == other.perm
-            and self.signs == other.signs
-        )
-
-    def __hash__(self):
-        return hash((self.perm, self.signs))
-
-    def __repr__(self):
-        return f"SignedPermutation({self.perm!r}, {self.signs!r})"
 
     @classmethod
     def identity(cls, n):

@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import permutations, product
 
 from . import jsonio
-from .com import COMError, SignedPermutation, SignedVector, act, contract, flats_of, verify_automorphism
+from .com import COMError, Record, SignedPermutation, SignedVector, act, contract, flats_of, verify_automorphism
 from .exactla import QQ, rational
 from .harmonics import EvaluationFiltration, covector_locus, tope_locus
 from .matroidal import codim
@@ -99,9 +99,11 @@ class GroupSpec:
                 raise EquivariantError("generator size does not match the ground set")
         # products of automorphisms are automorphisms: checking the generators
         # refuses a bad group before any closure work
-        for g in gens:
+        for k, g in enumerate(gens):
             if not verify_automorphism(com, g):
-                raise EquivariantError("a closed group element is not an automorphism of the COM")
+                raise EquivariantError(
+                    f"generator {k} (perm {g.perm}, signs {g.signs}) is not an automorphism of the COM"
+                )
         seen = _orbit([SignedPermutation.identity(n)], lambda w: (g.compose(w) for g in gens))
         return cls(com, gens, tuple(sorted(seen, key=_element_key)))
 
@@ -175,16 +177,13 @@ def locus_action(locus, w):
     return tuple(perm)
 
 
-class GradedCharacter:
+class GradedCharacter(Record):
     """Per-element traces on the graded pieces of the evaluation filtration:
     values maps each SignedPermutation to a tuple of field values, one per
-    degree below degrees."""
+    degree below degrees.  Characters that differ only by trailing zeros are
+    equal, so a character is not hashable."""
 
     __slots__ = ("degrees", "values")
-
-    def __init__(self, degrees, values):
-        self.degrees = degrees
-        self.values = values
 
     def value(self, w, d):
         v = self.values[w]
@@ -295,17 +294,11 @@ def _induce(group, sub, chi_values):
     return GradedCharacter(degrees, values)
 
 
-class DecompositionReport:
+class DecompositionReport(Record):
     """The covector character (lhs), the induced sum (rhs) over the flat
     orbit representatives, and the degrees where they differ."""
 
     __slots__ = ("orbit_reps", "lhs", "rhs", "mismatches")
-
-    def __init__(self, orbit_reps, lhs, rhs, mismatches):
-        self.orbit_reps = orbit_reps
-        self.lhs = lhs
-        self.rhs = rhs
-        self.mismatches = mismatches
 
     @property
     def ok(self):

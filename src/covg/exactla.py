@@ -493,10 +493,6 @@ class RationalRowSpace:
         self._pivots.append(j)
         self._rank = r + 1
 
-    def _entries(self, lo, hi):
-        """(row, start, end) for the stored rows that raise the rank from lo to hi."""
-        return ((self._stored[k], k, k + 1) for k in range(lo, hi))
-
     def _reduced_basis(self):
         r = self._rank
         basis = self._reduced.get(r)

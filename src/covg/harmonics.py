@@ -65,7 +65,7 @@ from __future__ import annotations
 from itertools import combinations, islice, permutations
 
 from . import jsonio
-from .com import contract, flats_of, topes
+from .com import Record, contract, flats_of, topes
 from .exactla import _CHUNK_ROWS, QQ, Polynomial, elementary_symmetric, rational
 from .matroidal import (
     basic_sets,
@@ -91,7 +91,7 @@ class EmptyLocusError(HarmonicsError):
 # loci
 
 
-class PointLocus:
+class PointLocus(Record):
     """Finite labeled point set with exact coordinates and named variables.
 
     The constructor trusts its arguments: one label per point, distinct
@@ -106,25 +106,9 @@ class PointLocus:
 
     __slots__ = ("variables", "labels", "points", "label_kind", "requires_char_zero")
 
+    # label_kind: covector | permutation | ordered-set-partition | raw
     def __init__(self, variables, labels, points, label_kind="raw", requires_char_zero=False):
-        object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "points", points)
-        # covector | permutation | ordered-set-partition | raw
-        object.__setattr__(self, "label_kind", label_kind)
-        object.__setattr__(self, "requires_char_zero", requires_char_zero)
-
-    def __setattr__(self, *a):
-        raise AttributeError("PointLocus is immutable")
-
-    def _fields(self):
-        return (self.variables, self.labels, self.points, self.label_kind, self.requires_char_zero)
-
-    def __eq__(self, other):
-        return isinstance(other, PointLocus) and self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
+        super().__init__(variables, labels, points, label_kind, requires_char_zero)
 
     def __repr__(self):
         return f"PointLocus({len(self)} points in {list(self.variables)})"
@@ -197,25 +181,10 @@ def covector_locus(M):
 # Hilbert series and evaluation filtration
 
 
-class HilbertSeries:
+class HilbertSeries(Record):
     """Coefficients of a Hilbert series, nonnegative ints by degree."""
 
     __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, *a):
-        raise AttributeError("HilbertSeries is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, HilbertSeries) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        return f"HilbertSeries({self.coeffs!r})"
 
     def at_one(self):
         return sum(self.coeffs)
@@ -709,16 +678,11 @@ def covector_ideal_generators(M):
 # NBC bases
 
 
-class NbcBases:
+class NbcBases(Record):
     """Monomials spanning the tope-locus and the covector-locus quotients, and
     covector_strata: flat -> the covector monomials that flat contributes."""
 
     __slots__ = ("tope", "covector", "covector_strata")
-
-    def __init__(self, tope, covector, covector_strata):
-        self.tope = tope
-        self.covector = covector
-        self.covector_strata = covector_strata
 
 
 def nbc_basis(M):

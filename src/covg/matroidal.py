@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .com import COMError, SignedVector, bits, contract, flats_of, mask_of, topes, vector_of
+from .com import COMError, Record, SignedVector, bits, contract, flats_of, mask_of, topes, vector_of
 
 
 class MatroidalError(COMError):
@@ -50,30 +50,10 @@ def _realized_patterns(M):
     return seen
 
 
-class Circuit:
+class Circuit(Record):
     """A signed circuit, and whether its negation is a circuit too."""
 
     __slots__ = ("vector", "symmetric")
-
-    def __init__(self, vector, symmetric):
-        object.__setattr__(self, "vector", vector)
-        object.__setattr__(self, "symmetric", symmetric)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Circuit is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Circuit)
-            and self.vector == other.vector
-            and self.symmetric == other.symmetric
-        )
-
-    def __hash__(self):
-        return hash((self.vector, self.symmetric))
-
-    def __repr__(self):
-        return f"Circuit({self.vector!r}, {self.symmetric!r})"
 
 
 MAX_CIRCUIT_GROUND = 14  # ground-set size for 3^n circuit search

@@ -24,7 +24,7 @@ from itertools import product
 from math import lcm
 
 from . import jsonio
-from .com import COM, GroundSet, SignedPermutation, SignedVector
+from .com import COM, GroundSet, Record, SignedPermutation, SignedVector
 from .exactla import rational
 
 
@@ -36,30 +36,13 @@ class EmptyRegionError(RealizeError):
     pass
 
 
-class AffineForm:
+class AffineForm(Record):
     """a . x + c with exact rational coefficients, held as Fractions."""
 
     __slots__ = ("coeffs", "const")
 
     def __init__(self, coeffs, const):
-        object.__setattr__(self, "coeffs", tuple(Fraction(v) for v in coeffs))
-        object.__setattr__(self, "const", Fraction(const))
-
-    def __setattr__(self, *a):
-        raise AttributeError("AffineForm is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, AffineForm)
-            and self.coeffs == other.coeffs
-            and self.const == other.const
-        )
-
-    def __hash__(self):
-        return hash((self.coeffs, self.const))
-
-    def __repr__(self):
-        return f"AffineForm({self.coeffs!r}, {self.const!r})"
+        super().__init__(tuple(Fraction(v) for v in coeffs), Fraction(const))
 
     @property
     def dimension(self):
@@ -87,28 +70,10 @@ class AffineForm:
         return cls(tuple(map(rational, coeffs)), rational(data["const"]))
 
 
-class Arrangement:
+class Arrangement(Record):
     """Labeled affine forms plus an open polyhedral region (strict inequalities)."""
 
     __slots__ = ("dimension", "labels", "forms", "region")
-
-    def __init__(self, dimension, labels, forms, region):
-        object.__setattr__(self, "dimension", dimension)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "forms", forms)
-        object.__setattr__(self, "region", region)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Arrangement is immutable")
-
-    def _fields(self):
-        return (self.dimension, self.labels, self.forms, self.region)
-
-    def __eq__(self, other):
-        return isinstance(other, Arrangement) and self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
 
     def __repr__(self):
         return f"Arrangement({self.dimension}, {self.labels!r}, {len(self.region)} region forms)"
@@ -273,21 +238,10 @@ def simplex_max(A, b, c):
     return status, value if value is None else value / dc, x
 
 
-class LPResult:
+class LPResult(Record):
     """The outcome of lp_strict_feasible: a bool and, when feasible, a point."""
 
     __slots__ = ("feasible", "witness")
-
-    def __init__(self, feasible, witness):
-        self.feasible = feasible
-        self.witness = witness
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LPResult)
-            and self.feasible == other.feasible
-            and self.witness == other.witness
-        )
 
 
 def lp_strict_feasible(strict, equalities, dimension):

@@ -54,9 +54,15 @@ def test_group_closure_order(s3, s4):
 
 
 def test_group_rejects_non_automorphism(figure1):
+    """The refusal names the failing generator by its position in the list."""
     flip4 = SignedPermutation((0, 1, 2, 3), (1, 1, 1, -1))
-    with pytest.raises(EquivariantError):
+    with pytest.raises(EquivariantError, match=r"^generator 0 "):
         GroupSpec.from_generators(figure1, [flip4])
+    with pytest.raises(
+        EquivariantError,
+        match=r"^generator 1 \(perm \(0, 1, 2, 3\), signs \(1, 1, 1, -1\)\) is not an automorphism",
+    ):
+        GroupSpec.from_generators(figure1, [SignedPermutation.identity(4), flip4])
 
 
 def test_group_checks_each_generator_once_before_closure(braid4, figure1, monkeypatch):

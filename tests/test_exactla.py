@@ -763,8 +763,7 @@ def test_filtration_snapshots_share_rows_and_build_no_reduced_basis(braid4, fiel
     for d, snapshot in enumerate(filt.snapshots):
         assert snapshot.rank == sum(filt.coeffs[: d + 1])
         assert snapshot._reduced is space._reduced
-        for k, (entry, _, _) in enumerate(snapshot._entries(0, snapshot.rank)):
-            assert entry is space._stored[k]
+        assert all(snapshot._stored[k] is space._stored[k] for k in range(snapshot.rank))
 
 
 def _fp_state(space):

@@ -1,5 +1,6 @@
-"""The record classes: value equality and hashing, immutability, and an import
-of the command line that loads neither dataclasses nor numpy, nor, without
+"""The record classes: the `Record` contract (construction, value equality
+and hashing, immutability, repr) for every subclass, and an import of the
+command line that loads neither dataclasses nor numpy, nor, without
 `site`, importlib.resources."""
 
 import subprocess
@@ -21,7 +22,11 @@ from covg import (
     braid_automorphism_generators,
     braid_com,
 )
+from covg.com import Record
+from covg.equivariant import DecompositionReport, GradedCharacter
+from covg.harmonics import NbcBases
 from covg.matroidal import Circuit
+from covg.realize import LPResult
 
 
 @pytest.mark.parametrize(
@@ -31,8 +36,22 @@ from covg.matroidal import Circuit
         (lambda: GroundSet(("a", "b")), GroundSet(("b", "a"))),
         (lambda: Circuit(SignedVector((1, -1, 0)), True), Circuit(SignedVector((1, -1, 0)), False)),
         (lambda: HilbertSeries((1, 6, 6)), HilbertSeries((1, 6))),
+        (lambda: SignedVector((1, -1, 0)), SignedVector((1, -1, 1))),
+        (
+            lambda: PointLocus(("x",), ("p", "q"), ((0,), (1,))),
+            PointLocus(("x",), ("p", "q"), ((0,), (1,)), "raw", True),
+        ),
+        (lambda: AffineForm((1, F(1, 2)), 0), AffineForm((1, F(1, 2)), 1)),
+        (
+            lambda: Arrangement(1, ("h",), (AffineForm((1,), 0),), ()),
+            Arrangement(1, ("h",), (AffineForm((1,), 0),), (AffineForm((1,), 0),)),
+        ),
+        (lambda: LPResult(True, (F(1, 2),)), LPResult(False, None)),
     ],
-    ids=["SignedPermutation", "GroundSet", "Circuit", "HilbertSeries"],
+    ids=[
+        "SignedPermutation", "GroundSet", "Circuit", "HilbertSeries", "SignedVector",
+        "PointLocus", "AffineForm", "Arrangement", "LPResult",
+    ],
 )
 def test_records_compare_and_hash_by_value(make, other):
     a, b = make(), make()
@@ -63,6 +82,10 @@ def test_signed_permutations_key_characters():
         (Circuit(SignedVector((1,)), False), "symmetric"),
         (AffineForm((1,), 0), "const"),
         (Arrangement(1, ("h",), (AffineForm((1,), 0),), ()), "region"),
+        (LPResult(False, None), "feasible"),
+        (NbcBases([], [], {}), "tope"),
+        (GradedCharacter(1, {}), "values"),
+        (DecompositionReport((), GradedCharacter(1, {}), GradedCharacter(1, {}), ()), "mismatches"),
     ],
     ids=lambda v: type(v).__name__ if not isinstance(v, str) else v,
 )
@@ -71,6 +94,60 @@ def test_frozen_records_refuse_writes(record, field):
         setattr(record, field, None)
     with pytest.raises(AttributeError):
         record.extra = 1
+
+
+_V = SignedVector((1, -1, 0))
+_FORM = AffineForm((1,), F(-1, 2))
+_CHI = GradedCharacter(1, {})
+
+# (class, constructor arguments, repr)
+_RECORDS = [
+    (GroundSet, (("a", "b"),), "GroundSet(('a', 'b'))"),
+    (SignedVector, ((1, -1, 0),), "SignedVector('+-0')"),
+    (SignedPermutation, ((1, 0), (1, -1)), "SignedPermutation((1, 0), (1, -1))"),
+    (Circuit, (_V, True), "Circuit(SignedVector('+-0'), True)"),
+    (
+        PointLocus,
+        (("x",), ("p", "q"), ((0,), (1,)), "covector", False),
+        "PointLocus(2 points in ['x'])",
+    ),
+    (HilbertSeries, ((1, 6, 6),), "HilbertSeries((1, 6, 6))"),
+    (NbcBases, ([], [], {}), "NbcBases([], [], {})"),
+    (AffineForm, ((F(1),), F(-1, 2)), "AffineForm((Fraction(1, 1),), Fraction(-1, 2))"),
+    (Arrangement, (1, ("h",), (_FORM,), ()), "Arrangement(1, ('h',), 0 region forms)"),
+    (LPResult, (True, (F(1, 2),)), "LPResult(True, (Fraction(1, 2),))"),
+    (GradedCharacter, (1, {}), "GradedCharacter(1, {})"),
+    (
+        DecompositionReport,
+        ((), _CHI, _CHI, ()),
+        "DecompositionReport((), GradedCharacter(1, {}), GradedCharacter(1, {}), ())",
+    ),
+]
+
+
+def test_record_cases_cover_every_subclass():
+    assert {cls for cls, _, _ in _RECORDS} == set(Record.__subclasses__())
+
+
+@pytest.mark.parametrize("cls, fields, text", _RECORDS, ids=[cls.__name__ for cls, _, _ in _RECORDS])
+def test_record_contract(cls, fields, text):
+    """A wrong argument count is a TypeError; a record equals one built from
+    the same arguments and hashes as its one field or the tuple of its
+    fields, and is unhashable when they are (a list, a dict, a character)."""
+    with pytest.raises(TypeError):
+        cls()
+    with pytest.raises(TypeError):
+        cls(*fields, None)
+    record = cls(*fields)
+    assert record == cls(*fields) and repr(record) == text
+    key = fields[0] if len(fields) == 1 else fields
+    try:
+        expected = hash(key)
+    except TypeError:
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert hash(record) == expected
 
 
 def test_affine_form_holds_fractions():
