@@ -6,24 +6,28 @@ Numbers stay field-free until a row space needs them.  `rational` reads an
 int, a Fraction or a string "p" or "p/q" into an int where the value is
 integral and a Fraction otherwise, and refuses floats and bools; polynomial
 coefficients and locus coordinates are such numbers.  A field enters only
-where evaluation vectors are formed and reduced: `RationalField` keeps a
-vector as a tuple of exact numbers (all ints over an integral locus) for the
-fraction-free `RationalRowSpace`, and `PrimeField` keeps an array of residues
-mod p, stored as uint32, for the numpy-backed `FpRowSpace`, which stores
-its rows in the same integer type.  numpy is
-imported only where the prime field and its row space run, so work over Q
-never loads it.
+where evaluation vectors are formed and reduced, and `for_points` picks its
+vector format from the locus's point count.  `RationalField` keeps a vector
+as a tuple of exact numbers (all ints over an integral locus) for the
+fraction-free `RationalRowSpace`.  `PrimeField` keeps an array of residues
+mod p, stored as uint32, for the numpy-backed `FpRowSpace`, which stores its
+rows in the same integer type; below `_NUMPY_POINTS` points it hands over to
+the same field on `RationalField`'s tuples of ints, congruent mod p to the
+field's values, and `SmallFpRowSpace` reduces them.  numpy is imported only
+where a prime field runs on a locus of at least `_NUMPY_POINTS` points, so
+work over Q and small spans over F_p never load it.
 
-Membership queries, traces and expansion coefficients read both row spaces'
-fully reduced basis at its pivots; the layouts differ with the arithmetic.
-`RationalRowSpace` keeps an echelon prefix: primitive integer rows in
-insertion order, each reduced against the pivots of the rows before it and
-never rewritten, so a copy is a prefix view, and the fully reduced basis is
-built per rank only when a query asks.  `FpRowSpace` keeps the fully
-reduced, pivot-normalized basis itself, on its free (non-pivot) columns
-only: a vector reduced against it is zero at every pivot, so a block of
-vectors is reduced, or tested, with one product on the free columns.  Each
-insert binds new arrays, so a copy shares them and keeps its own rank.
+Membership queries, traces and expansion coefficients read every row
+space's fully reduced basis at its pivots; the layouts differ with the
+arithmetic.  `RationalRowSpace` keeps an echelon prefix: primitive integer
+rows in insertion order, each reduced against the pivots of the rows before
+it and never rewritten, so a copy is a prefix view, and the fully reduced
+basis is built per rank only when a query asks.  `SmallFpRowSpace` is that
+prefix mod p, with each row scaled to 1 at its pivot.  `FpRowSpace` keeps
+the fully reduced, pivot-normalized basis itself, on its free (non-pivot)
+columns only: a vector reduced against it is zero at every pivot, so a block
+of vectors is reduced, or tested, with one product on the free columns.
+Each insert binds new arrays, so a copy shares them and keeps its own rank.
 """
 
 from __future__ import annotations
@@ -70,12 +74,14 @@ class RationalField:
 
     name = "rational"
     characteristic = 0
+    of = staticmethod(rational)
 
-    def of(self, x):
-        return rational(x)
+    def for_points(self, n):
+        """The field in the vector format that suits a locus of n points: this one."""
+        return self
 
     def vector(self, values):
-        return tuple(map(rational, values))
+        return tuple(map(self.of, values))
 
     def product(self, u, v):
         return tuple(map(mul, u, v))
@@ -101,7 +107,7 @@ class RationalField:
     def combination(self, terms, ambient):
         total = (0,) * ambient
         for c, v in terms:
-            c = rational(c)
+            c = self.of(c)
             total = tuple(a + c * x for a, x in zip(total, v))
         return total
 
@@ -138,6 +144,18 @@ def _is_prime(n):
 
 # the numpy type of stored residues: every prime a field admits is below 2^32
 _RESIDUE = "uint32"
+# loci with at least this many points run the prime field on numpy; smaller
+# ones finish their spans over F_p before numpy would have loaded (BENCH_28.json)
+_NUMPY_POINTS = 256
+
+
+def _check_products(points, p):
+    """Refuse a prime too large for exact int64 dot products of this length."""
+    if points * (p - 1) ** 2 >= 2**63:
+        raise ExactLAError(
+            f"the prime {p} is too large for exact int64 elimination on {points} points: "
+            "need points * (p - 1)^2 < 2^63"
+        )
 
 
 def _residue(x, p):
@@ -177,9 +195,23 @@ class PrimeField:
     def of(self, x):
         return _residue(x, self.p)
 
+    def for_points(self, n):
+        """This field for a locus of n points: itself from `_NUMPY_POINTS`
+        points on, below that the same field on tuples of ints, which loads
+        no numpy.  Either way the prime must keep n-term int64 dot products
+        exact."""
+        _check_products(n, self.p)
+        return self if n >= _NUMPY_POINTS else _SmallPrimeField(self.p)
+
     def vector(self, values):
         import numpy as np
 
+        values = tuple(values)
+        if all(type(x) is int for x in values):  # one pass; bools take the checked path
+            try:
+                return np.remainder(np.array(values, dtype=np.int64), self.p).astype(_RESIDUE)
+            except OverflowError:
+                pass
         return np.array([self.of(x) for x in values], dtype=_RESIDUE)
 
     def product(self, u, v):
@@ -226,6 +258,28 @@ class PrimeField:
 
     def __repr__(self):
         return f"GF({self.p})"
+
+
+class _SmallPrimeField(RationalField):
+    """GF(p) on `RationalField`'s tuples: a vector's entries are ints
+    congruent mod p to its values, and `SmallFpRowSpace` reduces them."""
+
+    def __init__(self, p):
+        self.p = p
+        self.name = f"fp:{p}"
+        self.characteristic = p
+
+    def of(self, x):
+        return _residue(x, self.p)
+
+    def is_zero(self, v):
+        p = self.p
+        return not any(x % p for x in v)
+
+    def rowspace(self, ambient):
+        return SmallFpRowSpace(ambient, self.p)
+
+    __repr__ = PrimeField.__repr__
 
 
 QQ = RationalField()
@@ -660,6 +714,57 @@ class RationalRowSpace:
         return total
 
 
+class SmallFpRowSpace(RationalRowSpace):
+    """Row space over F_p on lists of int residues, for spans too small to
+    pay for numpy: `RationalRowSpace`'s echelon prefix with its per-field
+    steps taken mod p.  Rows are normalized to 1 at their pivots, so the
+    fully reduced basis, the pivots and every answer equal `FpRowSpace`'s."""
+
+    def __init__(self, ambient, p):
+        super().__init__(ambient)
+        self.p = p
+
+    def _intvec(self, vec):
+        if len(vec) != self.ambient:
+            raise ExactLAError("vector length does not match ambient dimension")
+        p = self.p
+        return [x % p if type(x) is int else _residue(x, p) for x in vec]
+
+    def insert_block(self, vecs):
+        # read the whole block first: a refused entry leaves the span as it was, as in FpRowSpace
+        return super().insert_block([self._intvec(vec) for vec in vecs])
+
+    def _reduce(self, v):
+        # a stored row is zero before its pivot, so only v[j:] changes; entries
+        # are reduced once, at the end
+        p = self.p
+        for row, j in zip(self._stored, self._pivots[: self._rank]):
+            if a := v[j] % p:
+                v[j:] = [x - a * y for x, y in zip(v[j:], row[j:])]
+        return [x % p for x in v]
+
+    def _primitive(self, v):
+        a = next(x for x in v if x)
+        if a == 1:
+            return v
+        a = pow(a, -1, self.p)
+        return [x * a % self.p for x in v]
+
+    def _subtract(self, row, hits):
+        for a, f, _ in hits:
+            row = [x - a * y for x, y in zip(row, f)]
+        return [x % self.p for x in row]
+
+    def expansion_coefficients(self, vec):
+        if not self.contains(vec):
+            return None
+        v = self._intvec(vec)
+        return [v[j] for j in self.pivots]
+
+    def pivot_trace(self, perm):
+        return int(super().pivot_trace(perm)) % self.p  # every row is 1 at its pivot
+
+
 class FpRowSpace:
     """Row space over F_p backed by numpy arrays of uint32 residues.
 
@@ -682,13 +787,7 @@ class FpRowSpace:
     def __init__(self, ambient, p):
         import numpy as np
 
-        # int64 dot products of length ambient with entries < p are exact only
-        # while ambient * (p - 1)^2 < 2^63
-        if ambient * (p - 1) ** 2 >= 2**63:
-            raise ExactLAError(
-                f"the prime {p} is too large for exact int64 elimination on {ambient} points: "
-                "need points * (p - 1)^2 < 2^63"
-            )
+        _check_products(ambient, p)
         self.ambient = ambient
         self.p = p
         # float64 matmul is exact as long as every dot product stays < 2^53

@@ -23,10 +23,10 @@ every monomial, over Q and over F_p.
 
 Candidates of one degree are inserted in blocks (`EvaluationFiltration`): the
 row space returns the same accepted set as inserting them one at a time, and
-over F_p reduces each block with a few matrix products whose dot products
-stay exact under the prime bound the row space enforces.  Candidates that
-vanish on every point are skipped, which never changes a rank: the zero
-vector lies in every span.
+over F_p, from `exactla._NUMPY_POINTS` points on, reduces each block with a
+few matrix products whose dot products stay exact under the prime bound the
+field enforces.  Candidates that vanish on every point are skipped, which
+never changes a rank: the zero vector lies in every span.
 
 Loci, polynomials and generators are field-free: coordinates and
 coefficients are exact numbers (ints wherever they are integral).  The field
@@ -245,9 +245,13 @@ class EvaluationFiltration:
     """Degree filtration of functions on a locus by monomial evaluation spans.
 
     Evaluation columns of monomials are cached by exponent tuple; each is one
-    variable-column product of a cached divisor.  Columns are in the field's
-    vector format: over Q a tuple of exact numbers, all ints on an integral
-    locus; over F_p an array of uint32 residues.
+    variable-column product of a cached divisor.  Columns are in the vector
+    format of `self.field`, which `for_points` picks from the point count:
+    over Q a tuple of exact numbers, all ints on an integral locus, for a
+    `RationalRowSpace`; over F_p, from `_NUMPY_POINTS` points on, an array
+    of uint32 residues for an `FpRowSpace` (the only case that loads numpy),
+    and below that a tuple of ints congruent mod p to the values, for a
+    `SmallFpRowSpace`.  Every vector op goes through `self.field`.
 
     The candidates of degree d are the border of the standard set of degree
     d - 1, as in the Buchberger-Moeller algorithm for points: a monomial is
@@ -266,7 +270,7 @@ class EvaluationFiltration:
     Each degree's candidates go to the row space in glex-descending chunks of
     at most `_CHUNK_ROWS` through `insert_block`, which accepts exactly the
     vectors that one-at-a-time insertion would, so the standard monomials and
-    every rank are those of sequential insertion.  Over F_p a chunk costs one
+    every rank are those of sequential insertion.  On numpy a chunk costs one
     product against the reduced basis on its free columns, a recursive
     echelon form of the residual there, and one product that clears the
     basis at the new pivots; every product has inner
@@ -281,10 +285,11 @@ class EvaluationFiltration:
 
     `snapshots[d]` is the row space of E_d, taken when degree d is done: a
     copy that shares what the one growing row space stores and is never
-    written by its later inserts.  Over Q it is a prefix view of rows that
-    are never rewritten, and the fully reduced basis that membership queries
-    and traces read is built for each degree from the previous degree's when
-    first asked for.  Over F_p it holds that basis, on its free columns, as
+    written by its later inserts.  Over Q, and over F_p below
+    `_NUMPY_POINTS` points, it is a prefix view of rows that are never
+    rewritten, and the fully reduced basis that membership queries and
+    traces read is built for each degree from the previous degree's when
+    first asked for.  On numpy it holds that basis, on its free columns, as
     it was at the end of degree d.
     """
 
@@ -299,10 +304,10 @@ class EvaluationFiltration:
                     "prime fields are only trusted here when p exceeds the point count"
                 )
         self.locus = locus
-        self.field = field
+        # before the columns: a prime field refuses primes too large for int64
+        self.field = field = field.for_points(len(locus))
         self.n_points = len(locus)
         self.n_vars = len(locus.variables)
-        # before the columns: a prime field's row space refuses primes too large for int64
         self.space = field.rowspace(self.n_points)
         self._var_evals = [field.vector(col) for col in zip(*locus.points)]
         ones = field.vector((1,) * self.n_points)
@@ -791,7 +796,7 @@ def verify_tope_presentation(M, field=QQ):
     filt = EvaluationFiltration(locus, field)
     gens = _tope_generators(M)
     vector = _evaluator(filt)
-    affine_bad = [g for g in gens["affine"] if not field.is_zero(vector(g))]
+    affine_bad = [g for g in gens["affine"] if not filt.field.is_zero(vector(g))]
     graded_bad = [gens["graded"][i] for i in _nonmembers(filt, gens["graded"])]
     return {
         "affine_checked": len(gens["affine"]),

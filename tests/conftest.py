@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from covg import braid_com, fixture
+from covg import braid_com, exactla, fixture
 
 # tests that start `python -m covg.cli` in a subprocess import the same source tree
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -51,3 +51,18 @@ def corpus(figure1, figure1_rect, braid1, braid2, braid3, braid4):
         "braid3": braid3,
         "braid4": braid4,
     }
+
+
+@pytest.fixture(scope="session")
+def fp_engines():
+    """A generator function over the two prime-field engines: it yields
+    "exact" with `_NUMPY_POINTS` past every locus, then "numpy" with it at 0,
+    so a filtration over F_p takes that engine while the loop body runs."""
+
+    def engines():
+        for name, points in (("exact", 2**62), ("numpy", 0)):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(exactla, "_NUMPY_POINTS", points)
+                yield name
+
+    return engines

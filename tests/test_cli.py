@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from covg import jsonio
+from covg import exactla, jsonio
 from covg.cli import run
 
 
@@ -480,16 +480,38 @@ def _loads_any(names, *argv):
 
 def test_rational_commands_do_not_import_numpy(tmp_path, fig1_path):
     """Work over Q never loads numpy, COM files and their axiom check
-    included; the prime field does, so the test would fail if numpy were
-    never loaded at all."""
+    included, and neither does the prime field on a locus below
+    `_NUMPY_POINTS`; the prime field on a larger locus (permmatrix 6, 720
+    points) does, so the test would fail if numpy were never loaded at all."""
     arr = tmp_path / "arr.json"
     jsonio.write_json(arr, {"dimension": 1, "forms": {"h": {"coeffs": ["1"], "const": "0"}}, "region": []})
     assert not _loads_any(["numpy"], "loci", "--family", "kostant", "--n", "3", "--hilbert")
     assert not _loads_any(["numpy"], "enumerate", str(arr))
-    assert _loads_any(["numpy"], "--field", "fp:1000003", "loci", "--family", "permmatrix", "--n", "3", "--hilbert")
+    assert 720 >= exactla._NUMPY_POINTS
+    assert _loads_any(["numpy"], "--field", "fp:1000003", "loci", "--family", "permmatrix", "--n", "6", "--hilbert")
     assert not _loads_any(["numpy"], "check", fig1_path)
     assert not _loads_any(["numpy"], "circuits", fig1_path)
     assert not _loads_any(["numpy"], "hilbert", fig1_path, "--which", "big")
+    assert not _loads_any(["numpy"], "--field", "fp:1000003", "hilbert", fig1_path, "--which", "big")
+    assert not _loads_any(["numpy"], "--field", "fp:1000003", "verify", fig1_path, "--what", "big-theorem")
+
+
+def test_prime_field_loads_numpy_only_from_the_point_crossover(tmp_path, braid4):
+    """The prime-field benchmark jobs on braid4 (75 covectors) and
+    permmatrix 5 (120 points) run without numpy; permmatrix 6 (720 points)
+    loads it."""
+    from covg import GroupSpec, braid_automorphism_generators
+
+    com, group = tmp_path / "braid4.json", tmp_path / "s4.json"
+    jsonio.write_json(com, braid4.to_json_dict())
+    jsonio.write_json(group, GroupSpec.from_generators(braid4, braid_automorphism_generators(4)).to_json_dict())
+    fp = ("--field", "fp:1000003")
+    assert 120 < exactla._NUMPY_POINTS <= 720
+    assert not _loads_any(["numpy"], *fp, "hilbert", str(com), "--which", "big")
+    assert not _loads_any(["numpy"], *fp, "loci", "--family", "permmatrix", "--n", "5", "--hilbert")
+    assert not _loads_any(["numpy"], *fp, "verify", str(com), "--what", "big-theorem")
+    assert not _loads_any(["numpy"], *fp, "character", str(com), "--group", str(group))
+    assert _loads_any(["numpy"], *fp, "loci", "--family", "permmatrix", "--n", "6", "--hilbert")
 
 
 @pytest.mark.skipif(

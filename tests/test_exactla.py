@@ -16,6 +16,7 @@ from covg.exactla import (
     PrimeField,
     RationalField,
     RationalRowSpace,
+    SmallFpRowSpace,
     apply_point_permutation,
     elementary_symmetric,
     field_from_name,
@@ -150,7 +151,7 @@ def test_top_degree_form():
 
 
 def _spaces(ambient):
-    return [RationalRowSpace(ambient), FpRowSpace(ambient, 1000003)]
+    return [RationalRowSpace(ambient), FpRowSpace(ambient, 1000003), SmallFpRowSpace(ambient, 1000003)]
 
 
 def test_rowspace_insert_idempotent():
@@ -198,18 +199,30 @@ def test_rowspace_rational_refuses_inexact_entries():
 
 def test_rowspace_fp_reads_entries_exactly():
     # 1/2 is a residue mod p, not 0; floats and bools raise as they do over Q
-    rs = FpRowSpace(2, GF.p)
-    assert not rs.contains([Fraction(1, 2), 0])
-    for bad in ([0.5, 0], [1.0, 0], [True, 0], np.array([0.5, 0])):
+    for rs in (FpRowSpace(2, GF.p), SmallFpRowSpace(2, GF.p)):
+        assert not rs.contains([Fraction(1, 2), 0])
+        for bad in ([0.5, 0], [1.0, 0], [True, 0], np.array([0.5, 0])):
+            with pytest.raises(TypeError):
+                rs.insert(bad)
+            with pytest.raises(TypeError):
+                rs.contains(bad)
+            with pytest.raises(TypeError):
+                rs.insert_block([[1, 0], bad])
+        assert rs.rank == 0
+        assert rs.insert([Fraction(1, 2), 0]) and rs.rank == 1
+        assert rs.contains(["3/7", 0]) and not rs.contains([0, Fraction(1, 2)])
+
+
+def test_prime_field_vector_reads_ints_in_bulk():
+    """Int coordinates are reduced in one pass, past the int64 range too; a
+    Fraction is read as its residue, and floats and bools raise."""
+    ints = [0, 1, -1, GF.p, -GF.p - 2, 2**62, -(2**63), 2**63, 3**90]
+    assert GF.vector(ints).tolist() == [x % GF.p for x in ints]
+    assert GF.vector(ints[:7]).dtype == GF.vector(ints).dtype == np.uint32
+    assert GF.vector([2, Fraction(1, 2)]).tolist() == [2, GF.of(Fraction(1, 2))]
+    for bad in ([1, 0.5], [1, True], [False]):
         with pytest.raises(TypeError):
-            rs.insert(bad)
-        with pytest.raises(TypeError):
-            rs.contains(bad)
-        with pytest.raises(TypeError):
-            rs.insert_block([[1, 0], bad])
-    assert rs.rank == 0
-    assert rs.insert([Fraction(1, 2), 0]) and rs.rank == 1
-    assert rs.contains(["3/7", 0]) and not rs.contains([0, Fraction(1, 2)])
+            GF.vector(bad)
 
 
 def test_prime_field_refuses_primes_past_int64_products():
@@ -699,13 +712,13 @@ def test_rational_traces_match_fully_reduced_reference(g, seeds, noise):
         assert space.trace_under_permutation(g) == expected
 
 
-def test_filtration_snapshots_match_fully_reduced_reference(corpus, monkeypatch):
+def test_filtration_snapshots_match_fully_reduced_reference(corpus, monkeypatch, fp_engines):
     """Every degree's span of the filtrations on the corpus loci, over Q and
-    over F_p (float64 and int64 products), has the reduced basis and pivots
-    of a filtration whose row space is fully reduced on every insert; one
-    locus reads its degrees from the top down.  The loci that need
-    characteristic zero run over Q only, and the int64 prime only on loci
-    small enough for its products."""
+    over F_p (both engines; float64 and int64 products on numpy), has the
+    reduced basis and pivots of a filtration whose row space is fully
+    reduced on every insert; one locus reads its degrees from the top down.
+    The loci that need characteristic zero run over Q only, and the int64
+    prime only on loci small enough for its products."""
     loci = {}
     for name, M in corpus.items():
         loci[f"{name}-covectors"] = covector_locus(M)
@@ -721,49 +734,56 @@ def test_filtration_snapshots_match_fully_reduced_reference(corpus, monkeypatch)
             if not (field.characteristic and locus.requires_char_zero)
             and len(locus) * (field.characteristic - 1) ** 2 < 2**63
         }
-        built = {name: EvaluationFiltration(locus, field).build() for name, locus in runs.items()}
-        with monkeypatch.context() as patch:
-            patch.setattr(RationalField, "rowspace", lambda self, ambient: _ReducedRowSpace(ambient))
-            patch.setattr(PrimeField, "rowspace", lambda self, ambient: _ReducedFpRowSpace(ambient, self.p))
-            for name, locus in runs.items():
-                reference = EvaluationFiltration(locus, field).build()
-                filt = built[name]
-                assert filt._standard == reference._standard, (field, name)
-                assert len(filt.snapshots) == len(reference.snapshots), (field, name)
-                order = range(len(filt.snapshots))
-                for d in reversed(order) if name == "braid4-covectors" else order:
-                    _same_span(filt.snapshots[d], reference.snapshots[d])
+        for engine in fp_engines() if field.characteristic else ["rational"]:
+            built = {name: EvaluationFiltration(locus, field).build() for name, locus in runs.items()}
+            with monkeypatch.context() as patch:
+                reduced_fp = lambda self, ambient: _ReducedFpRowSpace(ambient, self.p)  # noqa: E731
+                patch.setattr(RationalField, "rowspace", lambda self, ambient: _ReducedRowSpace(ambient))
+                patch.setattr(PrimeField, "rowspace", reduced_fp)
+                patch.setattr(exactla._SmallPrimeField, "rowspace", reduced_fp)
+                for name, locus in runs.items():
+                    reference = EvaluationFiltration(locus, field).build()
+                    filt = built[name]
+                    assert isinstance(filt.space, FpRowSpace) == (engine == "numpy"), (field, engine)
+                    assert filt._standard == reference._standard, (field, engine, name)
+                    assert len(filt.snapshots) == len(reference.snapshots), (field, engine, name)
+                    order = range(len(filt.snapshots))
+                    for d in reversed(order) if name == "braid4-covectors" else order:
+                        _same_span(filt.snapshots[d], reference.snapshots[d])
 
 
 @pytest.mark.parametrize("field", [QQ, GF], ids=["rational", "fp"])
-def test_filtration_snapshots_share_rows_and_build_no_reduced_basis(braid4, field, monkeypatch):
-    """A Hilbert series reads ranks only.  Over Q no reduced basis is built
-    past rank 0, and each degree's snapshot reads the growing space's stored
-    rows, not a copy of them.  Over F_p no `_basis` is scattered from the
-    free columns, the last snapshot shares the space's arrays, and later
-    inserts write into no array an earlier snapshot holds."""
-    filt = EvaluationFiltration(covector_locus(braid4), field)
-    if field is GF:
-        monkeypatch.setattr(FpRowSpace, "_rows", None)  # building `_basis` would raise
-        held = []
-        while not filt.complete:
-            held.append([a.copy() for a in _fp_state(filt.snapshots[-1])])
-            filt.advance_degree()
-    assert filt.hilbert().coeffs == (1, 12, 36, 26)
-    space = filt.space
-    if field is GF:
-        assert len(held) == len(filt.snapshots) - 1
-        assert all(a is b for a, b in zip(_fp_state(filt.snapshots[-1]), _fp_state(space)))
+def test_filtration_snapshots_share_rows_and_build_no_reduced_basis(braid4, field, monkeypatch, fp_engines):
+    """A Hilbert series reads ranks only.  Over Q, and over F_p on the exact
+    engine, no reduced basis is built past rank 0, and each degree's
+    snapshot reads the growing space's stored rows, not a copy of them.  On
+    the numpy engine no `_basis` is scattered from the free columns, the
+    last snapshot shares the space's arrays, and later inserts write into no
+    array an earlier snapshot holds."""
+    for engine in fp_engines() if field is GF else ["rational"]:
+        filt = EvaluationFiltration(covector_locus(braid4), field)
+        if engine == "numpy":
+            monkeypatch.setattr(FpRowSpace, "_rows", None)  # building `_basis` would raise
+            held = []
+            while not filt.complete:
+                held.append([a.copy() for a in _fp_state(filt.snapshots[-1])])
+                filt.advance_degree()
+        assert filt.hilbert().coeffs == (1, 12, 36, 26)
+        space = filt.space
+        if engine == "numpy":
+            assert len(held) == len(filt.snapshots) - 1
+            assert all(a is b for a, b in zip(_fp_state(filt.snapshots[-1]), _fp_state(space)))
+            for d, snapshot in enumerate(filt.snapshots):
+                assert snapshot.rank == sum(filt.coeffs[: d + 1])
+                if d < len(held):
+                    assert all(np.array_equal(a, b) for a, b in zip(_fp_state(snapshot), held[d]))
+            continue
+        assert type(space) is (SmallFpRowSpace if field is GF else RationalRowSpace)
+        assert list(space._reduced) == [0]
         for d, snapshot in enumerate(filt.snapshots):
             assert snapshot.rank == sum(filt.coeffs[: d + 1])
-            if d < len(held):
-                assert all(np.array_equal(a, b) for a, b in zip(_fp_state(snapshot), held[d]))
-        return
-    assert list(space._reduced) == [0]
-    for d, snapshot in enumerate(filt.snapshots):
-        assert snapshot.rank == sum(filt.coeffs[: d + 1])
-        assert snapshot._reduced is space._reduced
-        assert all(snapshot._stored[k] is space._stored[k] for k in range(snapshot.rank))
+            assert snapshot._reduced is space._reduced
+            assert all(snapshot._stored[k] is space._stored[k] for k in range(snapshot.rank))
 
 
 def _fp_state(space):
@@ -823,6 +843,61 @@ def test_fp_copies_keep_their_own_span(case, data):
             assert copy.contains_block(probes) == fresh.contains_block(probes)
             assert copy.pivot_trace(perm) == fresh.pivot_trace(perm)
             assert _checked_trace(copy, perm) == _checked_trace(fresh, perm)
+
+
+@given(_block_cases(primes=(1000003, INT64_PRIME)), st.data())
+@example((1000003, 40, _SPREAD, 20), None)
+@example((INT64_PRIME, 13, _UNIT_MIX13, 30), None)
+@settings(max_examples=100, deadline=None)
+def test_fp_row_spaces_agree(case, data):
+    """Fed the same integral blocks, the numpy row space and the exact one
+    accept the same indices and agree on the pivots, the fully reduced
+    basis, `contains_block`, expansion coefficients, the pivot trace and the
+    checked trace, which both refuse on a span the permutation does not keep."""
+    p, ambient, rows, cut = case
+    if data is None:  # an explicit example: a rotation, and the rows it moves
+        perm = list(range(1, ambient)) + [0]
+    else:
+        perm = data.draw(st.permutations(range(ambient)))
+    numpy_space, exact_space = FpRowSpace(ambient, p), SmallFpRowSpace(ambient, p)
+    for lo, hi in ((0, cut), (cut, len(rows))):
+        taken = numpy_space.insert_block(rows[lo:hi])
+        assert exact_space.insert_block(rows[lo:hi]) == taken
+        assert exact_space.pivots == numpy_space.pivots
+        assert exact_space.rows == numpy_space._basis.tolist()
+    probes = rows + [apply_point_permutation(v, perm) for v in rows[:5]] + [[1] * ambient]
+    assert exact_space.contains_block(probes) == numpy_space.contains_block(probes)
+    for v in probes[:8]:
+        assert exact_space.expansion_coefficients(v) == numpy_space.expansion_coefficients(v)
+    assert exact_space.pivot_trace(perm) == numpy_space.pivot_trace(perm)
+    assert _checked_trace(exact_space, perm) == _checked_trace(numpy_space, perm)
+
+
+def test_prime_field_chooses_its_engine_from_the_point_count():
+    """From `_NUMPY_POINTS` points on the prime field is itself; below, it is
+    a RationalField with the same name, p and characteristic whose row space
+    is exact.  Both sides refuse the same primes with the same message."""
+    n = exactla._NUMPY_POINTS
+    assert GF.for_points(n) is GF and GF.for_points(10**6) is GF
+    assert QQ.for_points(1) is QQ and QQ.for_points(n) is QQ
+    for points in (1, n - 1):
+        small = GF.for_points(points)
+        assert isinstance(small, RationalField)
+        assert (small.name, small.p, small.characteristic) == (GF.name, GF.p, GF.characteristic)
+        assert type(small.rowspace(3)) is SmallFpRowSpace
+        assert small.of(Fraction(1, 2)) == GF.of(Fraction(1, 2)) and small.of(-1) == GF.p - 1
+        assert small.is_zero((GF.p, 0, -2 * GF.p)) and not small.is_zero((GF.p + 1, 0))
+        assert small.for_points(points) is small
+    top = PrimeField(INT64_PRIME)  # 13 * (p - 1)^2 < 2^63 <= 14 * (p - 1)^2
+    assert top.for_points(13).p == INT64_PRIME
+    with pytest.MonkeyPatch.context() as patch:
+        for threshold in (0, 100):  # refused on the numpy side, and on the exact side
+            patch.setattr(exactla, "_NUMPY_POINTS", threshold)
+            with pytest.raises(ExactLAError) as refused:
+                top.for_points(14)
+            with pytest.raises(ExactLAError) as direct:
+                FpRowSpace(14, INT64_PRIME)
+            assert str(refused.value) == str(direct.value)
 
 
 # ---------------------------------------------------------------------------
@@ -913,11 +988,22 @@ def test_residues_at_the_type_edge_match_python_ints(p, ambient):
                 assert line.trace_under_permutation(perm) == expected
 
 
-def test_residues_are_stored_in_32_bits(braid3):
-    """Vectors, cached columns, stored bases and reduced bases are uint32:
-    the arrays a filtration keeps take half the bytes of int64."""
-    filt = EvaluationFiltration(covector_locus(braid3), GF).build()
+def test_residues_are_stored_in_32_bits(braid3, fp_engines):
+    """On the numpy engine vectors, cached columns, stored bases and reduced
+    bases are uint32: the arrays a filtration keeps take half the bytes of
+    int64.  On the exact engine cached columns are tuples of ints and the
+    stored and reduced rows hold residues, each below p < 2^32."""
     assert GF.vector([1, -1, 2]).dtype == np.uint32
-    assert all(column.dtype == np.uint32 for column in filt._columns.values())
-    assert all(snapshot._R.dtype == np.uint32 for snapshot in filt.snapshots)
-    assert all(snapshot._basis.dtype == np.uint32 for snapshot in filt.snapshots)
+    for engine in fp_engines():
+        filt = EvaluationFiltration(covector_locus(braid3), GF).build()
+        if engine == "numpy":
+            assert all(column.dtype == np.uint32 for column in filt._columns.values())
+            assert all(snapshot._R.dtype == np.uint32 for snapshot in filt.snapshots)
+            assert all(snapshot._basis.dtype == np.uint32 for snapshot in filt.snapshots)
+            continue
+        assert type(filt.space) is SmallFpRowSpace
+        for column in filt._columns.values():
+            assert type(column) is tuple and all(type(x) is int for x in column)
+        for snapshot in filt.snapshots:
+            rows = snapshot._stored[: snapshot.rank] + snapshot.rows
+            assert all(type(x) is int and 0 <= x < GF.p for row in rows for x in row)

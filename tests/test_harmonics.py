@@ -221,14 +221,18 @@ def _sequential_filtration(locus, field):
     return standard, coeffs, space
 
 
-def test_block_filtration_matches_sequential_insert(braid4):
-    for locus in (permmatrix_locus(5), covector_locus(braid4)):
-        filt = EvaluationFiltration(locus, GF).build()
-        standard, coeffs, space = _sequential_filtration(locus, GF)
-        assert filt._standard == standard
-        assert filt.coeffs == coeffs
-        assert filt.space._basis.tolist() == space._basis.tolist()
-        assert filt.space.pivots == space.pivots
+def test_block_filtration_matches_sequential_insert(braid4, fp_engines):
+    """On both F_p engines the block-inserted filtration has the standard
+    monomials, ranks, reduced basis and pivots of sequential inserts."""
+    for engine in fp_engines():
+        for locus in (permmatrix_locus(5), covector_locus(braid4)):
+            filt = EvaluationFiltration(locus, GF).build()
+            standard, coeffs, space = _sequential_filtration(locus, GF)
+            assert filt._standard == standard, engine
+            assert filt.coeffs == coeffs, engine
+            basis = filt.space._basis.tolist() if engine == "numpy" else filt.space.rows
+            assert basis == space._basis.tolist(), engine
+            assert filt.space.pivots == space.pivots, engine
 
 
 def _pointwise_column(locus, field, exps):
@@ -281,26 +285,32 @@ def _reference_loci(corpus):
 
 
 @pytest.mark.parametrize("field", [QQ, GF], ids=["Q", "Fp"])
-def test_border_candidates_match_all_children_reference(corpus, field):
+def test_border_candidates_match_all_children_reference(corpus, field, fp_engines):
     """Offering only the order-ideal border gives the standard sets and ranks
     of offering every child; each degree's border equals the count-based one,
     and every cached column is the pointwise evaluation, whichever divisor
-    built it.  The Kostant and permutohedral loci are refused over F_p, so
-    their F_p runs use an unflagged copy of the same points."""
-    for name, locus in _reference_loci(corpus).items():
-        if field.characteristic:
-            locus = PointLocus(locus.variables, locus.labels, locus.points, locus.label_kind)
-        filt = EvaluationFiltration(locus, field).build()
-        standard, coeffs = _all_children_filtration(locus, field)
-        assert filt._standard == standard, name
-        assert filt.coeffs == coeffs, name
-        n_vars = len(locus.variables)
-        for d in range(1, len(filt._standard)):
-            below = filt._standard[d - 1]
-            border = [c for c, _, _ in harmonics._border(below, n_vars)]
-            assert border == _reference_border(below, n_vars), (name, d)
-        for exps, column in filt._columns.items():
-            assert list(column) == list(_pointwise_column(locus, field, exps)), (name, exps)
+    built it: over F_p its residues on the exact engine, the stored uint32
+    entries themselves on numpy.  The Kostant and permutohedral loci are
+    refused over F_p, so their F_p runs use an unflagged copy of the same
+    points."""
+    for engine in fp_engines() if field.characteristic else ["rational"]:
+        for name, locus in _reference_loci(corpus).items():
+            if field.characteristic:
+                locus = PointLocus(locus.variables, locus.labels, locus.points, locus.label_kind)
+            filt = EvaluationFiltration(locus, field).build()
+            standard, coeffs = _all_children_filtration(locus, field)
+            assert filt._standard == standard, (engine, name)
+            assert filt.coeffs == coeffs, (engine, name)
+            n_vars = len(locus.variables)
+            for d in range(1, len(filt._standard)):
+                below = filt._standard[d - 1]
+                border = [c for c, _, _ in harmonics._border(below, n_vars)]
+                assert border == _reference_border(below, n_vars), (engine, name, d)
+            for exps, column in filt._columns.items():
+                if engine == "exact":
+                    column = [x % field.p for x in column]
+                reference = list(_pointwise_column(locus, field, exps))
+                assert list(column) == reference, (engine, name, exps)
 
 
 def test_standard_monomials_form_an_order_ideal(corpus):
@@ -457,14 +467,20 @@ def _locus_and_polynomials(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(_locus_and_polynomials(), st.sampled_from([QQ, GF]))
-def test_cached_evaluation_matches_pointwise_reference(case, field):
+def test_cached_evaluation_matches_pointwise_reference(fp_engines, case, field):
+    """A polynomial's evaluation vector is its pointwise value: exactly over
+    Q and on the numpy engine, and in its residues on the exact engine."""
     locus, polys = case
-    filt = EvaluationFiltration(locus, field)
-    for stage in range(2):
-        for poly in polys:
-            reference = _reference_evaluation(locus, poly, field)
-            assert list(filt.evaluate(poly)) == reference, (stage, str(poly))
-        filt.build()  # the second pass reads columns shared with the standard monomials
+    for engine in fp_engines() if field.characteristic else ["rational"]:
+        filt = EvaluationFiltration(locus, field)
+        for stage in range(2):
+            for poly in polys:
+                reference = _reference_evaluation(locus, poly, field)
+                vector = filt.evaluate(poly)
+                if engine == "exact":
+                    vector = [x % field.p for x in vector]
+                assert list(vector) == reference, (engine, stage, str(poly))
+            filt.build()  # the second pass reads columns shared with the standard monomials
 
 
 # ---------------------------------------------------------------------------
@@ -953,3 +969,31 @@ def test_mutated_symmetric_terms_fail_as_polynomials_do(name, mutate, field, req
     path.write_text(json.dumps(M.to_json_dict()))
     argv = ["--field", field.name, "verify", str(path), "--what", "big-theorem"]
     assert cli.run(argv) == 1
+
+
+@pytest.mark.parametrize("name", ["braid3", "braid4"])
+def test_tope_presentation_tests_vectors_in_the_filtration_field(name, request, monkeypatch, tmp_path, fp_engines):
+    """Over F_p the small-generators report tests each affine generator's
+    vector with the filtration's field, on either engine, and equals the
+    report over Q; an affine generator that does not vanish (y_1+) is named
+    on both engines, and `covg verify --what small-generators` exits 1."""
+    from covg import cli
+
+    M = request.getfixturevalue(name)
+    expected = harmonics.verify_tope_presentation(M, QQ)
+    assert not expected["affine_nonvanishing"] and not expected["graded_nonmembers"]
+    tope_generators = harmonics._tope_generators
+
+    def with_bad_affine(M):
+        gens = tope_generators(M)
+        return {**gens, "affine": gens["affine"] + [harmonics._mono((0,))]}
+
+    for engine in fp_engines():
+        assert harmonics.verify_tope_presentation(M, GF) == expected, engine
+        with monkeypatch.context() as patch:
+            patch.setattr(harmonics, "_tope_generators", with_bad_affine)
+            report = harmonics.verify_tope_presentation(M, GF)
+            assert report["affine_nonvanishing"] == ["y12+"], engine
+            path = tmp_path / f"{name}-{engine}.json"
+            path.write_text(json.dumps(M.to_json_dict()))
+            assert cli.run(["--field", GF.name, "verify", str(path), "--what", "small-generators"]) == 1
