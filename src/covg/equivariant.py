@@ -2,9 +2,12 @@
 the covector ring decomposes into induced tope rings of contractions.
 
 Groups are supplied by generators.  One breadth-first orbit walk, `_orbit`,
-closes them, finds their conjugacy classes and tests subgroup generating sets;
-nothing here searches for the full automorphism group (a brute-force search
-for tiny ground sets lives at the bottom as a test utility).
+closes them, finds their conjugacy classes, walks their orbits on flats and
+tests subgroup generating sets; nothing here searches for the full
+automorphism group (a brute-force search for tiny ground sets lives at the
+bottom as a test utility).  `graded_character` is the one routine that builds
+a filtration, checks its invariance and reads traces: the decomposition check
+calls it on the covector locus and on each contraction's tope locus.
 """
 
 from __future__ import annotations
@@ -122,12 +125,15 @@ class GroupSpec:
     def flat_orbits(self):
         """Orbits on the flat poset, each listed with its lex-smallest representative."""
         if self._orbits is None:
+            def images(f):
+                return (frozenset(g.perm[i] for i in f) for g in self.generators)
+
             seen = set()
             orbits = []
             for f in flats_of(self.com):
                 if f in seen:
                     continue
-                orbit = {frozenset(w.perm[i] for i in f) for w in self.elements}
+                orbit = _orbit([f], images)
                 seen |= orbit
                 rep = min(orbit, key=lambda g: tuple(sorted(g)))
                 orbits.append((rep, frozenset(orbit)))
@@ -160,11 +166,10 @@ class GroupSpec:
 def locus_action(locus, w):
     """The permutation of locus point indices induced by a signed permutation.
 
-    Points must be labeled by covector strings; the image of a label must be
-    present, otherwise w is not an automorphism and we refuse.
+    Points must be labeled by covector strings of w's length, else COMError;
+    the image of a label must be present, otherwise w is not an automorphism
+    and we refuse.
     """
-    if locus.label_kind != "covector":
-        raise EquivariantError("only covector-labeled loci carry this action")
     index = {l: k for k, l in enumerate(locus.labels)}
     perm = []
     for label in locus.labels:
@@ -207,39 +212,27 @@ def graded_character(locus, group, field=QQ, filtration=None):
 
     Each F_d is checked to be invariant under the generators, hence under the
     whole group; the trace of one representative per conjugacy class is then
-    read at the pivots and shared by its class.
+    read at the pivots, valid on an invariant span, and shared by its class.
     """
     if field.characteristic and field.characteristic <= group.order:
         raise EquivariantError("character computations need char 0 or p > group order")
     filt = filtration or EvaluationFiltration(locus, field)
     filt.build()
-    _check_invariant(filt, [locus_action(locus, g) for g in group.generators])
-    per_class = []
-    for members in group.classes:
-        diffs = _graded_traces(filt, locus_action(locus, members[0]))
-        if diffs[0] != 1:
-            raise EquivariantError("degree-0 character value must be 1")
-        per_class.append(tuple(diffs))
-    values = {w: per_class[group.class_index[w]] for w in group.elements}
-    return GradedCharacter(len(filt.coeffs), values)
-
-
-def _check_invariant(filt, perms):
-    """Raise unless every F_d of a built filtration is invariant under each point permutation."""
-    for d in range(len(filt.coeffs)):
-        space = filt.space_upto(d)
+    spaces = [filt.space_upto(d) for d in range(len(filt.coeffs))]
+    perms = [locus_action(locus, g) for g in group.generators]
+    for space in spaces:
         for perm in perms:
             space.trace_under_permutation(perm)
-
-
-def _graded_traces(filt, perm):
-    """Trace of a point permutation on each quotient F_d / F_{d-1} of a built filtration.
-
-    Read at the pivots: valid only for a permutation under which every F_d is
-    invariant, as `_check_invariant` establishes for a generating set.
-    """
-    traces = [0] + [filt.space_upto(d).pivot_trace(perm) for d in range(len(filt.coeffs))]
-    return [filt.field.of(t - prev) for prev, t in zip(traces, traces[1:])]
+    per_class = []
+    for members in group.classes:
+        perm = locus_action(locus, members[0])
+        traces = [0] + [space.pivot_trace(perm) for space in spaces]
+        diffs = tuple(field.of(t - prev) for prev, t in zip(traces, traces[1:]))
+        if diffs[0] != 1:
+            raise EquivariantError("degree-0 character value must be 1")
+        per_class.append(diffs)
+    values = {w: per_class[group.class_index[w]] for w in group.elements}
+    return GradedCharacter(len(filt.coeffs), values)
 
 
 def _generating_set(group, sub):
@@ -335,28 +328,28 @@ def verify_graded_module_structure(M, group, field=QQ):
     """Match the graded character of the covector locus against the sum over
     flat orbits of induced, degree-shifted tope characters of contractions.
 
-    Each contraction's filtration is checked to be invariant under a
-    generating set of the flat's stabilizer; every stabilizer element's trace
-    is then read at the pivots.  A stabilizer is a subgroup by construction,
-    so its character is induced without `induced_character`'s closure test."""
+    A flat's stabilizer acts on the contraction M/F through its restricted
+    permutations.  Their distinct images form a group generated by the images
+    of a generating set of the stabilizer, and that group's tope character on
+    M/F is one `graded_character` call; each stabilizer element takes its
+    image's value.  A stabilizer is a subgroup by construction, so the
+    character is induced without `induced_character`'s closure test."""
     if field.characteristic:
         raise EquivariantError("the decomposition check compares characters over the rationals")
     big = graded_character(covector_locus(M), group, field)
     n = M.ground.size
     reps = []
     induced_parts = []
-    for rep, _orbit in group.flat_orbits():
+    for rep, _ in group.flat_orbits():
         reps.append(rep)
-        stab = group.stabilizer_elements(rep)
+        stab = set(group.stabilizer_elements(rep))
         MF = contract(M, rep)
-        locus = tope_locus(MF)
-        filt = EvaluationFiltration(locus, field).build()
-        shift = codim(M, rep)
-        perms = {w: locus_action(locus, restricted_permutation(w, rep, n)) for w in stab}
-        stab = set(stab)
-        _check_invariant(filt, [perms[g] for g in _generating_set(group, stab)])
-        chi = {w: tuple([0] * shift + _graded_traces(filt, perm)) for w, perm in perms.items()}
-        induced_parts.append(_induce(group, stab, chi))
+        image = {w: restricted_permutation(w, rep, n) for w in stab}
+        gens = tuple(image[g] for g in _generating_set(group, stab))
+        restricted = GroupSpec(MF, gens, tuple(sorted(set(image.values()), key=_element_key)))
+        values = graded_character(tope_locus(MF), restricted, field).values
+        shift = (0,) * codim(M, rep)
+        induced_parts.append(_induce(group, stab, {w: shift + values[image[w]] for w in stab}))
     width = max([big.degrees] + [ind.degrees for ind in induced_parts])
     total = {w: [Fraction(0)] * width for w in group.elements}
     for ind in induced_parts:

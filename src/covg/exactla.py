@@ -499,6 +499,18 @@ _ECHELON_LEAF = 32  # FpRowSpace._echelon eliminates blocks this small row by ro
 _CHUNK_ROWS = 256
 
 
+def _copy(space):
+    """A copy sharing the stored state: inserting into either one leaves the
+    other's span as it was (see each class)."""
+    dup = object.__new__(type(space))
+    dup.__dict__.update(space.__dict__)
+    return dup
+
+
+def _contains(space, vec):
+    return space.contains_block([vec])[0]
+
+
 class RationalRowSpace:
     """Row space over Q, stored as primitive integer rows (fraction-free).
 
@@ -532,10 +544,7 @@ class RationalRowSpace:
     def pivots(self):
         return self._pivots[: self._rank]
 
-    def copy(self):
-        dup = object.__new__(type(self))
-        dup.__dict__.update(self.__dict__)
-        return dup
+    copy = _copy
 
     def _append(self, row, j):
         """Store a row with pivot j, raising the rank by one."""
@@ -607,9 +616,11 @@ class RationalRowSpace:
         return True
 
     def insert_block(self, vecs):
-        """Insert the vectors in order; return the indices of those that raised the rank."""
+        """Insert the vectors in order; return the indices of those that raised the rank.
+
+        The whole block is read first, so a refused entry leaves the span as it was."""
         taken = []
-        for i, vec in enumerate(vecs):
+        for i, vec in enumerate([self._intvec(vec) for vec in vecs]):
             if self.rank == self.ambient:
                 break
             if self.insert(vec):
@@ -648,8 +659,7 @@ class RationalRowSpace:
             v = [x - m * y for x, y in zip(v, f)]
         return v
 
-    def contains(self, vec):
-        return self.contains_block([vec])[0]
+    contains = _contains
 
     def contains_block(self, vecs):
         """For each vector, whether it lies in the span.
@@ -730,10 +740,6 @@ class SmallFpRowSpace(RationalRowSpace):
         p = self.p
         return [x % p if type(x) is int else _residue(x, p) for x in vec]
 
-    def insert_block(self, vecs):
-        # read the whole block first: a refused entry leaves the span as it was, as in FpRowSpace
-        return super().insert_block([self._intvec(vec) for vec in vecs])
-
     def _reduce(self, v):
         # a stored row is zero before its pivot, so only v[j:] changes; entries
         # are reduced once, at the end
@@ -804,10 +810,7 @@ class FpRowSpace:
     def pivots(self):
         return self._pivots.tolist()
 
-    def copy(self):
-        dup = object.__new__(type(self))
-        dup.__dict__.update(self.__dict__)
-        return dup
+    copy = _copy
 
     def _rows(self, lo, hi):
         """Rows lo to hi of the fully reduced basis, on all columns."""
@@ -831,9 +834,6 @@ class FpRowSpace:
         if isinstance(vec, np.ndarray) and vec.dtype.kind in "iu":
             return vec
         return [_residue(x, self.p) for x in vec]
-
-    def _vec(self, vec):
-        return self._block([vec])[0]
 
     def _block(self, vecs):
         """The vectors, read as residues, stacked into one int64 array."""
@@ -869,11 +869,6 @@ class FpRowSpace:
         out = prod.astype(np.int64, copy=False)
         np.subtract(rest, out, out=out)
         return np.remainder(out, self.p, out=out)
-
-    def _clear(self, v, rows, pivots):
-        """A block less the multiples of pivot-normalized rows with exclusive
-        pivots that make it zero at those pivots."""
-        return self._eliminate(v, v[..., pivots], rows)
 
     def insert(self, vec):
         """Add a vector to the span; returns True iff the rank increased."""
@@ -938,10 +933,12 @@ class FpRowSpace:
             half = len(block) // 2
             taken, rows, pivots = self._echelon(block[:half], room)
             if len(taken) < room:
-                rest = self._clear(block[half:], rows, pivots)
+                rest = block[half:]
+                rest = self._eliminate(rest, rest[:, pivots], rows)
                 more, more_rows, more_pivots = self._echelon(rest, room - len(taken))
                 if more:
-                    rows = np.concatenate([self._clear(rows, more_rows, more_pivots), more_rows])
+                    rows = self._eliminate(rows, rows[:, more_pivots], more_rows)
+                    rows = np.concatenate([rows, more_rows])
                     taken = taken + [half + i for i in more]
                     pivots = pivots + more_pivots
         return [int(live[i]) for i in taken], rows, pivots
@@ -970,8 +967,7 @@ class FpRowSpace:
                 break
         return taken, block[taken], pivots
 
-    def contains(self, vec):
-        return self.contains_block([vec])[0]
+    contains = _contains
 
     def contains_block(self, vecs):
         """For each vector, whether it lies in the span.
@@ -991,7 +987,7 @@ class FpRowSpace:
         if not self.contains(vec):
             return None
         # rows have pivot entry 1 and exclusive pivot columns: each coefficient is vec at its pivot
-        return [int(x) for x in self._vec(vec)[self._pivots]]
+        return [int(x) for x in self._block([vec])[0, self._pivots]]
 
     def trace_under_permutation(self, perm):
         """Trace of the coordinate permutation j -> perm[j] restricted to the span.

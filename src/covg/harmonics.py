@@ -104,11 +104,10 @@ class PointLocus(Record):
     point.
     """
 
-    __slots__ = ("variables", "labels", "points", "label_kind", "requires_char_zero")
+    __slots__ = ("variables", "labels", "points", "requires_char_zero")
 
-    # label_kind: covector | permutation | ordered-set-partition | raw
-    def __init__(self, variables, labels, points, label_kind="raw", requires_char_zero=False):
-        super().__init__(variables, labels, points, label_kind, requires_char_zero)
+    def __init__(self, variables, labels, points, requires_char_zero=False):
+        super().__init__(variables, labels, points, requires_char_zero)
 
     def __repr__(self):
         return f"PointLocus({len(self)} points in {list(self.variables)})"
@@ -126,7 +125,7 @@ class PointLocus(Record):
         }
 
     @classmethod
-    def from_json_dict(cls, data, label_kind="raw"):
+    def from_json_dict(cls, data):
         variables = tuple(jsonio.array(data["variables"], "variables"))
         pts = jsonio.array(data["points"], "points")
         if not all(isinstance(p["coords"], list) for p in pts):
@@ -136,7 +135,7 @@ class PointLocus(Record):
             raise HarmonicsError("point length does not match variable count")
         if len(set(points)) != len(points):
             raise HarmonicsError("locus points must be distinct")
-        return cls(variables, tuple(p["label"] for p in pts), points, label_kind=label_kind)
+        return cls(variables, tuple(p["label"] for p in pts), points)
 
 
 def small_variables(ground):
@@ -153,28 +152,21 @@ def big_variables(ground):
     return tuple(out)
 
 
+def _sign_locus(vectors, variables, signs):
+    """One 0/1 point per signed vector, labeled by its string: at each
+    element, one coordinate per sign in `signs` indicating that sign."""
+    pts = tuple(tuple(int(s == t) for s in v.signs for t in signs) for v in vectors)
+    return PointLocus(variables, tuple(v.to_string() for v in vectors), pts)
+
+
 def tope_locus(M):
     """One 0/1 point per tope: coordinates indicate the sign at each element."""
-    pts, labels = [], []
-    for t in topes(M):
-        coords = []
-        for s in t.signs:
-            coords += [int(s == 1), int(s == -1)]
-        pts.append(tuple(coords))
-        labels.append(t.to_string())
-    return PointLocus(small_variables(M.ground), tuple(labels), tuple(pts), "covector")
+    return _sign_locus(topes(M), small_variables(M.ground), (1, -1))
 
 
 def covector_locus(M):
     """One 0/1 point per covector, with a third coordinate flagging zeros."""
-    pts, labels = [], []
-    for v in M.covectors:
-        coords = []
-        for s in v.signs:
-            coords += [int(s == 1), int(s == -1), int(s == 0)]
-        pts.append(tuple(coords))
-        labels.append(v.to_string())
-    return PointLocus(big_variables(M.ground), tuple(labels), tuple(pts), "covector")
+    return _sign_locus(M.covectors, big_variables(M.ground), (1, -1, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -826,7 +818,7 @@ def _permutation_locus(n, variables, coords, char_zero):
     for w in permutations(range(1, n + 1)):
         labels.append("".join(map(str, w)))
         points.append(tuple(coords(w)))
-    return PointLocus(variables, tuple(labels), tuple(points), "permutation", char_zero)
+    return PointLocus(variables, tuple(labels), tuple(points), char_zero)
 
 
 def kostant_locus(n):

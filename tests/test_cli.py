@@ -326,17 +326,19 @@ def test_character_command_computes_the_covector_character_once(
     covector side instead of being computed a second time."""
     import covg.cli
     import covg.equivariant
-    from covg import GroupSpec, braid_automorphism_generators
+    from covg import GroupSpec, braid_automorphism_generators, covector_locus
 
     G = GroupSpec.from_generators(braid3, braid_automorphism_generators(3))
     gpath = tmp_path / "s3.json"
     jsonio.write_json(gpath, G.to_json_dict())
     calls = []
     real = covg.equivariant.graded_character
+    covectors = covector_locus(braid3)
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counting(locus, *args, **kwargs):
+        if locus == covectors:
+            calls.append(1)
+        return real(locus, *args, **kwargs)
 
     monkeypatch.setattr(covg.equivariant, "graded_character", counting)
     monkeypatch.setattr(covg.cli, "graded_character", counting)
@@ -379,22 +381,27 @@ def test_reports_are_byte_identical(capsys, fig1_path):
     assert out1 == out2
 
 
-def test_reports_identical_across_processes(fig1_path):
+def test_reports_identical_across_processes(fig1_path, braid3_path, braid3, tmp_path):
     import os
     import subprocess
     import sys
 
-    outs = []
-    for seed in ("0", "424242"):
-        env = dict(os.environ, PYTHONHASHSEED=seed)
-        proc = subprocess.run(
-            [sys.executable, "-m", "covg.cli", "verify", fig1_path, "--what", "big-theorem"],
-            capture_output=True,
-            env=env,
-        )
-        assert proc.returncode == 0
-        outs.append(proc.stdout)
-    assert outs[0] == outs[1]
+    from covg import GroupSpec, braid_automorphism_generators
+
+    gpath = tmp_path / "s3.json"
+    jsonio.write_json(gpath, GroupSpec.from_generators(braid3, braid_automorphism_generators(3)).to_json_dict())
+    commands = [
+        ["verify", fig1_path, "--what", "big-theorem"],
+        ["character", braid3_path, "--group", str(gpath), "--verify-decomposition"],
+    ]
+    for argv in commands:
+        outs = []
+        for seed in ("0", "424242"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            proc = subprocess.run([sys.executable, "-m", "covg.cli", *argv], capture_output=True, env=env)
+            assert proc.returncode == 0
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1]
 
 
 def test_timing_only_on_request(capsys, fig1_path):

@@ -5,6 +5,7 @@ import pytest
 from covg import (
     COM,
     QQ,
+    COMError,
     GroundSet,
     GroupSpec,
     SignedPermutation,
@@ -16,6 +17,7 @@ from covg import (
     hilbert_series,
     induced_character,
     locus_action,
+    permmatrix_locus,
     tope_locus,
     verify_graded_module_structure,
 )
@@ -138,6 +140,15 @@ def test_locus_action_requires_automorphism(figure1):
     flip4 = SignedPermutation((0, 1, 2, 3), (1, 1, 1, -1))
     with pytest.raises(EquivariantError):
         locus_action(locus, flip4)
+
+
+def test_locus_action_refuses_labels_that_are_not_covectors(braid2):
+    """Every label is read as a covector of the signed permutation's length:
+    a permutation label is not one, nor is a covector of another length."""
+    with pytest.raises(COMError, match="must use only"):
+        locus_action(permmatrix_locus(3), SignedPermutation.identity(3))
+    with pytest.raises(COMError, match="sizes differ"):
+        locus_action(covector_locus(braid2), SignedPermutation.identity(3))
 
 
 def test_graded_character_identity_column(braid3, s3):
@@ -325,10 +336,10 @@ def _reference_decomposition(M, group):
     return DecompositionReport(reps, lhs, rhs, mismatches)
 
 
-@pytest.fixture(scope="module", params=["braid3", "braid4", "figure1"])
+@pytest.fixture(scope="module", params=["braid3", "braid4", "figure1", "figure1_rect"])
 def com_and_group(request):
     M = request.getfixturevalue(request.param)
-    if request.param == "figure1":
+    if request.param.startswith("figure1"):
         return M, automorphism_group_bruteforce(M)
     n = {"braid3": 3, "braid4": 4}[request.param]
     return M, GroupSpec.from_generators(M, braid_automorphism_generators(n))
@@ -450,6 +461,27 @@ def test_induced_character_rejects_subset_generating_more(s3):
         assert set(subset) <= set(s3.elements)
         with pytest.raises(EquivariantError, match="not closed"):
             induced_character(s3, subset, {w: (Fraction(1),) for w in subset})
+
+
+@pytest.mark.parametrize("name", ["braid3", "braid4", "braid5", "figure1"])
+def test_flat_orbits_match_all_elements_reference(name, figure1):
+    """Each orbit, walked under the generators, is the flat's image under
+    every group element; representatives and their order are those of one
+    scan over the flats."""
+    if name == "figure1":
+        M, G = figure1, automorphism_group_bruteforce(figure1)
+    else:
+        n = int(name[-1])
+        M = braid_com(n)
+        G = GroupSpec.from_generators(M, braid_automorphism_generators(n))
+    expected, seen = [], set()
+    for f in flats_of(M):
+        if f not in seen:
+            orbit = frozenset(frozenset(w.perm[i] for i in f) for w in G.elements)
+            seen |= orbit
+            expected.append((min(orbit, key=lambda g: tuple(sorted(g))), orbit))
+    assert G.flat_orbits() == expected
+    assert len(expected) < len(flats_of(M))  # some orbit holds several flats
 
 
 def test_flat_orbits_and_stabilizers_are_memoized(braid3, monkeypatch):

@@ -199,7 +199,7 @@ def test_rowspace_rational_refuses_inexact_entries():
 
 def test_rowspace_fp_reads_entries_exactly():
     # 1/2 is a residue mod p, not 0; floats and bools raise as they do over Q
-    for rs in (FpRowSpace(2, GF.p), SmallFpRowSpace(2, GF.p)):
+    for rs in (FpRowSpace(2, GF.p), SmallFpRowSpace(2, GF.p), RationalRowSpace(2)):
         assert not rs.contains([Fraction(1, 2), 0])
         for bad in ([0.5, 0], [1.0, 0], [True, 0], np.array([0.5, 0])):
             with pytest.raises(TypeError):

@@ -107,7 +107,7 @@ def test_point_locus_validation():
 
 def test_point_locus_json_roundtrip(figure1):
     locus = covector_locus(figure1)
-    again = PointLocus.from_json_dict(locus.to_json_dict(), label_kind="covector")
+    again = PointLocus.from_json_dict(locus.to_json_dict())
     assert again.points == locus.points
     assert again.labels == locus.labels
 
@@ -296,7 +296,7 @@ def test_border_candidates_match_all_children_reference(corpus, field, fp_engine
     for engine in fp_engines() if field.characteristic else ["rational"]:
         for name, locus in _reference_loci(corpus).items():
             if field.characteristic:
-                locus = PointLocus(locus.variables, locus.labels, locus.points, locus.label_kind)
+                locus = PointLocus(locus.variables, locus.labels, locus.points)
             filt = EvaluationFiltration(locus, field).build()
             standard, coeffs = _all_children_filtration(locus, field)
             assert filt._standard == standard, (engine, name)

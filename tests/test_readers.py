@@ -87,7 +87,7 @@ def _loci(corpus):
 
 def test_loci_pass_their_reader(corpus):
     for locus in _loci(corpus):
-        again = PointLocus.from_json_dict(_through_json(locus.to_json_dict()), locus.label_kind)
+        again = PointLocus.from_json_dict(_through_json(locus.to_json_dict()))
         assert (again.variables, again.labels, again.points) == (locus.variables, locus.labels, locus.points)
 
 

@@ -39,7 +39,7 @@ from covg.realize import LPResult
         (lambda: SignedVector((1, -1, 0)), SignedVector((1, -1, 1))),
         (
             lambda: PointLocus(("x",), ("p", "q"), ((0,), (1,))),
-            PointLocus(("x",), ("p", "q"), ((0,), (1,)), "raw", True),
+            PointLocus(("x",), ("p", "q"), ((0,), (1,)), True),
         ),
         (lambda: AffineForm((1, F(1, 2)), 0), AffineForm((1, F(1, 2)), 1)),
         (
@@ -108,7 +108,7 @@ _RECORDS = [
     (Circuit, (_V, True), "Circuit(SignedVector('+-0'), True)"),
     (
         PointLocus,
-        (("x",), ("p", "q"), ((0,), (1,)), "covector", False),
+        (("x",), ("p", "q"), ((0,), (1,)), False),
         "PointLocus(2 points in ['x'])",
     ),
     (HilbertSeries, ((1, 6, 6),), "HilbertSeries((1, 6, 6))"),
