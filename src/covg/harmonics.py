@@ -98,10 +98,11 @@ class PointLocus(Record):
     points, each a tuple of exact numbers (ints where integral, else
     Fractions) with one coordinate per variable.  The locus builders below
     make them so; points from outside come in through from_json_dict, which
-    refuses (TypeError) a `variables` or `points` entry that is not a list
-    and an inexact coordinate, and (HarmonicsError) coordinates that are not
-    a list, a point whose length is not the variable count and a repeated
-    point.
+    refuses (TypeError) a `variables` or `points` entry that is not a list,
+    a variable or point label that is not a string and an inexact
+    coordinate, and (HarmonicsError) a repeated variable or label,
+    coordinates that are not a list, a point whose length is not the
+    variable count and a repeated point.
     """
 
     __slots__ = ("variables", "labels", "points", "requires_char_zero")
@@ -126,8 +127,12 @@ class PointLocus(Record):
 
     @classmethod
     def from_json_dict(cls, data):
-        variables = tuple(jsonio.array(data["variables"], "variables"))
+        variables = tuple(jsonio.strings(data["variables"], "variables"))
         pts = jsonio.array(data["points"], "points")
+        labels = tuple(jsonio.strings([p["label"] for p in pts], "label"))
+        for what, names in (("variables", variables), ("point labels", labels)):
+            if len(set(names)) != len(names):
+                raise HarmonicsError(f"locus {what} must be distinct")
         if not all(isinstance(p["coords"], list) for p in pts):
             raise HarmonicsError("point coordinates must be JSON lists")
         points = tuple(tuple(map(rational, p["coords"])) for p in pts)
@@ -135,7 +140,7 @@ class PointLocus(Record):
             raise HarmonicsError("point length does not match variable count")
         if len(set(points)) != len(points):
             raise HarmonicsError("locus points must be distinct")
-        return cls(variables, tuple(p["label"] for p in pts), points)
+        return cls(variables, labels, points)
 
 
 def small_variables(ground):

@@ -15,9 +15,11 @@ That monotonicity is itself exercised by the tests.
 The counting checks, check_tope_contraction_count and check_two_values,
 return report dicts with an "ok" key, which `covg verify` reads and prints.
 
-Closure and basic sets meet flat masks.  The subset scans of basic_sets and
-minimal_nonbasic_sets visit 2^n subsets and refuse more than
-MAX_SUBSET_GROUND elements up front.
+Closure and basic sets meet flat masks.  closure and nonbasic read one set
+each.  The subset scans basic_sets and minimal_nonbasic_sets both read one
+table, _closure_masks, of the closures of all 2^n subsets of a flat or of
+the ground set, and decide "basic" over it with _basic; _closure_masks
+refuses more than MAX_SUBSET_GROUND elements before it allocates the table.
 """
 
 from __future__ import annotations
@@ -128,29 +130,25 @@ def closure(M, C):
     return None if meet is None else bits(meet)
 
 
-MAX_SUBSET_GROUND = 20  # elements whose 2^n subsets basic_sets and minimal_nonbasic_sets scan
-
-
-def _refuse_subset_scan(size, what):
-    if size > MAX_SUBSET_GROUND:
-        raise MatroidalError(
-            f"{what} scans 2^{size} subsets; capped at {MAX_SUBSET_GROUND} elements"
-        )
+MAX_SUBSET_GROUND = 20  # elements whose 2^n subsets _closure_masks scans
 
 
 def basic_sets(M, F):
-    """All inclusion-minimal subsets of the flat F whose closure is F."""
+    """All inclusion-minimal subsets of the flat F whose closure is F.
+
+    The closures come from the table over F alone: F is a flat above each of
+    its subsets, so the meet of the flats above one lies inside F and equals
+    the meet of those flats cut down to F.
+    """
     F = frozenset(F)
     if min(F, default=0) < 0 or mask_of(F) not in M.flat_masks:
         raise MatroidalError(f"{sorted(F)} is not a flat")
-    _refuse_subset_scan(len(F), "basic_sets")
-    out = []
-    for sub in _submasks(mask_of(F)):
-        B = bits(sub)
-        if closure(M, B) != F:
-            continue
-        if all(closure(M, B - {b}) != F for b in B):
-            out.append(B)
+    elements = sorted(F)
+    meet = _closure_masks(M, elements, "basic_sets")
+    whole = len(meet) - 1
+    basics = [sub for sub, target in enumerate(meet) if target == whole and _basic(meet, sub)]
+    # built in increasing order, as bits builds them: harmonics iterates them into z_B
+    out = [frozenset(e for k, e in enumerate(elements) if sub >> k & 1) for sub in basics]
     out.sort(key=lambda s: tuple(sorted(s)))
     return tuple(out)
 
@@ -198,14 +196,20 @@ def _drops(mask):
         rest ^= low
 
 
-def _closure_masks(M):
-    """The closure mask of every subset mask of the ground set, -1 where no flat
-    contains the subset: the meet of the flats above each mask, taken one
-    element at a time over all 2^n masks."""
-    n = M.ground.size
+def _closure_masks(M, elements, what):
+    """The closure of every subset of `elements`, an increasing list of ground
+    indices, as a mask over their positions, -1 where no flat contains the
+    subset: each flat cut down to `elements` seeds the table, then meets are
+    taken one element at a time over all 2^n masks.  Refuses more than
+    MAX_SUBSET_GROUND elements, naming the scan `what`, before the table is
+    allocated."""
+    n = len(elements)
+    if n > MAX_SUBSET_GROUND:
+        raise MatroidalError(f"{what} scans 2^{n} subsets; capped at {MAX_SUBSET_GROUND} elements")
     meet = [-1] * (1 << n)  # -1 has every bit set: the meet of no flats
     for f in M.flat_masks:
-        meet[f] = f
+        cut = sum(1 << k for k, e in enumerate(elements) if f >> e & 1)
+        meet[cut] &= cut
     for i in range(n):
         bit = 1 << i
         for sub in range(1 << n):
@@ -214,18 +218,20 @@ def _closure_masks(M):
     return meet
 
 
+def _basic(meet, sub):
+    """Whether the subset mask sub has a closure in the table meet that no
+    subset less one element shares."""
+    target = meet[sub]
+    return target != -1 and all(meet[less] != target for less in _drops(sub))
+
+
 def minimal_nonbasic_sets(M):
     """Inclusion-minimal nonbasic subsets (supersets of nonbasic sets stay nonbasic).
 
     One closure and one nonbasic flag per subset mask, as `nonbasic` defines it.
     """
-    n = M.ground.size
-    _refuse_subset_scan(n, "minimal_nonbasic_sets")
-    meet = _closure_masks(M)
-    flag = [
-        target == -1 or any(meet[less] == target for less in _drops(sub))
-        for sub, target in enumerate(meet)
-    ]
+    meet = _closure_masks(M, range(M.ground.size), "minimal_nonbasic_sets")
+    flag = [not _basic(meet, sub) for sub in range(len(meet))]
     out = [
         bits(sub)
         for sub, nb in enumerate(flag)

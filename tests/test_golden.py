@@ -9,8 +9,10 @@ the order-ideal border as candidates, and the F_p `verify` and `character`
 reports before the F_p row space kept its rows as an echelon prefix, and the
 `refuse-*` error reports (exit 2, one per resource cap the CLI can reach)
 before the caps became module constants (refuse-basic-parallel21 when the
-subset-scan cap came in), and the `check-*` reports (one
-pass, one face-symmetry witness, one strong-elimination witness) before the
+subset-scan cap came in), and the `basic` reports of braid3's top flat
+and figure1's flat 1,2,3 before basic_sets read the closure table, and the
+`check-*` reports (one pass, one face-symmetry witness, one
+strong-elimination witness) before the
 axiom check left numpy, and the `verify --what two-values` and
 `--what tope-count` reports and refuse-flats-figure1-elimination (whose
 message embeds the axiom report) before the checks returned their report
@@ -70,6 +72,8 @@ CASES["refuse-loci-kostant8"] = (("loci", "--family", "kostant", "--n", "8"), 2)
 CASES["refuse-enumerate-forms15"] = (("enumerate", "forms15.json"), 2)
 CASES["refuse-circuits-ground15"] = (("circuits", "ground15.json"), 2)
 CASES["refuse-basic-parallel21"] = (("basic", "parallel21.json", "--flat", "empty"), 2)
+CASES["braid3-basic-top"] = (("basic", "braid3.json", "--flat", "12,13,23"), 0)
+CASES["figure1-basic-123"] = (("basic", "figure1.json", "--flat", "1,2,3"), 0)
 CASES["check-braid3"] = (("check", "braid3.json"), 0)
 CASES["check-figure1-face-symmetry"] = (("check", "figure1-no-face-symmetry.json"), 1)
 CASES["check-figure1-elimination"] = (("check", "figure1-no-elimination.json"), 1)

@@ -21,7 +21,8 @@ from covg import (
     nonbasic,
     topes,
 )
-from covg.matroidal import MatroidalError, default_basic_set
+from covg.com import bits, mask_of
+from covg.matroidal import MatroidalError, _submasks, default_basic_set
 
 sv = SignedVector.from_string
 
@@ -226,6 +227,32 @@ def test_minimal_nonbasic_sets_match_their_definition(corpus):
         got = minimal_nonbasic_sets(M)
         assert set(got) == expected and len(got) == len(expected), name
     assert minimal_nonbasic_sets(coms["lone_tope"]) == (frozenset({0}),)
+
+
+def test_basic_sets_match_their_definition(corpus):
+    """The closure table over a flat gives the basic sets that `closure`
+    defines, in the same order and with the same frozenset iteration order,
+    also for a flat whose basic sets differ in size."""
+    signs = ("+++", "+0+", "++0", "000", "---", "-0-", "--0")
+    unequal = COM(GroundSet(("a", "b", "c")), [sv(s) for s in signs])
+    coms = dict(
+        corpus,
+        braid5=braid_com(5),
+        lone_tope=COM(GroundSet(("a",)), [sv("+")]),
+        parallel4=_parallel_class(4),
+        unequal=unequal,
+    )
+    for name, M in coms.items():
+        for F in flat_poset(M):
+            expected = [
+                B
+                for B in map(bits, _submasks(mask_of(F)))
+                if closure(M, B) == F and all(closure(M, B - {b}) != F for b in B)
+            ]
+            expected.sort(key=lambda s: tuple(sorted(s)))
+            got = [tuple(b) for b in basic_sets(M, F)]
+            assert got == [tuple(b) for b in expected], (name, sorted(F))
+    assert sorted(map(sorted, basic_sets(unequal, frozenset({0, 1, 2})))) == [[0], [1, 2]]
 
 
 def test_basic_sets_share_cardinality(corpus):

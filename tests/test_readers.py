@@ -109,6 +109,27 @@ def test_point_locus_refuses_a_point_of_the_wrong_length():
         PointLocus.from_json_dict(data)
 
 
+@pytest.mark.parametrize(
+    "variables, labels, key",
+    [(["u", 1], ["a", "b"], "variables"), (["u", "v"], ["a", 7], "label")],
+)
+def test_point_locus_refuses_a_name_that_is_not_a_string(variables, labels, key):
+    points = [{"label": l, "coords": [k, 0]} for k, l in enumerate(labels)]
+    with pytest.raises(TypeError, match=f"^'{key}' must hold JSON strings, got int"):
+        PointLocus.from_json_dict({"variables": variables, "points": points})
+
+
+@pytest.mark.parametrize(
+    "variables, labels, what",
+    [(["u", "u"], ["a", "b"], "variables"), (["u", "v"], ["a", "a"], "point labels")],
+)
+def test_point_locus_refuses_a_repeated_name(variables, labels, what):
+    # distinct points, so only the repeated name is at fault
+    points = [{"label": l, "coords": [k, 0]} for k, l in enumerate(labels)]
+    with pytest.raises(HarmonicsError, match=f"^locus {what} must be distinct$"):
+        PointLocus.from_json_dict({"variables": variables, "points": points})
+
+
 def test_json_reader_refuses_a_repeated_key(tmp_path):
     text = '{"a": 1, "b": {"c": 2, "c": 3}}'
     with pytest.raises(ValueError, match="repeats the key 'c'"):
